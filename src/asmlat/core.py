@@ -49,7 +49,16 @@ class IndexOutOfRange(AsmError):
 
 
 def _as_rows(raw: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in raw)
+    """The rows as tuples; every entry must be an int (a bool is not)."""
+    try:
+        rows = tuple(tuple(row) for row in raw)
+    except TypeError:
+        raise NotSquare("a matrix must be a sequence of rows") from None
+    for i, row in enumerate(rows, start=1):
+        for j, x in enumerate(row, start=1):
+            if type(x) is not int:
+                raise EntryOutOfRange(f"entry {x!r} at ({i}, {j}) is not an integer")
+    return rows
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,30 @@ class TooLarge(AsmError):
 
 
 def default_guard() -> int:
+    """The guard from ASMLAT_GUARD, or 10^7 when it is unset."""
     env = os.environ.get("ASMLAT_GUARD")
-    return int(env) if env else DEFAULT_GUARD
+    if not env:
+        return DEFAULT_GUARD
+    try:
+        guard = int(env)
+    except ValueError:
+        raise AsmError(f"ASMLAT_GUARD={env!r} is not an integer") from None
+    if guard < 0:
+        raise AsmError(f"ASMLAT_GUARD={guard} is negative")
+    return guard
+
+
+def _check_guard(what: str, predicted: int, limit_guard: Optional[int]) -> None:
+    """Refuse a workload of predicted size above the guard (``limit_guard``
+    argument, ASMLAT_GUARD env var, or 10^7)."""
+    if limit_guard is not None and limit_guard < 0:
+        raise AsmError(f"guard {limit_guard} is negative")
+    guard = limit_guard if limit_guard is not None else default_guard()
+    if predicted > guard:
+        raise TooLarge(
+            f"{what} = {predicted} exceeds guard {guard}; "
+            "raise it with --guard N or ASMLAT_GUARD"
+        )
 
 
 def count_formula(n: int) -> int:
@@ -108,10 +130,7 @@ def enumerate_asms(n: int, limit_guard: Optional[int] = None) -> list[Asm]:
     Refuses to run when the predicted count exceeds the guard
     (``limit_guard`` argument, ASMLAT_GUARD env var, or 10^7).
     """
-    guard = limit_guard if limit_guard is not None else default_guard()
-    predicted = count_formula(n)
-    if predicted > guard:
-        raise TooLarge(f"|A_{n}| = {predicted} exceeds guard {guard}")
+    _check_guard(f"|A_{n}|", count_formula(n), limit_guard)
     return list(iter_asms(n))
 
 
@@ -143,14 +162,11 @@ def genfun_stat(
 
 
 def _universe(n: int, over: str, limit_guard: Optional[int]) -> Iterator[Asm]:
-    guard = limit_guard if limit_guard is not None else default_guard()
     if over == "asm":
-        if count_formula(n) > guard:
-            raise TooLarge(f"|A_{n}| = {count_formula(n)} exceeds guard {guard}")
+        _check_guard(f"|A_{n}|", count_formula(n), limit_guard)
         return iter_asms(n)
     if over == "perm":
-        if math.factorial(n) > guard:
-            raise TooLarge(f"n! = {math.factorial(n)} exceeds guard {guard}")
+        _check_guard("n!", math.factorial(n), limit_guard)
         from .core import from_permutation
 
         return (from_permutation(w) for w in iter_permutations(n))
@@ -191,9 +207,7 @@ def signed_identity_check(n: int, limit_guard: Optional[int] = None) -> tuple[bo
     Right side: product over k < n of (1 - q^k)^(n - k).
     Returns (equal, left, right).
     """
-    guard = limit_guard if limit_guard is not None else default_guard()
-    if math.factorial(n) > guard:
-        raise TooLarge(f"n! = {math.factorial(n)} exceeds guard {guard}")
+    _check_guard("n!", math.factorial(n), limit_guard)
     lhs = HalfIntPolynomial.zero(var="q")
     for w in iter_permutations(n):
         sign = -1 if classical_inversions(w.images) % 2 else 1

@@ -82,6 +82,6 @@ def matrix_from_json(text: str) -> Asm:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError('JSON matrix must be {"n": int, "entries": [[int]]}')
     a = validate(obj["entries"])
-    if "n" in obj and int(obj["n"]) != a.n:
+    if "n" in obj and (type(obj["n"]) is not int or obj["n"] != a.n):
         raise NotSquare(f'JSON "n" = {obj["n"]} but matrix has size {a.n}')
     return a

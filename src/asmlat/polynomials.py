@@ -83,10 +83,14 @@ class HalfIntPolynomial:
         return out
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, HalfIntPolynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, HalfIntPolynomial)
+            and self.var == other.var
+            and self.coeffs == other.coeffs
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.var, frozenset(self.coeffs.items())))
 
     def items(self) -> list[tuple[int, int]]:
         """(half-unit exponent, coefficient) pairs, ascending."""
@@ -179,10 +183,14 @@ class BivariatePolynomial:
             self.coeffs.pop(key, None)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, BivariatePolynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, BivariatePolynomial)
+            and (self.var1, self.var2) == (other.var1, other.var2)
+            and self.coeffs == other.coeffs
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.var1, self.var2, frozenset(self.coeffs.items())))
 
     def items(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.coeffs.items())

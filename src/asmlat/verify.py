@@ -397,7 +397,9 @@ class VerifyReport:
 
 
 def verify(n_max: int) -> VerifyReport:
-    """Run every suite for sizes 1..min(cap, n_max)."""
+    """Run every suite for sizes 1..min(cap, n_max); n_max must be >= 1."""
+    if n_max < 1:
+        raise core.AsmError(f"verify needs a maximum size of at least 1, got {n_max}")
     lines = []
     all_failures = []
     for name, cap, suite in SUITES:

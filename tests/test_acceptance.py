@@ -190,7 +190,8 @@ def test_criterion_10_lattice_laws(asms):
 
 def _laws_hold(a, b, c):
     j_ab, m_ab = join(a, b), meet(a, b)
-    # join/meet construct through full validation, so the results are ASMs
+    # join/meet rebuild their result from a corner sum table through
+    # validate, so the results are ASMs
     if meet(a, join(b, c)) != join(meet(a, b), meet(a, c)):
         return False
     if join(a, meet(b, c)) != meet(j_ab, join(a, c)):

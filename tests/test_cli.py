@@ -133,6 +133,37 @@ def test_exit_guard(capsys, monkeypatch):
     assert code == 3 and "guard" in err
 
 
+def test_exit_guard_message(capsys):
+    code, _, err = invoke(capsys, "hasse", "--size", "4", "--output", "dot", "--guard", "10")
+    assert code == 3
+    assert "|A_4| = 42 exceeds guard 10" in err
+    assert "--guard N" in err and "ASMLAT_GUARD" in err
+
+
+def test_exit_domain_bad_guard(capsys, monkeypatch):
+    code, _, err = invoke(capsys, "enumerate", "--size", "3", "--guard", "-1")
+    assert code == 2 and "negative" in err
+    for env in ("abc", "-1"):
+        monkeypatch.setenv("ASMLAT_GUARD", env)
+        code, _, err = invoke(capsys, "count", "--size", "3", "--method", "enumerate")
+        assert code == 2 and "ASMLAT_GUARD" in err
+
+
+def test_exit_domain_verify_max_below_one(capsys):
+    for n_max in ("0", "-2"):
+        code, out, err = invoke(capsys, "verify", "--max", n_max)
+        assert code == 2 and err
+        assert "all checks passed" not in out
+
+
+def test_exit_domain_non_int_entry(capsys, tmp_path):
+    f = tmp_path / "a.json"
+    for entries in ("[[1.9]]", "[[true]]"):
+        f.write_text('{"n": 1, "entries": %s}' % entries)
+        code, _, err = invoke(capsys, "stats", "--matrix", str(f))
+        assert code == 2 and "not an integer" in err
+
+
 def test_output_determinism(capsys):
     runs = set()
     for _ in range(2):

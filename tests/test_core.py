@@ -43,6 +43,15 @@ def test_validate_entry_range():
         validate([[0, 2], [1, -1]])
 
 
+def test_validate_rejects_non_int_entries():
+    # no silent coercion: a float or a bool is not an entry, even 1.0 or True
+    for bad in (1.9, 1.0, True):
+        with pytest.raises(EntryOutOfRange, match=r"\(1, 1\)"):
+            validate([[bad]])
+    with pytest.raises(EntryOutOfRange, match=r"\(2, 1\)"):
+        validate([[1, 0], [False, 1]])
+
+
 def test_validate_partial_sum():
     # row prefix dips below 0 at (1, 1)
     with pytest.raises(BadPartialSum, match=r"\(1, 1\)"):

@@ -14,6 +14,7 @@ from asmlat import (
     signed_identity_check,
     validate,
 )
+from asmlat.core import AsmError
 from asmlat.enumeration import bfs_cover_closure
 from asmlat.polynomials import HalfIntPolynomial
 
@@ -63,6 +64,23 @@ def test_guard():
             enumerate_asms(4)
     finally:
         del os.environ["ASMLAT_GUARD"]
+
+
+def test_guard_message_names_the_override():
+    with pytest.raises(TooLarge, match=r"\|A_6\| = 7436 exceeds guard 100; .*--guard N.*ASMLAT_GUARD"):
+        enumerate_asms(6, limit_guard=100)
+    with pytest.raises(TooLarge, match=r"n! = 5040 .*--guard N"):
+        genfun_stat(7, "I", over="perm", limit_guard=10)
+
+
+def test_guard_rejects_bad_values(monkeypatch):
+    with pytest.raises(AsmError, match="negative"):
+        enumerate_asms(3, limit_guard=-1)
+    for env in ("abc", "-5", "1.5"):
+        monkeypatch.setenv("ASMLAT_GUARD", env)
+        with pytest.raises(AsmError, match="ASMLAT_GUARD") as info:
+            enumerate_asms(3)
+        assert not isinstance(info.value, TooLarge)
 
 
 def test_bfs_cover_closure(pools):

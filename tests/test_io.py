@@ -1,6 +1,7 @@
 import pytest
 
 from asmlat import Permutation, from_permutation, validate
+from asmlat.core import EntryOutOfRange, NotSquare
 from asmlat.io import (
     ParseError,
     matrix_from_json,
@@ -16,6 +17,20 @@ from conftest import EXAMPLE_A_ROWS
 
 def text_of(rows):
     return "\n".join(" ".join(str(v) for v in row) for row in rows)
+
+
+def test_matrix_from_json_entries_must_be_ints():
+    assert matrix_from_json('{"n": 2, "entries": [[0, 1], [1, 0]]}') == validate([[0, 1], [1, 0]])
+    for entries in ("[[1.9]]", "[[1.0]]", "[[true]]"):
+        with pytest.raises(EntryOutOfRange):
+            matrix_from_json('{"entries": %s}' % entries)
+
+
+def test_matrix_from_json_malformed_shape():
+    for text in ('{"entries": 5}', '{"entries": [1]}', '{"n": "x", "entries": [[1]]}',
+                 '{"n": 1.0, "entries": [[1]]}', '{"n": 2, "entries": [[1]]}'):
+        with pytest.raises(NotSquare):
+            matrix_from_json(text)
 
 
 def test_parse_matrix_plain():

@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from asmlat.enumeration import signed_identity_check
 from asmlat.polynomials import BivariatePolynomial, HalfIntPolynomial
+
+
+def test_equality_compares_the_variable():
+    assert HalfIntPolynomial({0: 1}, var="q") != HalfIntPolynomial({0: 1})
+    assert HalfIntPolynomial({2: 3}, var="q") == HalfIntPolynomial({2: 3}, var="q")
+    assert len({HalfIntPolynomial.one("q"), HalfIntPolynomial.one()}) == 2
+    assert BivariatePolynomial(var2="t") != BivariatePolynomial()
+    assert signed_identity_check(5)[0]
 
 
 def test_construction_drops_zeros():

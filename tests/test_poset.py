@@ -18,15 +18,23 @@ from asmlat import (
     identity,
     is_bigrassmannian,
     is_join_irreducible,
+    iter_asms,
     join,
     meet,
     rank_by_chain,
     to_permutation,
     transpose,
     try_cover,
+    validate,
 )
-from asmlat.core import SizeMismatch
-from asmlat.poset import COVER_TYPES, NotAnExchangeBlock, bigrassmannians_below, leq
+from asmlat.core import AsmError, SizeMismatch
+from asmlat.poset import (
+    COVER_TYPES,
+    CoverEdge,
+    NotAnExchangeBlock,
+    bigrassmannians_below,
+    leq,
+)
 
 
 def perm(*images):
@@ -71,6 +79,46 @@ def test_try_cover_simplest():
 def test_try_cover_rejects_rank_gap():
     assert try_cover(identity(3), perm(3, 2, 1)) is None
     assert try_cover(perm(2, 1, 3), identity(3)) is None  # wrong direction
+
+
+def brute_force_covers(a, sign):
+    """The cover oracle: add sign * [[-1, 1], [1, -1]] at every (r, s) in
+    order and keep each result that validate accepts (sign 1 finds upper
+    covers of a, sign -1 lower ones).  A block entry outside {-1, 0, 1}
+    is skipped before validate, which would reject it too."""
+    out = []
+    for r in range(1, a.n):
+        for s in range(1, a.n):
+            rows = [list(row) for row in a.entries]
+            rows[r - 1][s - 1] -= sign
+            rows[r - 1][s] += sign
+            rows[r][s - 1] += sign
+            rows[r][s] -= sign
+            quad = (rows[r - 1][s - 1], rows[r - 1][s], rows[r][s - 1], rows[r][s])
+            if any(v not in (-1, 0, 1) for v in quad):
+                continue
+            try:
+                b = validate(rows)
+            except AsmError:
+                continue
+            lower, upper = (a, b) if sign == 1 else (b, a)
+            block = lambda m: [row[s - 1 : s + 1] for row in m.entries[r - 1 : r + 1]]
+            t = classify_cover_type(block(lower), block(upper))
+            out.append(CoverEdge(lower, upper, r, s, t.index, t.d_inv, t.d_minus, t.d_weak2))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_covers_match_brute_force(n):
+    up_edges, down_edges = set(), set()
+    for a in iter_asms(n):
+        up, down = covers_up(a), covers_down(a)
+        assert up == brute_force_covers(a, 1)
+        assert down == brute_force_covers(a, -1)
+        up_edges.update(up)
+        down_edges.update(down)
+    # each edge is found once from either end
+    assert up_edges == down_edges
 
 
 def test_covers_up_identity3():

@@ -1,5 +1,15 @@
+import pytest
+
 from asmlat import verify
+from asmlat.core import AsmError
 from asmlat.verify import SUITES
+
+
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_verify_rejects_max_below_one(n_max):
+    # a run of zero checks must not report "all checks passed"
+    with pytest.raises(AsmError):
+        verify(n_max)
 
 
 def test_verify_passes_small():
