@@ -39,7 +39,6 @@ from .poset import (
     CoverEdge,
     NotAnExchangeBlock,
     Ordering,
-    beta_poset_oracle,
     classify_cover_type,
     compare,
     covers_down,
@@ -49,7 +48,6 @@ from .poset import (
     is_join_irreducible,
     join,
     meet,
-    rank_by_chain,
     try_cover,
 )
 from .stats import (
@@ -67,6 +65,6 @@ from .stats import (
     weak_inversion,
     weak_inversion_twice,
 )
-from .verify import VerifyReport, verify
+from .verify import VerifyReport, beta_poset_oracle, rank_by_chain, verify
 
 __version__ = "0.1.0"

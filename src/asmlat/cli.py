@@ -198,6 +198,8 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if "guard" in vars(args):
+            args.guard = enumeration.resolve_guard(args.guard)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"asmlat: {exc}", file=sys.stderr)

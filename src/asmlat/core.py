@@ -270,20 +270,21 @@ def check_corner_sums(raw: Sequence[Sequence[int]]) -> CornerSumMatrix:
     return CornerSumMatrix(n, sums)
 
 
+def _second_differences(sums: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The matrix whose corner sums are ``sums``, by second differences."""
+    rows, prev = [], (0,) * len(sums)
+    for cur in sums:
+        step = [x - y for x, y in zip(cur, prev)]
+        rows.append(tuple(x - y for x, y in zip(step, [0] + step[:-1])))
+        prev = cur
+    return tuple(rows)
+
+
 def from_corner_sum(c: CornerSumMatrix | Sequence[Sequence[int]]) -> Asm:
-    """Recover the matrix by second differences of the prefix-sum table."""
+    """Recover the matrix from its prefix-sum table, checking both."""
     if not isinstance(c, CornerSumMatrix):
         c = check_corner_sums(c)
-    n = c.n
-    rows = []
-    for i in range(1, n + 1):
-        rows.append(
-            tuple(
-                c.at(i, j) - c.at(i - 1, j) - c.at(i, j - 1) + c.at(i - 1, j - 1)
-                for j in range(1, n + 1)
-            )
-        )
-    return validate(rows)
+    return validate(_second_differences(c.sums))
 
 
 def transpose(a: Asm) -> Asm:

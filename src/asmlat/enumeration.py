@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .core import Asm, AsmError, identity, iter_permutations, to_permutation
-from .poset import covers_down, covers_up
+from .core import Asm, AsmError, iter_permutations, to_permutation
+from .poset import covers_up
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import (
     StatRecord,
@@ -40,8 +40,13 @@ class TooLarge(AsmError):
     pass
 
 
-def default_guard() -> int:
-    """The guard from ASMLAT_GUARD, or 10^7 when it is unset."""
+def resolve_guard(limit_guard: Optional[int] = None) -> int:
+    """The guard to apply: ``limit_guard`` if given, else ASMLAT_GUARD,
+    else 10^7; a negative or non-integer guard is a domain error."""
+    if limit_guard is not None:
+        if limit_guard < 0:
+            raise AsmError(f"guard {limit_guard} is negative")
+        return limit_guard
     env = os.environ.get("ASMLAT_GUARD")
     if not env:
         return DEFAULT_GUARD
@@ -55,11 +60,8 @@ def default_guard() -> int:
 
 
 def _check_guard(what: str, predicted: int, limit_guard: Optional[int]) -> None:
-    """Refuse a workload of predicted size above the guard (``limit_guard``
-    argument, ASMLAT_GUARD env var, or 10^7)."""
-    if limit_guard is not None and limit_guard < 0:
-        raise AsmError(f"guard {limit_guard} is negative")
-    guard = limit_guard if limit_guard is not None else default_guard()
+    """Refuse a workload of predicted size above :func:`resolve_guard`."""
+    guard = resolve_guard(limit_guard)
     if predicted > guard:
         raise TooLarge(
             f"{what} = {predicted} exceeds guard {guard}; "
@@ -281,31 +283,17 @@ def build_hasse(n: int, limit_guard: Optional[int] = None) -> HasseGraph:
     """Enumerate A_n and wire up every cover edge."""
     matrices = enumerate_asms(n, limit_guard)
     index = {a: i for i, a in enumerate(matrices)}
-    nodes = []
+    # each edge is found once, from its lower end, so this counts lower covers
+    lower_covers = [0] * len(matrices)
     edges = []
     for i, a in enumerate(matrices):
-        down = covers_down(a)
-        nodes.append(HasseNode(a, stat_record(a), join_irreducible=len(down) == 1))
         for e in covers_up(a):
-            edges.append(HasseEdge(i, index[e.upper], e.cover_type))
+            j = index[e.upper]
+            lower_covers[j] += 1
+            edges.append(HasseEdge(i, j, e.cover_type))
     edges.sort(key=lambda e: (e.lower, e.upper))
-    return HasseGraph(n, tuple(nodes), tuple(edges))
-
-
-def bfs_cover_closure(n: int) -> list[Asm]:
-    """All matrices reachable from the identity by upward covers.
-
-    Slow test oracle for the direct enumeration.
-    """
-    from collections import deque
-
-    start = identity(n)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        a = queue.popleft()
-        for e in covers_up(a):
-            if e.upper not in seen:
-                seen.add(e.upper)
-                queue.append(e.upper)
-    return sorted(seen, key=lambda a: a.entries)
+    nodes = tuple(
+        HasseNode(a, stat_record(a), join_irreducible=k == 1)
+        for a, k in zip(matrices, lower_covers)
+    )
+    return HasseGraph(n, nodes, tuple(edges))

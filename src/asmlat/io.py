@@ -51,7 +51,7 @@ def parse_permutation(token: str) -> Permutation:
             images = [int(x) for x in body.split(",")]
         except ValueError:
             raise ParseError(f"bad permutation {token!r}") from None
-    elif body.isdigit():
+    elif body.isdecimal():  # not isdigit: int() rejects "²"
         images = [int(ch) for ch in body]
     else:
         raise ParseError(f"bad permutation {token!r}")
@@ -77,7 +77,7 @@ def matrix_to_json(a: Asm) -> str:
 def matrix_from_json(text: str) -> Asm:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
         raise ParseError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError('JSON matrix must be {"n": int, "entries": [[int]]}')

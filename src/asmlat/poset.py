@@ -7,7 +7,8 @@ one corner sum by one, so covers are found by an O(1) test on the corner
 sums around each position.  The sixteen possible block contents classify
 every cover and determine how I, N and H move along the edge.  Join and
 meet come from entrywise min/max of corner sums, which the
-distributive-lattice structure guarantees to be valid.
+distributive-lattice structure guarantees to be valid, so they are not
+checked again.  This module's brute-force oracles live in asmlat.verify.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from .core import (
     AsmError,
     Permutation,
     SizeMismatch,
+    _second_differences,
     corner_sum,
-    dual,
-    from_corner_sum,
-    from_permutation,
-    identity,
     iter_permutations,
 )
 
@@ -229,9 +227,7 @@ def join(a: Asm, b: Asm) -> Asm:
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
     ca, cb = corner_sum(a).sums, corner_sum(b).sums
-    return from_corner_sum(
-        [[min(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(ca, cb)]
-    )
+    return Asm(a.n, _second_differences([list(map(min, x, y)) for x, y in zip(ca, cb)]))
 
 
 def meet(a: Asm, b: Asm) -> Asm:
@@ -239,9 +235,7 @@ def meet(a: Asm, b: Asm) -> Asm:
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
     ca, cb = corner_sum(a).sums, corner_sum(b).sums
-    return from_corner_sum(
-        [[max(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(ca, cb)]
-    )
+    return Asm(a.n, _second_differences([list(map(max, x, y)) for x, y in zip(ca, cb)]))
 
 
 def is_bigrassmannian(w: Permutation) -> bool:
@@ -254,41 +248,6 @@ def enumerate_bigrassmannians(n: int) -> list[Permutation]:
     return [w for w in iter_permutations(n) if is_bigrassmannian(w)]
 
 
-def beta_poset_oracle(b: Asm) -> int:
-    """The definitional rank: bigrassmannian permutations weakly below b.
-
-    Exponential in n (it scans S_n); used to cross-check the closed
-    formulas, not as the production beta.
-    """
-    return sum(
-        1
-        for w in enumerate_bigrassmannians(b.n)
-        if leq(from_permutation(w), b)
-    )
-
-
-def bigrassmannians_below(b: Asm) -> list[Permutation]:
-    return [
-        w
-        for w in enumerate_bigrassmannians(b.n)
-        if leq(from_permutation(w), b)
-    ]
-
-
 def is_join_irreducible(a: Asm) -> bool:
     """True iff a covers exactly one element."""
     return len(covers_down(a)) == 1
-
-
-def rank_by_chain(a: Asm) -> int:
-    """Length of a saturated chain down to the identity, by greedy descent."""
-    steps = 0
-    cur = a
-    bottom = identity(a.n)
-    while cur != bottom:
-        down = covers_down(cur)
-        if not down:
-            raise AsmError("non-identity matrix with no lower cover")
-        cur = down[0].lower
-        steps += 1
-    return steps

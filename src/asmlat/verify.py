@@ -1,22 +1,27 @@
 """One-shot verification: every structural claim as an executable check.
 
-Each suite sweeps matrices up to a size cap (intersected with the
-requested maximum) and reports "name: passed/checked".  The suites
-mirror, in spirit and scale, the properties asserted throughout the
-package's documentation; a failure anywhere means a broken build.
+``SUITES`` is the package's one registry of properties.  Each suite
+sweeps matrices up to a size cap (intersected with the requested
+maximum) and reports "name: passed/checked"; a failure anywhere means a
+broken build.  The test suite runs every entry at every size up to its
+cap.  The brute-force oracles the suites compare against (the generic
+cover test, the cover closure, the definitional beta, the greedy chain
+rank) and the lattice-law predicate live here too, each in one place.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 from . import core, enumeration, poset, stats
 from .core import (
     Asm,
+    Permutation,
     dual,
     from_corner_sum,
     from_permutation,
@@ -172,6 +177,55 @@ def generic_cover_oracle(universe: list[Asm], a: Asm, b: Asm) -> bool:
     )
 
 
+def bigrassmannians_below(b: Asm) -> list[Permutation]:
+    """The bigrassmannian permutations weakly below b."""
+    return [
+        w
+        for w in poset.enumerate_bigrassmannians(b.n)
+        if leq(from_permutation(w), b)
+    ]
+
+
+def beta_poset_oracle(b: Asm) -> int:
+    """The definitional rank: bigrassmannian permutations weakly below b.
+
+    Exponential in n (it scans S_n); used to cross-check the closed
+    formulas, not as the production beta.
+    """
+    return len(bigrassmannians_below(b))
+
+
+def rank_by_chain(a: Asm) -> int:
+    """Length of a saturated chain down to the identity, by greedy descent."""
+    steps = 0
+    cur = a
+    bottom = identity(a.n)
+    while cur != bottom:
+        down = poset.covers_down(cur)
+        if not down:
+            raise core.AsmError("non-identity matrix with no lower cover")
+        cur = down[0].lower
+        steps += 1
+    return steps
+
+
+def bfs_cover_closure(n: int) -> list[Asm]:
+    """All matrices reachable from the identity by upward covers.
+
+    Slow test oracle for the direct enumeration.
+    """
+    start = identity(n)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        a = queue.popleft()
+        for e in poset.covers_up(a):
+            if e.upper not in seen:
+                seen.add(e.upper)
+                queue.append(e.upper)
+    return sorted(seen, key=lambda a: a.entries)
+
+
 def check_cover_local_vs_generic(n: int):
     universe = _asms(n)
     def pred(pair):
@@ -193,7 +247,7 @@ def check_grading_and_reachability(n: int):
             checked += 1
             if stats.beta_corner(e.upper) - stats.beta_corner(e.lower) != 1:
                 failures.append(f"cover with beta step != 1 at ({e.r}, {e.s}) on\n{a}")
-    closure = enumeration.bfs_cover_closure(n)
+    closure = bfs_cover_closure(n)
     checked += 1
     if closure != sorted(universe, key=lambda a: a.entries):
         failures.append("cover closure from the identity misses matrices")
@@ -267,9 +321,30 @@ def check_beta_oracle(n: int):
     return _check_all(
         _asms(n),
         lambda a: None
-        if poset.beta_poset_oracle(a) == stats.beta_corner(a) == stats.beta_weighted(a)
+        if beta_poset_oracle(a) == stats.beta_corner(a) == stats.beta_weighted(a)
         else f"join-irreducible count disagrees with formulas on\n{a}",
     )
+
+
+def lattice_law_failure(a: Asm, b: Asm, c: Asm) -> Optional[str]:
+    """The first lattice law that fails on (a, b, c), or None."""
+    j, m = poset.join, poset.meet
+    j_ab, m_ab = j(a, b), m(a, b)
+    if j_ab != j(b, a) or m_ab != m(b, a):
+        return "commutativity fails"
+    if j(a, j(b, c)) != j(j_ab, c) or m(a, m(b, c)) != m(m_ab, c):
+        return "associativity fails"
+    if j(a, a) != a or m(a, a) != a:
+        return "idempotence fails"
+    if j(a, m_ab) != a or m(a, j_ab) != a:
+        return "absorption fails"
+    if m(a, j(b, c)) != j(m_ab, m(a, c)):
+        return "distributivity fails"
+    if j(a, m(b, c)) != m(j_ab, j(a, c)):
+        return "dual distributivity fails"
+    if not (leq(a, j_ab) and leq(b, j_ab) and leq(m_ab, a) and leq(m_ab, b)):
+        return "join/meet are not bounds"
+    return None
 
 
 def check_lattice_laws(n: int):
@@ -279,23 +354,7 @@ def check_lattice_laws(n: int):
     else:
         rng = random.Random(0)
         triples = [tuple(rng.choice(universe) for _ in range(3)) for _ in range(200)]
-    def pred(triple):
-        a, b, c = triple
-        j, m = poset.join, poset.meet
-        if j(a, b) != j(b, a) or m(a, b) != m(b, a):
-            return "commutativity fails"
-        if j(a, j(b, c)) != j(j(a, b), c) or m(a, m(b, c)) != m(m(a, b), c):
-            return "associativity fails"
-        if j(a, a) != a or m(a, a) != a:
-            return "idempotence fails"
-        if j(a, m(a, b)) != a or m(a, j(a, b)) != a:
-            return "absorption fails"
-        if m(a, j(b, c)) != j(m(a, b), m(a, c)):
-            return "distributivity fails"
-        if not (leq(a, j(a, b)) and leq(m(a, b), a)):
-            return "join/meet are not bounds"
-        return None
-    return _check_all(triples, pred)
+    return _check_all(triples, lambda t: lattice_law_failure(*t))
 
 
 def check_bigrassmannian_join_irreducible(n: int):

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from asmlat.cli import run
 
 from conftest import EXAMPLE_A_ROWS
 
+ROOT = Path(__file__).resolve().parents[1]
+SRC, DEMOS = ROOT / "src", ROOT / "demos"
 A_TEXT = "n 4\n" + "\n".join(" ".join(str(v) for v in row) for row in EXAMPLE_A_ROWS) + "\n"
 
 
@@ -141,12 +149,23 @@ def test_exit_guard_message(capsys):
 
 
 def test_exit_domain_bad_guard(capsys, monkeypatch):
-    code, _, err = invoke(capsys, "enumerate", "--size", "3", "--guard", "-1")
-    assert code == 2 and "negative" in err
+    # every subcommand that takes --guard checks it, even one that
+    # enumerates nothing (count by formula)
+    commands = [
+        ["enumerate", "--size", "3"],
+        ["count", "--size", "3"],
+        ["count", "--size", "3", "--method", "enumerate"],
+        ["hasse", "--size", "2", "--output", "dot"],
+        ["genfun", "--size", "2", "--stat", "I"],
+    ]
+    for argv in commands:
+        code, _, err = invoke(capsys, *argv, "--guard", "-1")
+        assert code == 2 and "negative" in err
     for env in ("abc", "-1"):
         monkeypatch.setenv("ASMLAT_GUARD", env)
-        code, _, err = invoke(capsys, "count", "--size", "3", "--method", "enumerate")
-        assert code == 2 and "ASMLAT_GUARD" in err
+        for argv in commands:
+            code, _, err = invoke(capsys, *argv)
+            assert code == 2 and "ASMLAT_GUARD" in err
 
 
 def test_exit_domain_verify_max_below_one(capsys):
@@ -162,6 +181,15 @@ def test_exit_domain_non_int_entry(capsys, tmp_path):
         f.write_text('{"n": 1, "entries": %s}' % entries)
         code, _, err = invoke(capsys, "stats", "--matrix", str(f))
         assert code == 2 and "not an integer" in err
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_output_determinism(capsys):

@@ -116,11 +116,8 @@ def test_corner_sum_example_a(example_a):
     )
 
 
-def test_from_corner_sum_round_trip(example_a, pools):
+def test_from_corner_sum_round_trip(example_a):
     assert from_corner_sum(corner_sum(example_a)) == example_a
-    for n in (1, 2, 3, 4):
-        for a in pools[n]:
-            assert from_corner_sum(corner_sum(a)) == a
 
 
 def test_from_corner_sum_rejects_bad_table():

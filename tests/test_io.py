@@ -1,7 +1,14 @@
+import contextlib
+import io
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asmlat import Permutation, from_permutation, validate
-from asmlat.core import EntryOutOfRange, NotSquare
+from asmlat.cli import run
+from asmlat.core import AsmError, EntryOutOfRange, NotSquare
 from asmlat.io import (
     ParseError,
     matrix_from_json,
@@ -92,3 +99,54 @@ def test_matrix_json_bad():
         matrix_from_json("[1, 2]")
     with pytest.raises(ParseError):
         matrix_from_json("{not json")
+
+
+# Fuzzing: every input gives a valid matrix or a domain error, never
+# another exception.
+_rows = st.lists(st.lists(st.integers(-2, 2), max_size=4), max_size=4)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "entries", "x"]), kids, max_size=3),
+    max_leaves=20,
+)
+_tokens = st.text(max_size=12) | st.text("0123456789,-: perm", max_size=12)
+
+
+def _valid_or_domain_error(parse, arg):
+    try:
+        a = parse(arg)
+    except AsmError:
+        return
+    assert validate(a.entries) == a
+
+
+@settings(deadline=None)
+@given(st.text(max_size=40) | st.tuples(st.integers(-1, 5), _rows).map(
+    lambda t: f"n {t[0]}\n" + text_of(t[1])
+))
+def test_fuzz_parse_matrix_text(text):
+    _valid_or_domain_error(parse_matrix_text, text)
+
+
+@settings(deadline=None)
+@given(st.text(max_size=40) | _json.map(json.dumps))
+@example("1" * 5000)
+@example("[" * 100_000)
+def test_fuzz_matrix_from_json(text):
+    _valid_or_domain_error(matrix_from_json, text)
+
+
+@settings(deadline=None)
+@given(_tokens)
+@example("²")
+def test_fuzz_parse_permutation(token):
+    _valid_or_domain_error(lambda t: from_permutation(parse_permutation(t)), token)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["stats", "covers"]), _tokens)
+@example("stats", "²")
+def test_fuzz_cli_perm(command, token):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run([command, "--perm", token]) in (0, 1, 2)

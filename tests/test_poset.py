@@ -10,10 +10,11 @@ from asmlat import (
     beta_poset_oracle,
     classify_cover_type,
     compare,
+    corner_sum,
     covers_down,
     covers_up,
-    dual,
     enumerate_bigrassmannians,
+    from_corner_sum,
     from_permutation,
     identity,
     is_bigrassmannian,
@@ -23,18 +24,12 @@ from asmlat import (
     meet,
     rank_by_chain,
     to_permutation,
-    transpose,
     try_cover,
     validate,
 )
 from asmlat.core import AsmError, SizeMismatch
-from asmlat.poset import (
-    COVER_TYPES,
-    CoverEdge,
-    NotAnExchangeBlock,
-    bigrassmannians_below,
-    leq,
-)
+from asmlat.poset import COVER_TYPES, CoverEdge, NotAnExchangeBlock, leq
+from asmlat.verify import bigrassmannians_below
 
 
 def perm(*images):
@@ -198,12 +193,19 @@ def test_join_meet_are_bounds(pools):
                 assert leq(c, m)
 
 
-def test_lattice_laws_exhaustive_n3(pools):
-    for a, b, c in itertools.product(pools[3], repeat=3):
-        assert join(a, b) == join(b, a)
-        assert meet(a, join(a, b)) == a
-        assert join(a, meet(a, b)) == a
-        assert meet(a, join(b, c)) == join(meet(a, b), meet(a, c))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_join_meet_match_checked_rebuild(n):
+    # join/meet skip the checks that from_corner_sum makes on the same table
+    universe = list(iter_asms(n))
+    if n <= 4:
+        pairs = itertools.product(universe, repeat=2)
+    else:
+        rng = random.Random(n)
+        pairs = ((rng.choice(universe), rng.choice(universe)) for _ in range(10_000))
+    for a, b in pairs:
+        ca, cb = corner_sum(a).sums, corner_sum(b).sums
+        assert join(a, b) == from_corner_sum([list(map(min, x, y)) for x, y in zip(ca, cb)])
+        assert meet(a, b) == from_corner_sum([list(map(max, x, y)) for x, y in zip(ca, cb)])
 
 
 def test_is_bigrassmannian():
@@ -227,23 +229,10 @@ def test_beta_poset_oracle(example_a, example_b):
     assert beta_poset_oracle(identity(4)) == 0
 
 
-def test_beta_oracle_agrees_with_formula(pools):
-    for n in (1, 2, 3, 4):
-        for a in pools[n]:
-            assert beta_poset_oracle(a) == beta_corner(a)
-
-
 def test_is_join_irreducible(middle3, pools):
     assert not is_join_irreducible(middle3)
     assert is_join_irreducible(perm(1, 3, 2))
     assert sum(1 for a in pools[4] if is_join_irreducible(a)) == 10
-
-
-def test_join_irreducibles_are_bigrassmannians(pools):
-    for n in (2, 3, 4, 5):
-        ji = {a for a in pools[n] if is_join_irreducible(a)}
-        bg = {from_permutation(w) for w in enumerate_bigrassmannians(n)}
-        assert ji == bg
 
 
 def test_rank_by_chain(example_a):
@@ -255,25 +244,3 @@ def test_rank_by_chain(example_a):
 def test_rank_by_chain_matches_beta(pools):
     for a in pools[4]:
         assert rank_by_chain(a) == beta_corner(a)
-
-
-def test_transpose_is_order_isomorphism(pools):
-    for a, b in itertools.combinations(pools[3], 2):
-        assert compare(a, b) == compare(transpose(a), transpose(b))
-
-
-def test_dual_reverses_order(pools):
-    for a, b in itertools.combinations(pools[3], 2):
-        assert (compare(a, b) is Ordering.LESS) == (
-            compare(dual(b), dual(a)) is Ordering.LESS
-        )
-
-
-def test_cover_duality_types(pools):
-    by_index = {t.index: t for t in COVER_TYPES}
-    for a in pools[3] + pools[4]:
-        for e in covers_up(a):
-            mirror = try_cover(dual(e.upper), dual(e.lower))
-            assert mirror is not None
-            assert mirror.cover_type == by_index[e.cover_type].star
-            assert mirror.d_weak2 == e.d_weak2
