@@ -111,7 +111,14 @@ class Permutation:
 
     @classmethod
     def from_images(cls, images: Sequence[int]) -> "Permutation":
-        imgs = tuple(int(x) for x in images)
+        """Checked constructor; every image must be an int (a bool is not)."""
+        try:
+            imgs = tuple(images)
+        except TypeError:
+            raise NotAPermutation(f"{images!r} is not a sequence of images") from None
+        for x in imgs:
+            if type(x) is not int:
+                raise NotAPermutation(f"image {x!r} is not an integer")
         n = len(imgs)
         if n == 0 or sorted(imgs) != list(range(1, n + 1)):
             raise NotAPermutation(f"{imgs} is not a permutation of 1..{n}")

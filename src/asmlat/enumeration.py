@@ -1,37 +1,32 @@
 """Exhaustive generation of all size-n alternating sign matrices.
 
 Generation runs row by row.  The search state is the vector of column
-prefix sums, each 0 or 1; a candidate row is any {-1, 0, 1} vector whose
-running prefix sums stay in {0, 1}, whose total is 1, and which keeps all
-column prefix sums in {0, 1}.  Matrices come out in row-major
-lexicographic order (entry order -1 < 0 < 1), which is the package's
-canonical order.
+prefix sums, each 0 or 1 (a row of the matrix's monotone triangle); a
+candidate row is any {-1, 0, 1} vector whose running prefix sums stay in
+{0, 1}, whose total is 1, and which keeps all column prefix sums in
+{0, 1}.  One row-transition table per size, cached, lists every state's
+legal rows in row-major lexicographic order (entry order -1 < 0 < 1),
+which is the package's canonical order, and what each row adds to I, N
+and beta.
 
-Also here: the closed-form count, generating polynomials of the
-statistics by brute-force enumeration, the signed permutation identity,
-and the full cover graph with DOT export.
+Also here: the closed-form count; generating polynomials of the
+statistics and the signed permutation identity, by a polynomial-valued
+DP over that table that lists no matrix; and the full cover graph with
+DOT export.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .core import Asm, AsmError, iter_permutations, to_permutation
+from .core import Asm, AsmError, to_permutation
 from .poset import covers_up
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
-from .stats import (
-    StatRecord,
-    beta_corner,
-    classical_beta,
-    classical_inversions,
-    stat_record,
-    weak_inversion_twice,
-    inversion_number,
-)
+from .stats import StatRecord, stat_record
 
 DEFAULT_GUARD = 10**7
 
@@ -110,18 +105,112 @@ def _next_rows(col: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[in
     return rec(0, 0)
 
 
+class _Step(NamedTuple):
+    """One legal next row from a column prefix state, with what it adds
+    to I, N and beta."""
+
+    row: tuple[int, ...]
+    new: tuple[int, ...]
+    d_inv: int
+    d_minus: int
+    d_beta: int
+
+
+@functools.lru_cache(maxsize=None)
+def _row_table(n: int, perm_only: bool) -> dict[tuple[int, ...], tuple[_Step, ...]]:
+    """Every column prefix state of size n with its legal next rows, in
+    canonical order; ``perm_only`` keeps the rows with no -1.
+
+    The state before row i has sum i - 1.  Row i adds to I the products
+    of its entries with the column sums strictly to their right, to N its
+    -1 count, and to beta its terms of :func:`stats.beta_corner`.
+    """
+    table: dict[tuple[int, ...], tuple[_Step, ...]] = {}
+    # one object per distinct row or state: all tables for n <= 10 then
+    # take about 6 MiB, not 18
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    todo = [(0,) * n]
+    while todo:
+        col = todo.pop()
+        if col in table:
+            continue
+        i = 1 + sum(col)
+        steps = []
+        for row, new in _next_rows(col):
+            if perm_only and -1 in row:
+                continue
+            d_inv = sum(r * sum(col[k + 1:]) for k, r in enumerate(row) if r)
+            d_beta = sum(
+                ((i == j) - r) * (n - i + 1) * (n - j + 1) for j, r in enumerate(row, 1)
+            )
+            row, new = shared.setdefault(row, row), shared.setdefault(new, new)
+            steps.append(_Step(row, new, d_inv, row.count(-1), d_beta))
+            todo.append(new)
+        table[col] = tuple(steps)
+    return table
+
+
+# the exponent key each row adds, per statistic and pair: (half-units of
+# λ, power of q); a single statistic leaves q at 0
+_KEYS: dict[str, Callable[[_Step], tuple[int, int]]] = {
+    "I": lambda s: (2 * s.d_inv, 0),
+    "H": lambda s: (2 * s.d_inv - s.d_minus, 0),
+    "beta": lambda s: (2 * s.d_beta, 0),
+    "I:beta": lambda s: (2 * s.d_inv, s.d_beta),
+    "H:beta": lambda s: (2 * s.d_inv - s.d_minus, s.d_beta),
+}
+_STATS = ("I", "H", "beta")
+_PAIRS = ("I:beta", "H:beta")
+
+
+def _path_sums(
+    n: int, perm_only: bool, key: Callable[[_Step], tuple[int, int]]
+) -> dict[tuple[int, int], int]:
+    """{exponent key: number of matrices} over every path through the table.
+
+    Runs row by row; each state carries the coefficients of the paths
+    that reach it, so no matrix is listed.
+    """
+    table = _row_table(n, perm_only)
+    layer = {(0,) * n: {(0, 0): 1}}
+    for _ in range(n):
+        nxt: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+        for col, coeffs in layer.items():
+            for step in table[col]:
+                d1, d2 = key(step)
+                out = nxt.setdefault(step.new, {})
+                for (e1, e2), c in coeffs.items():
+                    k = (e1 + d1, e2 + d2)
+                    out[k] = out.get(k, 0) + c
+        layer = nxt
+    return layer[(1,) * n]
+
+
+def _perm_only(n: int, over: str, limit_guard: Optional[int]) -> bool:
+    """Check the universe's size against the guard; True for permutations."""
+    if over == "asm":
+        _check_guard(f"|A_{n}|", count_formula(n), limit_guard)
+        return False
+    if over == "perm":
+        _check_guard("n!", math.factorial(n), limit_guard)
+        return True
+    raise AsmError(f"unknown universe {over!r}; expected 'asm' or 'perm'")
+
+
 def iter_asms(n: int) -> Iterator[Asm]:
-    """Stream every ASM of size n, canonical order, no guard."""
+    """Stream every ASM of size n, canonical order, no guard, by walking
+    the row table depth first."""
     if n < 1:
         raise AsmError(f"size {n} must be positive")
+    table = _row_table(n, False)
 
     def rec(rows: list[tuple[int, ...]], col: tuple[int, ...]) -> Iterator[Asm]:
         if len(rows) == n:
             yield Asm(n, tuple(rows))
             return
-        for row, new_col in _next_rows(col):
-            rows.append(row)
-            yield from rec(rows, new_col)
+        for step in table[col]:
+            rows.append(step.row)
+            yield from rec(rows, step.new)
             rows.pop()
     return rec([], (0,) * n)
 
@@ -136,13 +225,6 @@ def enumerate_asms(n: int, limit_guard: Optional[int] = None) -> list[Asm]:
     return list(iter_asms(n))
 
 
-_STATS = {
-    "I": lambda a: Fraction(inversion_number(a)),
-    "H": lambda a: Fraction(weak_inversion_twice(a), 2),
-    "beta": lambda a: Fraction(beta_corner(a)),
-}
-
-
 def genfun_stat(
     n: int,
     stat: str,
@@ -151,34 +233,13 @@ def genfun_stat(
 ) -> HalfIntPolynomial:
     """Sum of λ^stat(A) over all ASMs (or permutation matrices) of size n.
 
-    stat is one of "I", "H", "beta".  Pure brute force over the
-    enumeration; H produces half-integer exponents.
+    stat is one of "I", "H", "beta"; H produces half-integer exponents.
+    Computed by the row-table DP, without listing the matrices.
     """
     if stat not in _STATS:
         raise AsmError(f"unknown statistic {stat!r}; expected I, H or beta")
-    value = _STATS[stat]
-    out = HalfIntPolynomial.zero()
-    for a in _universe(n, over, limit_guard):
-        out.add_term(1, value(a))
-    return out
-
-
-def _universe(n: int, over: str, limit_guard: Optional[int]) -> Iterator[Asm]:
-    if over == "asm":
-        _check_guard(f"|A_{n}|", count_formula(n), limit_guard)
-        return iter_asms(n)
-    if over == "perm":
-        _check_guard("n!", math.factorial(n), limit_guard)
-        from .core import from_permutation
-
-        return (from_permutation(w) for w in iter_permutations(n))
-    raise AsmError(f"unknown universe {over!r}; expected 'asm' or 'perm'")
-
-
-_PAIRS = {
-    "I:beta": ("I", "beta"),
-    "H:beta": ("H", "beta"),
-}
+    coeffs = _path_sums(n, _perm_only(n, over, limit_guard), _KEYS[stat])
+    return HalfIntPolynomial({h: c for (h, _), c in coeffs.items()})
 
 
 def bivariate_genfun(
@@ -187,33 +248,23 @@ def bivariate_genfun(
     over: str = "asm",
     limit_guard: Optional[int] = None,
 ) -> BivariatePolynomial:
-    """Sum of λ^s1 q^s2 over the chosen universe, by enumeration.
-
-    This is the brute-force reference computation, nothing cleverer.
-    """
+    """Sum of λ^s1 q^s2 over the chosen universe, by the row-table DP."""
     if pair not in _PAIRS:
         raise AsmError(f"unknown pair {pair!r}; expected one of {sorted(_PAIRS)}")
-    s1, s2 = _PAIRS[pair]
-    f1, f2 = _STATS[s1], _STATS[s2]
-    out = BivariatePolynomial()
-    for a in _universe(n, over, limit_guard):
-        e2 = f2(a)
-        out.add_term(1, f1(a), int(e2))
-    return out
+    return BivariatePolynomial(_path_sums(n, _perm_only(n, over, limit_guard), _KEYS[pair]))
 
 
 def signed_identity_check(n: int, limit_guard: Optional[int] = None) -> tuple[bool, HalfIntPolynomial, HalfIntPolynomial]:
     """Compare the signed rank sum over S_n with its product form.
 
-    Left side: sum over permutations of (-1)^I(w) q^beta(w).
-    Right side: product over k < n of (1 - q^k)^(n - k).
-    Returns (equal, left, right).
+    Left side: sum over permutations of (-1)^I(w) q^beta(w), read off the
+    permutation I:beta DP.  Right side: product over k < n of
+    (1 - q^k)^(n - k).  Returns (equal, left, right).
     """
     _check_guard("n!", math.factorial(n), limit_guard)
     lhs = HalfIntPolynomial.zero(var="q")
-    for w in iter_permutations(n):
-        sign = -1 if classical_inversions(w.images) % 2 else 1
-        lhs.add_term(sign, classical_beta(w.images))
+    for (inv2, beta), c in _path_sums(n, True, _KEYS["I:beta"]).items():
+        lhs.add_term(-c if inv2 % 4 else c, beta)  # inv2 = 2I: odd I leaves 2
     rhs = HalfIntPolynomial.one(var="q")
     for k in range(1, n):
         factor = HalfIntPolynomial({0: 1, 2 * k: -1}, var="q")

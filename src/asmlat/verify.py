@@ -6,7 +6,8 @@ maximum) and reports "name: passed/checked"; a failure anywhere means a
 broken build.  The test suite runs every entry at every size up to its
 cap.  The brute-force oracles the suites compare against (the generic
 cover test, the cover closure, the definitional beta, the greedy chain
-rank) and the lattice-law predicate live here too, each in one place.
+rank, the generating polynomials by enumeration) and the lattice-law
+predicate live here too, each in one place.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from . import core, enumeration, poset, stats
 from .core import (
@@ -31,7 +32,7 @@ from .core import (
     transpose,
     validate,
 )
-from .polynomials import HalfIntPolynomial
+from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .poset import Ordering, compare, leq
 
 _cache: dict[int, list[Asm]] = {}
@@ -365,7 +366,8 @@ def check_bigrassmannian_join_irreducible(n: int):
 
 
 def check_count_formula(n: int):
-    got = len(_asms(n))
+    # a size no other suite has cached is streamed, not kept
+    got = len(_cache[n]) if n in _cache else sum(1 for _ in enumeration.iter_asms(n))
     want = enumeration.count_formula(n)
     return 1, [] if got == want else [f"enumerated {got}, formula gives {want}"]
 
@@ -399,6 +401,52 @@ def check_genfun_at_one(n: int):
     return 3, failures
 
 
+def enumerated_genfuns(
+    universe: Iterable[Asm],
+) -> dict[str, Union[HalfIntPolynomial, BivariatePolynomial]]:
+    """The generating polynomials by enumeration, the reference for the
+    row-table DP: each statistic ("I", "H", "beta") and pair ("I:beta",
+    "H:beta") summed matrix by matrix, and "signed", the sum of
+    (-1)^I q^beta.  I, N and beta are computed once per matrix."""
+    polys: dict[str, Union[HalfIntPolynomial, BivariatePolynomial]] = {
+        "I": HalfIntPolynomial.zero(),
+        "H": HalfIntPolynomial.zero(),
+        "beta": HalfIntPolynomial.zero(),
+        "I:beta": BivariatePolynomial(),
+        "H:beta": BivariatePolynomial(),
+        "signed": HalfIntPolynomial.zero(var="q"),
+    }
+    for a in universe:
+        inv, beta = stats.inversion_number(a), stats.beta_corner(a)
+        weak = inv - Fraction(minus_count(a), 2)
+        polys["I"].add_term(1, inv)
+        polys["H"].add_term(1, weak)
+        polys["beta"].add_term(1, beta)
+        polys["I:beta"].add_term(1, inv, beta)
+        polys["H:beta"].add_term(1, weak, beta)
+        polys["signed"].add_term(-1 if inv % 2 else 1, beta)
+    return polys
+
+
+def check_genfun_dp_vs_enumeration(n: int):
+    failures = []
+    checked = 0
+    for over, universe in (
+        ("asm", _asms(n)),
+        ("perm", map(from_permutation, iter_permutations(n))),
+    ):
+        want = enumerated_genfuns(universe)
+        got = {s: enumeration.genfun_stat(n, s, over) for s in ("I", "H", "beta")}
+        got.update({p: enumeration.bivariate_genfun(n, p, over) for p in ("I:beta", "H:beta")})
+        if over == "perm":
+            got["signed"] = enumeration.signed_identity_check(n)[1]
+        for key, poly in got.items():
+            checked += 1
+            if poly != want[key]:
+                failures.append(f"{key} over {over} at n={n}: DP {poly} != enumeration {want[key]}")
+    return checked, failures
+
+
 def check_signed_identity(n: int):
     ok, lhs, rhs = enumeration.signed_identity_check(n)
     return 1, [] if ok else [f"signed identity fails at n={n}: {lhs} != {rhs}"]
@@ -427,10 +475,11 @@ SUITES: list[tuple[str, int, Callable[[int], tuple[int, list[str]]]]] = [
     ("lattice-laws", 4, check_lattice_laws),
     ("bigrassmannian-join-irreducible", 5, check_bigrassmannian_join_irreducible),
     ("count-matches-formula", 7, check_count_formula),
-    ("genfun-symmetries", 6, check_genfun_symmetries),
+    ("genfun-symmetries", 7, check_genfun_symmetries),
     ("perm-inversion-genfun", 7, check_perm_inversion_genfun),
-    ("genfun-at-one", 6, check_genfun_at_one),
-    ("signed-identity", 6, check_signed_identity),
+    ("genfun-at-one", 7, check_genfun_at_one),
+    ("signed-identity", 10, check_signed_identity),
+    ("genfun-dp-vs-enumeration", 6, check_genfun_dp_vs_enumeration),
 ]
 
 

@@ -161,6 +161,13 @@ def test_permutation_basics():
         Permutation.from_images([1, 1, 2])
 
 
+@pytest.mark.parametrize("images", [[2.7, 1.2], [True], [1, 2.0], ["1"], 5])
+def test_permutation_rejects_non_int_images(images):
+    # no int() coercion: a float or bool image is an error, not rounded
+    with pytest.raises(NotAPermutation):
+        Permutation.from_images(images)
+
+
 def test_asm_hashable_and_immutable(example_a):
     assert hash(example_a) == hash(validate(EXAMPLE_A_ROWS))
     with pytest.raises(AttributeError):

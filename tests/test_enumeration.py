@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from asmlat import (
@@ -15,8 +17,10 @@ from asmlat import (
     signed_identity_check,
     validate,
 )
-from asmlat.core import AsmError
+from asmlat.core import AsmError, minus_count
+from asmlat.enumeration import _row_table
 from asmlat.polynomials import HalfIntPolynomial
+from asmlat.stats import beta_corner, inversion_number
 
 from pathlib import Path
 
@@ -171,3 +175,45 @@ def test_iter_asms_streams():
     first = next(it)
     assert first.n == 5
     assert 1 + sum(1 for _ in it) == 429
+
+
+def _paths(n, perm_only):
+    """Number of paths from the empty state to the full one through the table."""
+    table = _row_table(n, perm_only)
+    layer = {(0,) * n: 1}
+    for _ in range(n):
+        nxt = {}
+        for col, c in layer.items():
+            for step in table[col]:
+                nxt[step.new] = nxt.get(step.new, 0) + c
+        layer = nxt
+    return layer[(1,) * n]
+
+
+def test_row_table_paths_count_matrices():
+    for n in range(1, 11):
+        assert _paths(n, False) == count_formula(n)
+        assert _paths(n, True) == math.factorial(n)
+
+
+def test_row_table_deltas_sum_to_statistics(pools):
+    # along the rows of a matrix the table's deltas add up to I, N and beta
+    for n in (3, 4, 5):
+        table = _row_table(n, False)
+        for a in pools[n]:
+            col, total = (0,) * n, [0, 0, 0]
+            for row in a.entries:
+                (step,) = [s for s in table[col] if s.row == row]
+                total = [total[0] + step.d_inv, total[1] + step.d_minus, total[2] + step.d_beta]
+                col = step.new
+            assert total == [inversion_number(a), minus_count(a), beta_corner(a)]
+
+
+def test_genfun_guard_still_counts_matrices():
+    # the DP lists no matrix, but the guard still bounds |A_n| and n!
+    with pytest.raises(TooLarge, match=r"\|A_5\| = 429"):
+        genfun_stat(5, "beta", limit_guard=428)
+    with pytest.raises(TooLarge, match=r"n! = 120"):
+        bivariate_genfun(5, "I:beta", over="perm", limit_guard=119)
+    with pytest.raises(TooLarge, match=r"n! = 3628800"):
+        signed_identity_check(10, limit_guard=10**6)
