@@ -4,11 +4,19 @@ All public coordinates are 1-based (i = row, j = column).  Internally the
 entries live in tuples of tuples indexed from 0; that never leaks through
 the API.  Every object is immutable and hashable, so values can be shared
 freely across threads and used as dict keys.
+
+Corner sums are the one internal representation of the order.
+:func:`corner_sum` computes an :class:`Asm`'s table on first use and keeps
+it in a memo on the instance, so a matrix compared again reuses it.  The
+memo is a cache, not a field; it takes no part in equality, hashing,
+``repr`` or ``to_json_dict``.  It is a function of the entries, so two
+threads that fill it at once store the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterator, Sequence
 
 
@@ -68,7 +76,9 @@ class Asm:
     Entries are in {-1, 0, 1}; every row- and column-prefix sum is 0 or 1
     and every full row/column sum is 1.  Construct via :func:`validate`
     (checked) or the classmethods below; the raw constructor trusts its
-    input.
+    input.  The corner-sum table, once computed, is kept in the instance
+    ``__dict__`` (see :func:`corner_sum`); only ``n`` and ``entries`` take
+    part in ``==``, ``hash`` and ``repr``.
     """
 
     n: int
@@ -240,11 +250,15 @@ def to_permutation(a: Asm) -> Permutation:
     return Permutation(a.n, images)
 
 
-def corner_sum(a: Asm) -> CornerSumMatrix:
-    n = a.n
+# The instance attribute that holds an Asm's corner-sum table once computed.
+_MEMO = "_corner_sums"
+
+
+def _prefix_sums(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The corner-sum table of the rows, computed afresh."""
     sums = []
-    prev = (0,) * n
-    for row in a.entries:
+    prev = (0,) * len(rows)
+    for row in rows:
         acc = 0
         cur = []
         for j, v in enumerate(row):
@@ -252,7 +266,20 @@ def corner_sum(a: Asm) -> CornerSumMatrix:
             cur.append(prev[j] + acc)
         prev = tuple(cur)
         sums.append(prev)
-    return CornerSumMatrix(n, tuple(sums))
+    return tuple(sums)
+
+
+def _sums(a: Asm) -> tuple[tuple[int, ...], ...]:
+    """a's corner-sum table, computed on first use and then kept on a."""
+    s = a.__dict__.get(_MEMO)
+    if s is None:
+        s = a.__dict__[_MEMO] = _prefix_sums(a.entries)
+    return s
+
+
+def corner_sum(a: Asm) -> CornerSumMatrix:
+    """The corner sums of a; the table is computed once per instance."""
+    return CornerSumMatrix(a.n, _sums(a))
 
 
 def check_corner_sums(raw: Sequence[Sequence[int]]) -> CornerSumMatrix:
@@ -281,10 +308,17 @@ def _second_differences(sums: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     """The matrix whose corner sums are ``sums``, by second differences."""
     rows, prev = [], (0,) * len(sums)
     for cur in sums:
-        step = [x - y for x, y in zip(cur, prev)]
-        rows.append(tuple(x - y for x, y in zip(step, [0] + step[:-1])))
+        step = tuple(map(sub, cur, prev))
+        rows.append(tuple(map(sub, step, (0, *step))))
         prev = cur
     return tuple(rows)
+
+
+def _with_sums(n: int, sums: tuple[tuple[int, ...], ...]) -> Asm:
+    """The matrix whose corner sums are ``sums``, unchecked, memo set."""
+    a = Asm(n, _second_differences(sums))
+    a.__dict__[_MEMO] = sums
+    return a
 
 
 def from_corner_sum(c: CornerSumMatrix | Sequence[Sequence[int]]) -> Asm:

@@ -186,13 +186,20 @@ def _path_sums(
     return layer[(1,) * n]
 
 
+def _check_perm_guard(n: int, limit_guard: Optional[int]) -> None:
+    """Check n! against the guard; like |A_n|, it needs n >= 1."""
+    if n < 1:
+        raise AsmError(f"size {n} must be positive")
+    _check_guard("n!", math.factorial(n), limit_guard)
+
+
 def _perm_only(n: int, over: str, limit_guard: Optional[int]) -> bool:
     """Check the universe's size against the guard; True for permutations."""
     if over == "asm":
         _check_guard(f"|A_{n}|", count_formula(n), limit_guard)
         return False
     if over == "perm":
-        _check_guard("n!", math.factorial(n), limit_guard)
+        _check_perm_guard(n, limit_guard)
         return True
     raise AsmError(f"unknown universe {over!r}; expected 'asm' or 'perm'")
 
@@ -261,7 +268,7 @@ def signed_identity_check(n: int, limit_guard: Optional[int] = None) -> tuple[bo
     permutation I:beta DP.  Right side: product over k < n of
     (1 - q^k)^(n - k).  Returns (equal, left, right).
     """
-    _check_guard("n!", math.factorial(n), limit_guard)
+    _check_perm_guard(n, limit_guard)
     lhs = HalfIntPolynomial.zero(var="q")
     for (inv2, beta), c in _path_sums(n, True, _KEYS["I:beta"]).items():
         lhs.add_term(-c if inv2 % 4 else c, beta)  # inv2 = 2I: odd I leaves 2

@@ -8,7 +8,10 @@ sums around each position.  The sixteen possible block contents classify
 every cover and determine how I, N and H move along the edge.  Join and
 meet come from entrywise min/max of corner sums, which the
 distributive-lattice structure guarantees to be valid, so they are not
-checked again.  This module's brute-force oracles live in asmlat.verify.
+checked again.  Comparison, join and meet read each matrix's corner-sum
+memo (see asmlat.core), and a join or meet hands its result the table it
+built; the cover scan computes its table without keeping it.  This
+module's brute-force oracles live in asmlat.verify.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from .core import (
     AsmError,
     Permutation,
     SizeMismatch,
-    _second_differences,
-    corner_sum,
+    _prefix_sums,
+    _sums,
+    _with_sums,
     iter_permutations,
 )
 
@@ -112,7 +116,7 @@ def compare(a: Asm, b: Asm) -> Ordering:
     """
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    ca, cb = corner_sum(a).sums, corner_sum(b).sums
+    ca, cb = _sums(a), _sums(b)
     a_below = False  # witnessed ca > cb somewhere (meaning a < b)
     b_below = False
     for ra, rb in zip(ca, cb):
@@ -196,7 +200,7 @@ def _covers(a: Asm, up: bool) -> list[CoverEdge]:
     unit steps around c(r, s) stay in {0, 1}.
     """
     n, d, sign = a.n, int(up), 1 if up else -1
-    c = [(0,) * (n + 1)] + [(0,) + row for row in corner_sum(a).sums]
+    c = [(0,) * (n + 1)] + [(0,) + row for row in _prefix_sums(a.entries)]
     e = a.entries
     out = []
     for r in range(1, n):
@@ -226,16 +230,14 @@ def join(a: Asm, b: Asm) -> Asm:
     """Least upper bound: entrywise minimum of corner sums."""
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    ca, cb = corner_sum(a).sums, corner_sum(b).sums
-    return Asm(a.n, _second_differences([list(map(min, x, y)) for x, y in zip(ca, cb)]))
+    return _with_sums(a.n, tuple(tuple(map(min, x, y)) for x, y in zip(_sums(a), _sums(b))))
 
 
 def meet(a: Asm, b: Asm) -> Asm:
     """Greatest lower bound: entrywise maximum of corner sums."""
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    ca, cb = corner_sum(a).sums, corner_sum(b).sums
-    return Asm(a.n, _second_differences([list(map(max, x, y)) for x, y in zip(ca, cb)]))
+    return _with_sums(a.n, tuple(tuple(map(max, x, y)) for x, y in zip(_sums(a), _sums(b))))
 
 
 def is_bigrassmannian(w: Permutation) -> bool:

@@ -36,12 +36,22 @@ from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .poset import Ordering, compare, leq
 
 _cache: dict[int, list[Asm]] = {}
+_bigrassmannian_cache: dict[int, list[tuple[Permutation, Asm]]] = {}
 
 
 def _asms(n: int) -> list[Asm]:
     if n not in _cache:
         _cache[n] = enumeration.enumerate_asms(n)
     return _cache[n]
+
+
+def _bigrassmannians(n: int) -> list[tuple[Permutation, Asm]]:
+    """Each bigrassmannian w of S_n with its matrix, built once per n."""
+    if n not in _bigrassmannian_cache:
+        _bigrassmannian_cache[n] = [
+            (w, from_permutation(w)) for w in poset.enumerate_bigrassmannians(n)
+        ]
+    return _bigrassmannian_cache[n]
 
 
 def _check_all(items, predicate) -> tuple[int, list[str]]:
@@ -180,11 +190,7 @@ def generic_cover_oracle(universe: list[Asm], a: Asm, b: Asm) -> bool:
 
 def bigrassmannians_below(b: Asm) -> list[Permutation]:
     """The bigrassmannian permutations weakly below b."""
-    return [
-        w
-        for w in poset.enumerate_bigrassmannians(b.n)
-        if leq(from_permutation(w), b)
-    ]
+    return [w for w, m in _bigrassmannians(b.n) if leq(m, b)]
 
 
 def beta_poset_oracle(b: Asm) -> int:
@@ -360,7 +366,7 @@ def check_lattice_laws(n: int):
 
 def check_bigrassmannian_join_irreducible(n: int):
     ji = {a for a in _asms(n) if poset.is_join_irreducible(a)}
-    bg = {from_permutation(w) for w in poset.enumerate_bigrassmannians(n)}
+    bg = {m for _, m in _bigrassmannians(n)}
     ok = ji == bg
     return len(_asms(n)), [] if ok else [f"join-irreducibles != bigrassmannians at n={n}"]
 

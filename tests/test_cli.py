@@ -175,6 +175,15 @@ def test_exit_domain_verify_max_below_one(capsys):
         assert "all checks passed" not in out
 
 
+@pytest.mark.parametrize("size", ["-1", "0"])
+@pytest.mark.parametrize("what", [["--stat", "I"], ["--bivariate", "I:beta"]])
+def test_exit_domain_perm_size_not_positive(capsys, size, what):
+    # over permutations as over matrices: a domain error, no traceback, no "1"
+    code, out, err = invoke(capsys, "genfun", "--size", size, "--over", "perm", *what)
+    assert (code, out) == (2, "")
+    assert f"size {size} must be positive" in err
+
+
 def test_exit_domain_non_int_entry(capsys, tmp_path):
     f = tmp_path / "a.json"
     for entries in ("[[1.9]]", "[[true]]"):
@@ -190,6 +199,15 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "asmlat", "count", "--size", "3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "7\n", "")
 
 
 def test_output_determinism(capsys):

@@ -217,3 +217,9 @@ def test_genfun_guard_still_counts_matrices():
         bivariate_genfun(5, "I:beta", over="perm", limit_guard=119)
     with pytest.raises(TooLarge, match=r"n! = 3628800"):
         signed_identity_check(10, limit_guard=10**6)
+
+
+@pytest.mark.parametrize("n", [-1, 0])
+def test_signed_identity_rejects_size_below_one(n):
+    with pytest.raises(AsmError, match=f"size {n} must be positive"):
+        signed_identity_check(n)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from asmlat import (
+    Asm,
     Ordering,
     Permutation,
     beta_corner,
@@ -206,6 +207,31 @@ def test_join_meet_match_checked_rebuild(n):
         ca, cb = corner_sum(a).sums, corner_sum(b).sums
         assert join(a, b) == from_corner_sum([list(map(min, x, y)) for x, y in zip(ca, cb)])
         assert meet(a, b) == from_corner_sum([list(map(max, x, y)) for x, y in zip(ca, cb)])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_join_meet_memo_matches_fresh_corner_sums(n):
+    # join/meet keep the min/max table they built as the result's corner-sum
+    # memo; a fresh instance with the same entries, and no memo, must agree
+    universe = list(iter_asms(n))
+    if n <= 4:
+        pairs = itertools.product(universe, repeat=2)
+    else:
+        rng = random.Random(n)
+        pairs = ((rng.choice(universe), rng.choice(universe)) for _ in range(10_000))
+    for a, b in pairs:
+        for x in (join(a, b), meet(a, b)):
+            assert corner_sum(x) == corner_sum(Asm(x.n, x.entries))
+
+
+def test_corner_sum_memo_is_not_a_field(example_a, example_b):
+    for x in (join(example_a, example_b), meet(example_a, example_b), example_a):
+        corner_sum(x)
+        fresh = Asm(x.n, x.entries)
+        assert vars(x) != vars(fresh)  # x holds the memo, fresh does not
+        assert x == fresh and hash(x) == hash(fresh)
+        assert repr(x) == repr(fresh)
+        assert x.to_json_dict() == fresh.to_json_dict()
 
 
 def test_is_bigrassmannian():
