@@ -115,7 +115,10 @@ def _cmd_count(args) -> int:
     if args.method == "formula":
         print(enumeration.count_formula(args.size))
     else:
-        print(len(enumeration.enumerate_asms(args.size, args.guard)))
+        # stream the matrices: counting needs none of them kept
+        n = args.size
+        enumeration._check_guard(f"|A_{n}|", enumeration.count_formula(n), args.guard)
+        print(sum(1 for _ in enumeration.iter_asms(n)))
     return EXIT_OK
 
 

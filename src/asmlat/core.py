@@ -90,9 +90,6 @@ class Asm:
             raise IndexOutOfRange(f"position ({i}, {j}) outside 1..{self.n}")
         return self.entries[i - 1][j - 1]
 
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.entries
-
     def nonzeros(self) -> list[tuple[int, int, int]]:
         """All (i, j, value) with a nonzero entry, row-major, 1-based."""
         return [
@@ -177,12 +174,6 @@ class CornerSumMatrix:
 
     n: int
     sums: tuple[tuple[int, ...], ...]
-
-    def at(self, i: int, j: int) -> int:
-        """Prefix sum at 1-based (i, j); positions with i=0 or j=0 give 0."""
-        if i == 0 or j == 0:
-            return 0
-        return self.sums[i - 1][j - 1]
 
 
 def validate(raw: Sequence[Sequence[int]]) -> Asm:

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from .core import Asm, AsmError, to_permutation
 from .poset import covers_up
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
-from .stats import StatRecord, stat_record
+from .stats import StatRecord, _row_deltas, stat_record
 
 DEFAULT_GUARD = 10**7
 
@@ -121,9 +121,8 @@ def _row_table(n: int, perm_only: bool) -> dict[tuple[int, ...], tuple[_Step, ..
     """Every column prefix state of size n with its legal next rows, in
     canonical order; ``perm_only`` keeps the rows with no -1.
 
-    The state before row i has sum i - 1.  Row i adds to I the products
-    of its entries with the column sums strictly to their right, to N its
-    -1 count, and to beta its terms of :func:`stats.beta_corner`.
+    The state before row i has sum i - 1; what a row adds to I, N and
+    beta is :func:`stats._row_deltas`.
     """
     table: dict[tuple[int, ...], tuple[_Step, ...]] = {}
     # one object per distinct row or state: all tables for n <= 10 then
@@ -139,12 +138,8 @@ def _row_table(n: int, perm_only: bool) -> dict[tuple[int, ...], tuple[_Step, ..
         for row, new in _next_rows(col):
             if perm_only and -1 in row:
                 continue
-            d_inv = sum(r * sum(col[k + 1:]) for k, r in enumerate(row) if r)
-            d_beta = sum(
-                ((i == j) - r) * (n - i + 1) * (n - j + 1) for j, r in enumerate(row, 1)
-            )
             row, new = shared.setdefault(row, row), shared.setdefault(new, new)
-            steps.append(_Step(row, new, d_inv, row.count(-1), d_beta))
+            steps.append(_Step(row, new, *_row_deltas(i, col, row)))
             todo.append(new)
         table[col] = tuple(steps)
     return table

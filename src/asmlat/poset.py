@@ -138,18 +138,28 @@ def leq(a: Asm, b: Asm) -> bool:
     return compare(a, b) in (Ordering.LESS, Ordering.EQUAL)
 
 
+def _block_entries(block: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The 2x2 block's entries, row-major; each must be an int (a bool is
+    not)."""
+    if len(block) != 2 or any(len(row) != 2 for row in block):
+        raise NotAnExchangeBlock("blocks must be 2x2")
+    entries = tuple(x for row in block for x in row)
+    for x in entries:
+        if type(x) is not int:
+            raise NotAnExchangeBlock(f"block entry {x!r} is not an integer")
+    return entries
+
+
 def classify_cover_type(
     a_block: Sequence[Sequence[int]], b_block: Sequence[Sequence[int]]
 ) -> CoverType:
     """Look up the table row for a cover's 2x2 blocks.
 
     ``b_block - a_block`` must be [[-1, 1], [1, -1]] and both blocks must
-    consist of matrix entries in {-1, 0, 1}.
+    consist of matrix entries in {-1, 0, 1}; an entry that is not an int
+    (a float or a bool) is rejected, not coerced.
     """
-    a = tuple(int(x) for row in a_block for x in row)
-    b = tuple(int(x) for row in b_block for x in row)
-    if len(a) != 4 or len(b) != 4:
-        raise NotAnExchangeBlock("blocks must be 2x2")
+    a, b = _block_entries(a_block), _block_entries(b_block)
     if tuple(y - x for x, y in zip(a, b)) != (-1, 1, 1, -1):
         raise NotAnExchangeBlock("block difference is not [[-1, 1], [1, -1]]")
     row = _TYPE_BY_LOWER_BLOCK.get(a)

@@ -4,6 +4,8 @@ An inversion of A is a quadruple (i, j, k, l) with i < j, k < l and
 a_jk * a_il != 0: a nonzero entry with another nonzero entry strictly
 north-east of it.  The signed count I, its dual I*, the -1 count N, the
 weak inversion number H = I - N/2 and the lattice rank beta all live here.
+:func:`stat_record` and ``enumeration``'s row table read I, N and beta
+off one per-row rule, :func:`_row_deltas`, checked against the pair sums.
 
 Half-integers are kept exact: H is exposed both as a Fraction and as the
 integer 2H; the local contributions H_pq are quarter-integer Fractions.
@@ -14,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
-from .core import Asm, IndexOutOfRange, dual, minus_count
+from .core import Asm, IndexOutOfRange, minus_count
 
 
 @dataclass(frozen=True)
@@ -57,19 +60,16 @@ class StatRecord:
         }
 
 
-def inversion_list(a: Asm) -> list[Inversion]:
-    """All inversions with nonzero product, in lexicographic (i, j, k, l) order.
-
-    Unlike :func:`inversion_number`, zero products are filtered out here.
-    """
+def _inversions(a: Asm) -> Iterator[tuple[int, int, int, int, int]]:
+    """(i, j, k, l, a_jk * a_il) for each nonzero a_jk and each nonzero
+    a_il strictly north-east of it (i < j, k < l), unsorted."""
     nz = a.nonzeros()
-    out = []
-    for (j, k, v1) in nz:
-        for (i, l, v2) in nz:
-            if i < j and k < l:
-                out.append(Inversion(i, j, k, l, v1 * v2, l - k))
-    out.sort(key=lambda t: (t.i, t.j, t.k, t.l))
-    return out
+    return ((i, j, k, l, v1 * v2) for (j, k, v1) in nz for (i, l, v2) in nz if i < j and k < l)
+
+
+def inversion_list(a: Asm) -> list[Inversion]:
+    """All inversions with nonzero product, in lexicographic (i, j, k, l) order."""
+    return [Inversion(i, j, k, l, s, l - k) for i, j, k, l, s in sorted(_inversions(a))]
 
 
 def inversion_number(a: Asm) -> int:
@@ -79,13 +79,7 @@ def inversion_number(a: Asm) -> int:
     runs over all index pairs; only nonzero entries are visited.
     For a permutation matrix this is the classical inversion count.
     """
-    nz = a.nonzeros()
-    return sum(
-        v1 * v2
-        for (j, k, v1) in nz
-        for (i, l, v2) in nz
-        if i < j and k < l
-    )
+    return sum(s for _, _, _, _, s in _inversions(a))
 
 
 def dual_inversion_number(a: Asm) -> int:
@@ -104,24 +98,12 @@ def dual_inversion_number(a: Asm) -> int:
 
 def beta_weighted(a: Asm) -> int:
     """Rank via column-weighted inversions: sum of (l - k) * a_jk * a_il."""
-    nz = a.nonzeros()
-    return sum(
-        (l - k) * v1 * v2
-        for (j, k, v1) in nz
-        for (i, l, v2) in nz
-        if i < j and k < l
-    )
+    return sum((l - k) * s for _, _, k, l, s in _inversions(a))
 
 
 def beta_row_weighted(a: Asm) -> int:
     """Rank via row-weighted inversions: sum of (j - i) * a_jk * a_il."""
-    nz = a.nonzeros()
-    return sum(
-        (j - i) * v1 * v2
-        for (j, k, v1) in nz
-        for (i, l, v2) in nz
-        if i < j and k < l
-    )
+    return sum((j - i) * s for i, j, _, _, s in _inversions(a))
 
 
 def beta_corner(a: Asm) -> int:
@@ -173,14 +155,40 @@ def local_weak_contribution(a: Asm, p: int, q: int) -> Fraction:
     return apq * (Fraction(sw_ne, 2) + Fraction(same_col_above + same_row_right, 4))
 
 
+def _row_deltas(i: int, col: Sequence[int], row: Sequence[int]) -> tuple[int, int, int]:
+    """What row i adds to I, N and beta, given ``col``, the column sums of
+    the rows above it (a row of the monotone triangle).
+
+    An entry's share of I is its product with the column sums strictly to
+    its right, the entries north-east of it; N gains the row's -1 count;
+    beta gains the row's terms of :func:`beta_corner`, which sum to
+    m * (m - sum_j r_j (n - j + 1)) with m = n - i + 1.
+    """
+    n = len(row)
+    d_inv = d_minus = weighted = right = 0
+    for j in range(n - 1, -1, -1):
+        r = row[j]
+        if r:
+            d_inv += r * right
+            weighted += r * (n - j)
+            if r < 0:
+                d_minus += 1
+        right += col[j]
+    m = n - i + 1
+    return d_inv, d_minus, m * (m - weighted)
+
+
 def stat_record(a: Asm) -> StatRecord:
-    return StatRecord(
-        inv=inversion_number(a),
-        dual_inv=dual_inversion_number(a),
-        minus=minus_count(a),
-        weak2=weak_inversion_twice(a),
-        beta=beta_corner(a),
-    )
+    """All five statistics in one pass of :func:`_row_deltas` over the
+    rows; I* = C(n, 2) - I + N (the duality identity) and 2H = 2I - N
+    follow.  The definitional functions above are its oracles."""
+    n, col = a.n, [0] * a.n
+    inv = minus = rank = 0
+    for i, row in enumerate(a.entries, 1):
+        d_inv, d_minus, d_beta = _row_deltas(i, col, row)
+        inv, minus, rank = inv + d_inv, minus + d_minus, rank + d_beta
+        col = [c + r for c, r in zip(col, row)]
+    return StatRecord(inv, n * (n - 1) // 2 - inv + minus, minus, 2 * inv - minus, rank)
 
 
 def classical_beta(images: tuple[int, ...]) -> int:
@@ -188,16 +196,6 @@ def classical_beta(images: tuple[int, ...]) -> int:
     n = len(images)
     return sum(
         images[i] - images[j]
-        for i in range(n)
-        for j in range(i + 1, n)
-        if images[i] > images[j]
-    )
-
-
-def classical_inversions(images: tuple[int, ...]) -> int:
-    n = len(images)
-    return sum(
-        1
         for i in range(n)
         for j in range(i + 1, n)
         if images[i] > images[j]

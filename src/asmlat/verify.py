@@ -123,6 +123,20 @@ def check_duality_identity(n: int):
     return _check_all(_asms(n), pred)
 
 
+def check_stat_record_vs_definitions(n: int):
+    def pred(a: Asm):
+        got = stats.stat_record(a)
+        want = stats.StatRecord(
+            inv=stats.inversion_number(a),
+            dual_inv=stats.dual_inversion_number(a),
+            minus=minus_count(a),
+            weak2=stats.weak_inversion_twice(a),
+            beta=stats.beta_corner(a),
+        )
+        return None if got == want else f"stat_record {got} != definitions {want} on\n{a}"
+    return _check_all(_asms(n), pred)
+
+
 def check_inversion_le_beta(n: int):
     return _check_all(
         _asms(n),
@@ -283,13 +297,14 @@ def check_cover_deltas(n: int):
 
 
 def check_duality_anti_automorphism(n: int):
-    universe = _asms(n)
+    # each dual is built once, so its corner-sum table serves every pair
+    pairs = itertools.combinations([(a, dual(a)) for a in _asms(n)], 2)
     def pred(pair):
-        a, b = pair
-        if (compare(a, b) is Ordering.LESS) != (compare(dual(b), dual(a)) is Ordering.LESS):
+        (a, da), (b, db) = pair
+        if (compare(a, b) is Ordering.LESS) != (compare(db, da) is Ordering.LESS):
             return "row reversal is not order-reversing"
         return None
-    return _check_all(itertools.combinations(universe, 2), pred)
+    return _check_all(pairs, pred)
 
 
 def check_type_duality(n: int):
@@ -315,13 +330,13 @@ def check_type_duality(n: int):
 
 
 def check_transpose_order_iso(n: int):
-    universe = _asms(n)
+    pairs = itertools.combinations([(a, transpose(a)) for a in _asms(n)], 2)
     def pred(pair):
-        a, b = pair
-        if compare(a, b) != compare(transpose(a), transpose(b)):
+        (a, ta), (b, tb) = pair
+        if compare(a, b) != compare(ta, tb):
             return "transpose is not an order isomorphism"
         return None
-    return _check_all(itertools.combinations(universe, 2), pred)
+    return _check_all(pairs, pred)
 
 
 def check_beta_oracle(n: int):
@@ -466,6 +481,7 @@ SUITES: list[tuple[str, int, Callable[[int], tuple[int, list[str]]]]] = [
     ("corner-sum-invariants", 5, check_corner_sum_invariants),
     ("beta-three-way-equivalence", 6, check_beta_three_way),
     ("duality-identity", 6, check_duality_identity),
+    ("stat-record-vs-definitions", 6, check_stat_record_vs_definitions),
     ("inversion-le-beta", 6, check_inversion_le_beta),
     ("dual-inversion-via-dual", 5, check_dual_inversion_via_dual),
     ("local-weak-sum", 5, check_local_weak_sum),

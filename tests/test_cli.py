@@ -142,10 +142,12 @@ def test_exit_guard(capsys, monkeypatch):
 
 
 def test_exit_guard_message(capsys):
-    code, _, err = invoke(capsys, "hasse", "--size", "4", "--output", "dot", "--guard", "10")
-    assert code == 3
-    assert "|A_4| = 42 exceeds guard 10" in err
-    assert "--guard N" in err and "ASMLAT_GUARD" in err
+    # count --method enumerate streams A_n but checks the same guard first
+    for argv in (["hasse", "--size", "4", "--output", "dot"], ["count", "--size", "4", "--method", "enumerate"]):
+        code, out, err = invoke(capsys, *argv, "--guard", "10")
+        assert code == 3 and out == ""
+        assert "|A_4| = 42 exceeds guard 10" in err
+        assert "--guard N" in err and "ASMLAT_GUARD" in err
 
 
 def test_exit_domain_bad_guard(capsys, monkeypatch):

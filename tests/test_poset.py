@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -155,6 +156,16 @@ def test_classify_cover_type_rejects():
         classify_cover_type([[1, 0], [0, 1]], [[1, 0], [0, 1]])
     with pytest.raises(NotAnExchangeBlock):
         classify_cover_type([[2, 0], [0, 2]], [[1, 1], [1, 1]])
+    # a ragged or 1x4 block is not 2x2, though it has four entries
+    with pytest.raises(NotAnExchangeBlock, match="2x2"):
+        classify_cover_type([[1, 0, 0], [1]], [[0, 1, 1], [0]])
+    with pytest.raises(NotAnExchangeBlock, match="2x2"):
+        classify_cover_type([[1, 0, 0, 1]], [[0, 1, 1, 0]])
+    # entries are not coerced: int(1.9) and int(True) would read as 1
+    with pytest.raises(NotAnExchangeBlock, match="not an integer"):
+        classify_cover_type([[1.9, 0], [0, 1]], [[0, 1], [1, 0]])
+    with pytest.raises(NotAnExchangeBlock, match="not an integer"):
+        classify_cover_type([[True, 0], [0, 1]], [[0, 1], [1, 0]])
 
 
 def test_cover_table_consistency():
@@ -194,33 +205,34 @@ def test_join_meet_are_bounds(pools):
                 assert leq(c, m)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_join_meet_match_checked_rebuild(n):
-    # join/meet skip the checks that from_corner_sum makes on the same table
+@functools.lru_cache(maxsize=None)
+def _join_meet_sweep(n):
+    # the pairs both join/meet tests below check, with their join and meet,
+    # built once per n: every pair for n <= 4, 10,000 seeded draws above
     universe = list(iter_asms(n))
     if n <= 4:
         pairs = itertools.product(universe, repeat=2)
     else:
         rng = random.Random(n)
         pairs = ((rng.choice(universe), rng.choice(universe)) for _ in range(10_000))
-    for a, b in pairs:
+    return [(a, b, join(a, b), meet(a, b)) for a, b in pairs]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_join_meet_match_checked_rebuild(n):
+    # join/meet skip the checks that from_corner_sum makes on the same table
+    for a, b, j, m in _join_meet_sweep(n):
         ca, cb = corner_sum(a).sums, corner_sum(b).sums
-        assert join(a, b) == from_corner_sum([list(map(min, x, y)) for x, y in zip(ca, cb)])
-        assert meet(a, b) == from_corner_sum([list(map(max, x, y)) for x, y in zip(ca, cb)])
+        assert j == from_corner_sum([list(map(min, x, y)) for x, y in zip(ca, cb)])
+        assert m == from_corner_sum([list(map(max, x, y)) for x, y in zip(ca, cb)])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_join_meet_memo_matches_fresh_corner_sums(n):
     # join/meet keep the min/max table they built as the result's corner-sum
     # memo; a fresh instance with the same entries, and no memo, must agree
-    universe = list(iter_asms(n))
-    if n <= 4:
-        pairs = itertools.product(universe, repeat=2)
-    else:
-        rng = random.Random(n)
-        pairs = ((rng.choice(universe), rng.choice(universe)) for _ in range(10_000))
-    for a, b in pairs:
-        for x in (join(a, b), meet(a, b)):
+    for _, _, j, m in _join_meet_sweep(n):
+        for x in (j, m):
             assert corner_sum(x) == corner_sum(Asm(x.n, x.entries))
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from asmlat import (
@@ -23,7 +23,7 @@ from asmlat import (
     weak_inversion_twice,
 )
 from asmlat.core import IndexOutOfRange
-from asmlat.stats import classical_beta, classical_inversions
+from asmlat.stats import classical_beta
 
 
 # Quadruple-loop reference implementations, deliberately independent of the
@@ -175,21 +175,11 @@ def test_stat_record_invariants(pools):
 @given(st.permutations(list(range(1, 9))))
 def test_permutation_statistics_match_classical(images):
     a = from_permutation(Permutation.from_images(images))
-    assert inversion_number(a) == classical_inversions(tuple(images))
+    n = len(images)
+    classical = sum(images[i] > images[j] for i in range(n) for j in range(i + 1, n))
+    assert inversion_number(a) == classical
     assert beta_weighted(a) == classical_beta(tuple(images))
     assert minus_count(a) == 0
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.integers(2, 50), st.randoms(use_true_random=False))
-def test_beta_formulas_on_large_permutations(n, rnd):
-    images = list(range(1, n + 1))
-    rnd.shuffle(images)
-    a = from_permutation(Permutation.from_images(images))
-    want = classical_beta(tuple(images))
-    assert beta_weighted(a) == want
-    assert beta_row_weighted(a) == want
-    assert beta_corner(a) == want
 
 
 def test_beta_formulas_thousand_random_permutations():
