@@ -10,6 +10,7 @@ the documented JSON schemas.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 
@@ -69,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("genfun", help="generating polynomial of a statistic")
     sp.add_argument("--size", type=int, required=True)
-    sp.add_argument("--stat", choices=["I", "H", "beta"], default=None)
-    sp.add_argument("--bivariate", choices=["I:beta", "H:beta"], default=None)
+    what = sp.add_mutually_exclusive_group(required=True)
+    what.add_argument("--stat", choices=["I", "H", "beta"])
+    what.add_argument("--bivariate", choices=["I:beta", "H:beta"])
     sp.add_argument("--over", choices=["asm", "perm"], default="asm")
     sp.add_argument("--format", choices=["human", "json"], default="human")
     sp.add_argument("--guard", type=int, default=None)
@@ -113,12 +115,13 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     if args.method == "formula":
-        print(enumeration.count_formula(args.size))
+        count = enumeration.count_formula(args.size)
     else:
         # stream the matrices: counting needs none of them kept
-        n = args.size
-        enumeration._check_guard(f"|A_{n}|", enumeration.count_formula(n), args.guard)
-        print(sum(1 for _ in enumeration.iter_asms(n)))
+        enumeration._check_size(args.size, "asm", args.guard)
+        count = sum(1 for _ in enumeration.iter_asms(args.size))
+    # exact at any size: str() of an int refuses more than 4,300 digits
+    print(decimal.Decimal(count))
     return EXIT_OK
 
 
@@ -163,16 +166,9 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_genfun(args) -> int:
-    if args.bivariate:
-        poly = enumeration.bivariate_genfun(
-            args.size, args.bivariate, over=args.over, limit_guard=args.guard
-        )
-    else:
-        if args.stat is None:
-            raise _UsageError("genfun needs --stat or --bivariate")
-        poly = enumeration.genfun_stat(
-            args.size, args.stat, over=args.over, limit_guard=args.guard
-        )
+    # argparse lets exactly one of --stat and --bivariate through
+    genfun = enumeration.bivariate_genfun if args.bivariate else enumeration.genfun_stat
+    poly = genfun(args.size, args.bivariate or args.stat, over=args.over, limit_guard=args.guard)
     if args.format == "json":
         print(json.dumps(poly.to_json_dict()))
     else:

@@ -17,6 +17,7 @@ DOT export.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import os
@@ -52,16 +53,6 @@ def resolve_guard(limit_guard: Optional[int] = None) -> int:
     if guard < 0:
         raise AsmError(f"ASMLAT_GUARD={guard} is negative")
     return guard
-
-
-def _check_guard(what: str, predicted: int, limit_guard: Optional[int]) -> None:
-    """Refuse a workload of predicted size above :func:`resolve_guard`."""
-    guard = resolve_guard(limit_guard)
-    if predicted > guard:
-        raise TooLarge(
-            f"{what} = {predicted} exceeds guard {guard}; "
-            "raise it with --guard N or ASMLAT_GUARD"
-        )
 
 
 def count_formula(n: int) -> int:
@@ -181,22 +172,22 @@ def _path_sums(
     return layer[(1,) * n]
 
 
-def _check_perm_guard(n: int, limit_guard: Optional[int]) -> None:
-    """Check n! against the guard; like |A_n|, it needs n >= 1."""
+def _check_size(n: int, over: str, limit_guard: Optional[int]) -> bool:
+    """Refuse an unknown universe, a size below one, or a universe (|A_n|
+    or n!) larger than :func:`resolve_guard`; True for permutations."""
+    if over not in ("asm", "perm"):
+        raise AsmError(f"unknown universe {over!r}; expected 'asm' or 'perm'")
     if n < 1:
         raise AsmError(f"size {n} must be positive")
-    _check_guard("n!", math.factorial(n), limit_guard)
-
-
-def _perm_only(n: int, over: str, limit_guard: Optional[int]) -> bool:
-    """Check the universe's size against the guard; True for permutations."""
-    if over == "asm":
-        _check_guard(f"|A_{n}|", count_formula(n), limit_guard)
-        return False
-    if over == "perm":
-        _check_perm_guard(n, limit_guard)
-        return True
-    raise AsmError(f"unknown universe {over!r}; expected 'asm' or 'perm'")
+    perm_only = over == "perm"
+    what, size = ("n!", math.factorial(n)) if perm_only else (f"|A_{n}|", count_formula(n))
+    guard = resolve_guard(limit_guard)
+    if size > guard:
+        raise TooLarge(
+            f"{what} = {decimal.Decimal(size)} exceeds guard {guard}; "
+            "raise it with --guard N or ASMLAT_GUARD"
+        )
+    return perm_only
 
 
 def iter_asms(n: int) -> Iterator[Asm]:
@@ -223,7 +214,7 @@ def enumerate_asms(n: int, limit_guard: Optional[int] = None) -> list[Asm]:
     Refuses to run when the predicted count exceeds the guard
     (``limit_guard`` argument, ASMLAT_GUARD env var, or 10^7).
     """
-    _check_guard(f"|A_{n}|", count_formula(n), limit_guard)
+    _check_size(n, "asm", limit_guard)
     return list(iter_asms(n))
 
 
@@ -240,7 +231,7 @@ def genfun_stat(
     """
     if stat not in _STATS:
         raise AsmError(f"unknown statistic {stat!r}; expected I, H or beta")
-    coeffs = _path_sums(n, _perm_only(n, over, limit_guard), _KEYS[stat])
+    coeffs = _path_sums(n, _check_size(n, over, limit_guard), _KEYS[stat])
     return HalfIntPolynomial({h: c for (h, _), c in coeffs.items()})
 
 
@@ -253,7 +244,7 @@ def bivariate_genfun(
     """Sum of λ^s1 q^s2 over the chosen universe, by the row-table DP."""
     if pair not in _PAIRS:
         raise AsmError(f"unknown pair {pair!r}; expected one of {sorted(_PAIRS)}")
-    return BivariatePolynomial(_path_sums(n, _perm_only(n, over, limit_guard), _KEYS[pair]))
+    return BivariatePolynomial(_path_sums(n, _check_size(n, over, limit_guard), _KEYS[pair]))
 
 
 def signed_identity_check(n: int, limit_guard: Optional[int] = None) -> tuple[bool, HalfIntPolynomial, HalfIntPolynomial]:
@@ -263,7 +254,7 @@ def signed_identity_check(n: int, limit_guard: Optional[int] = None) -> tuple[bo
     permutation I:beta DP.  Right side: product over k < n of
     (1 - q^k)^(n - k).  Returns (equal, left, right).
     """
-    _check_perm_guard(n, limit_guard)
+    _check_size(n, "perm", limit_guard)
     lhs = HalfIntPolynomial.zero(var="q")
     for (inv2, beta), c in _path_sums(n, True, _KEYS["I:beta"]).items():
         lhs.add_term(-c if inv2 % 4 else c, beta)  # inv2 = 2I: odd I leaves 2

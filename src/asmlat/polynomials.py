@@ -3,8 +3,10 @@
 Generating functions of the weak inversion number live in Z[x^(1/2)], so
 exponents are stored in half-units: the key 2e maps to the coefficient of
 x^e.  Coefficients are arbitrary-precision ints and zero coefficients are
-never stored.  The printed form is deterministic (ascending exponents,
-half exponents rendered as "k/2") and is used as a golden-file format.
+never stored; a key or coefficient that is not an int, or an exponent
+that is neither an int nor a Fraction (a bool or a float, say), is a
+ValueError.  The printed form, shared by both classes, is deterministic
+(ascending exponents, half exponents as "k/2"), a golden-file format.
 """
 
 from __future__ import annotations
@@ -15,25 +17,81 @@ from typing import Mapping, Union
 Exponent = Union[int, Fraction]
 
 
+def _int(x: object) -> int:
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def _half_units(e: Exponent) -> int:
+    if type(e) not in (int, Fraction):
+        raise ValueError(f"exponent {e!r} is not an int or a Fraction")
     h = 2 * e
     if h != int(h):
         raise ValueError(f"exponent {e} is not a half-integer")
     return int(h)
 
 
-class HalfIntPolynomial:
+def _power(var: str, e: int, half: bool) -> str:
+    """var^e, or var^(e/2) when ``half``, as printed."""
+    if half:
+        if e % 2:
+            return f"{var}^{e}/2"
+        e //= 2
+    return var if e == 1 else f"{var}^{e}"
+
+
+class _Polynomial:
+    """What both classes share: the nonzero int coefficients by key,
+    equality that also compares the variables, and the printed form.
+    A class names its variables with ``_vars()`` and splits a key into
+    (variable, exponent, in half-units?) factors with ``_factors(key)``."""
+
+    __slots__ = ("coeffs",)
+
+    def _accumulate(self, key, c: int) -> None:
+        c += self.coeffs.get(key, 0)
+        if c:
+            self.coeffs[key] = c
+        else:
+            self.coeffs.pop(key, None)
+
+    def items(self) -> list:
+        """(key, coefficient) pairs, ascending."""
+        return sorted(self.coeffs.items())
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and (self._vars(), self.coeffs) == (
+            other._vars(), other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash((*self._vars(), frozenset(self.coeffs.items())))
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        terms = []
+        for key, c in self.items():
+            factors = [_power(v, e, half) for v, e, half in self._factors(key) if e]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            terms.append(("- " if c < 0 else "+ ") + "*".join(factors))
+        text = " ".join(terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+class HalfIntPolynomial(_Polynomial):
     """Sparse polynomial in one variable with exponents in (1/2)Z."""
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("var",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None, var: str = "λ"):
         self.var = var
         self.coeffs: dict[int, int] = {}
         if coeffs:
             for h, c in coeffs.items():
-                if c:
-                    self.coeffs[int(h)] = int(c)
+                self._accumulate(_int(h), _int(c))
 
     @classmethod
     def zero(cls, var: str = "λ") -> "HalfIntPolynomial":
@@ -49,17 +107,12 @@ class HalfIntPolynomial:
 
     def add_term(self, coeff: int, exponent: Exponent) -> None:
         """In-place accumulation; used while streaming over enumerations."""
-        h = _half_units(exponent)
-        c = self.coeffs.get(h, 0) + coeff
-        if c:
-            self.coeffs[h] = c
-        else:
-            self.coeffs.pop(h, None)
+        self._accumulate(_half_units(exponent), _int(coeff))
 
     def __add__(self, other: "HalfIntPolynomial") -> "HalfIntPolynomial":
         out = HalfIntPolynomial(dict(self.coeffs), self.var)
         for h, c in other.coeffs.items():
-            out.add_term(c, Fraction(h, 2))
+            out._accumulate(h, c)
         return out
 
     def __neg__(self) -> "HalfIntPolynomial":
@@ -81,20 +134,6 @@ class HalfIntPolynomial:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HalfIntPolynomial)
-            and self.var == other.var
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.var, frozenset(self.coeffs.items())))
-
-    def items(self) -> list[tuple[int, int]]:
-        """(half-unit exponent, coefficient) pairs, ascending."""
-        return sorted(self.coeffs.items())
 
     def coefficient(self, exponent: Exponent) -> int:
         return self.coeffs.get(_half_units(exponent), 0)
@@ -118,28 +157,11 @@ class HalfIntPolynomial:
             self.coeffs.get(top - h, 0) == c for h, c in self.coeffs.items()
         )
 
-    def _term_str(self, h: int, c: int) -> str:
-        if h == 0:
-            return str(abs(c))
-        if h == 2:
-            v = self.var
-        elif h % 2 == 0:
-            v = f"{self.var}^{h // 2}"
-        else:
-            v = f"{self.var}^{h}/2"
-        return v if abs(c) == 1 else f"{abs(c)}*{v}"
+    def _vars(self) -> tuple[str, ...]:
+        return (self.var,)
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for idx, (h, c) in enumerate(self.items()):
-            t = self._term_str(h, c)
-            if idx == 0:
-                parts.append(t if c > 0 else f"-{t}")
-            else:
-                parts.append(f"+ {t}" if c > 0 else f"- {t}")
-        return " ".join(parts)
+    def _factors(self, h: int) -> tuple[tuple[str, int, bool], ...]:
+        return ((self.var, h, True),)
 
     def __repr__(self) -> str:
         return f"HalfIntPolynomial({self})"
@@ -152,13 +174,13 @@ class HalfIntPolynomial:
         }
 
 
-class BivariatePolynomial:
+class BivariatePolynomial(_Polynomial):
     """Sparse polynomial in two variables; the first may carry half exponents.
 
     Keys are (2 * first-exponent, second-exponent).
     """
 
-    __slots__ = ("coeffs", "var1", "var2")
+    __slots__ = ("var1", "var2")
 
     def __init__(
         self,
@@ -170,30 +192,17 @@ class BivariatePolynomial:
         self.var2 = var2
         self.coeffs: dict[tuple[int, int], int] = {}
         if coeffs:
-            for key, c in coeffs.items():
-                if c:
-                    self.coeffs[(int(key[0]), int(key[1]))] = int(c)
+            for (h, e2), c in coeffs.items():
+                self._accumulate((_int(h), _int(e2)), _int(c))
 
     def add_term(self, coeff: int, e1: Exponent, e2: int) -> None:
-        key = (_half_units(e1), int(e2))
-        c = self.coeffs.get(key, 0) + coeff
-        if c:
-            self.coeffs[key] = c
-        else:
-            self.coeffs.pop(key, None)
+        self._accumulate((_half_units(e1), _int(e2)), _int(coeff))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BivariatePolynomial)
-            and (self.var1, self.var2) == (other.var1, other.var2)
-            and self.coeffs == other.coeffs
-        )
+    def _vars(self) -> tuple[str, ...]:
+        return (self.var1, self.var2)
 
-    def __hash__(self) -> int:
-        return hash((self.var1, self.var2, frozenset(self.coeffs.items())))
-
-    def items(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self.coeffs.items())
+    def _factors(self, key: tuple[int, int]) -> tuple[tuple[str, int, bool], ...]:
+        return ((self.var1, key[0], True), (self.var2, key[1], False))
 
     def specialize_first(self, value: int) -> HalfIntPolynomial:
         """Substitute an integer for the first variable (half exponents must
@@ -204,34 +213,6 @@ class BivariatePolynomial:
                 raise ValueError("cannot specialize a half-integer exponent to an integer base")
             out.add_term(c * value ** (h // 2), e2)
         return out
-
-    def _var_str(self, var: str, h2: int, half: bool) -> str:
-        if half:
-            if h2 == 2:
-                return var
-            if h2 % 2 == 0:
-                return f"{var}^{h2 // 2}"
-            return f"{var}^{h2}/2"
-        return var if h2 == 1 else f"{var}^{h2}"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for idx, ((h, e2), c) in enumerate(self.items()):
-            factors = []
-            if h:
-                factors.append(self._var_str(self.var1, h, half=True))
-            if e2:
-                factors.append(self._var_str(self.var2, e2, half=False))
-            body = "*".join(factors) if factors else "1"
-            if abs(c) != 1 or not factors:
-                body = f"{abs(c)}*{body}" if factors else str(abs(c))
-            if idx == 0:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,15 +3,16 @@
 Comparison goes through corner sum matrices (A <= B iff the prefix-sum
 table of A dominates that of B entrywise).  Covering pairs differ by a
 single 2x2 block exchange adding [[-1, 1], [1, -1]], which moves exactly
-one corner sum by one, so covers are found by an O(1) test on the corner
-sums around each position.  The sixteen possible block contents classify
-every cover and determine how I, N and H move along the edge.  Join and
-meet come from entrywise min/max of corner sums, which the
-distributive-lattice structure guarantees to be valid, so they are not
-checked again.  Comparison, join and meet read each matrix's corner-sum
-memo (see asmlat.core), and a join or meet hands its result the table it
-built; the cover scan computes its table without keeping it.  This
-module's brute-force oracles live in asmlat.verify.
+one corner sum by one: try_cover looks for that one difference, and the
+cover scan tests the corner sums around each position.  The sixteen
+possible block contents classify every cover and determine how I, N and
+H move along the edge.  Join and meet come from entrywise min/max of
+corner sums, which the distributive-lattice structure guarantees to be
+valid, so they are not checked again.  Comparison, try_cover, join and
+meet read each matrix's corner-sum memo (see asmlat.core), and a join or
+meet hands its result the table it built; the cover scan computes its
+table without keeping it.  This module's brute-force oracles live in
+asmlat.verify.
 """
 
 from __future__ import annotations
@@ -177,29 +178,20 @@ def _edge(lower: Asm, upper: Asm, r: int, s: int) -> CoverEdge:
 def try_cover(a: Asm, b: Asm) -> Optional[CoverEdge]:
     """The cover edge a <| b, or None when b does not cover a.
 
-    Detection is purely local: the difference must be the exchange block
-    at a single position and zero elsewhere.
+    b covers a exactly when their corner sums differ at one position
+    (r, s) only, where a's is the larger by one.
     """
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    diffs = []
-    for i in range(a.n):
-        for j in range(a.n):
-            if a.entries[i][j] != b.entries[i][j]:
-                diffs.append((i + 1, j + 1))
-                if len(diffs) > 4:
-                    return None
-    if len(diffs) != 4:
-        return None
-    (r, s) = diffs[0]
-    if diffs != [(r, s), (r, s + 1), (r + 1, s), (r + 1, s + 1)]:
-        return None
-    d = tuple(
-        b.entries[i - 1][j - 1] - a.entries[i - 1][j - 1] for (i, j) in diffs
-    )
-    if d != (-1, 1, 1, -1):
-        return None
-    return _edge(a, b, r, s)
+    found = None
+    for r, (ra, rb) in enumerate(zip(_sums(a), _sums(b)), start=1):
+        if ra != rb:
+            for s, (x, y) in enumerate(zip(ra, rb), start=1):
+                if x != y:
+                    if found or x - y != 1:
+                        return None
+                    found = (r, s)
+    return None if found is None else _edge(a, b, *found)
 
 
 def _covers(a: Asm, up: bool) -> list[CoverEdge]:

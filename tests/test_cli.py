@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from asmlat.cli import run
+from asmlat.enumeration import count_formula
 
 from conftest import EXAMPLE_A_ROWS
 
@@ -29,6 +31,17 @@ def test_count(capsys):
 def test_count_enumerate(capsys):
     code, out, _ = invoke(capsys, "count", "--size", "4", "--method", "enumerate")
     assert code == 0 and out.strip() == "42"
+
+
+def test_count_past_the_int_str_digit_limit(capsys):
+    # |A_200| has 4,545 digits, more than str(int) allows by default;
+    # the guard message prints the same number
+    want = count_formula(200)
+    code, out, _ = invoke(capsys, "count", "--size", "200")
+    assert code == 0 and len(out.strip()) == 4545
+    assert decimal.Decimal(out) == want
+    code, out, err = invoke(capsys, "enumerate", "--size", "200")
+    assert (code, out) == (3, "") and f"|A_200| = {decimal.Decimal(want)} exceeds" in err
 
 
 def test_stats_from_file(capsys, tmp_path):
@@ -121,6 +134,12 @@ def test_verify_small(capsys):
 def test_exit_usage(capsys):
     code, _, err = invoke(capsys, "count")
     assert code == 1 and err
+
+
+def test_genfun_needs_one_of_stat_and_bivariate(capsys):
+    for what in ([], ["--stat", "I", "--bivariate", "I:beta"]):
+        code, out, err = invoke(capsys, "genfun", "--size", "3", *what)
+        assert (code, out) == (1, "") and "--stat" in err and "--bivariate" in err
 
 
 def test_exit_domain_bad_matrix(capsys, tmp_path):

@@ -18,7 +18,7 @@ from asmlat import (
     validate,
 )
 from asmlat.core import AsmError, minus_count
-from asmlat.enumeration import _row_table
+from asmlat.enumeration import _path_sums, _row_table
 from asmlat.polynomials import HalfIntPolynomial
 from asmlat.stats import beta_corner, inversion_number
 
@@ -177,23 +177,11 @@ def test_iter_asms_streams():
     assert 1 + sum(1 for _ in it) == 429
 
 
-def _paths(n, perm_only):
-    """Number of paths from the empty state to the full one through the table."""
-    table = _row_table(n, perm_only)
-    layer = {(0,) * n: 1}
-    for _ in range(n):
-        nxt = {}
-        for col, c in layer.items():
-            for step in table[col]:
-                nxt[step.new] = nxt.get(step.new, 0) + c
-        layer = nxt
-    return layer[(1,) * n]
-
-
 def test_row_table_paths_count_matrices():
     for n in range(1, 11):
-        assert _paths(n, False) == count_formula(n)
-        assert _paths(n, True) == math.factorial(n)
+        # with every exponent key at (0, 0) the DP counts paths
+        assert _path_sums(n, False, lambda s: (0, 0)) == {(0, 0): count_formula(n)}
+        assert _path_sums(n, True, lambda s: (0, 0)) == {(0, 0): math.factorial(n)}
 
 
 def test_row_table_deltas_sum_to_statistics(pools):

@@ -33,6 +33,32 @@ def test_rejects_non_half_exponent():
         HalfIntPolynomial.term(1, Fraction(1, 3))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HalfIntPolynomial({1.5: 1}),
+        lambda: HalfIntPolynomial({2: 2.7}),
+        lambda: HalfIntPolynomial({True: 1}),
+        lambda: HalfIntPolynomial({2: True}),
+        lambda: HalfIntPolynomial({2.0: 0}),
+        lambda: HalfIntPolynomial.zero().add_term(1, 0.5),
+        lambda: HalfIntPolynomial.zero().add_term(1.0, 1),
+        lambda: HalfIntPolynomial.zero().add_term(1, True),
+        lambda: HalfIntPolynomial.term(1, 1.0),
+        lambda: BivariatePolynomial({(1.5, 2.9): 1}),
+        lambda: BivariatePolynomial({(1, 2): 1.0}),
+        lambda: BivariatePolynomial({(1, True): 1}),
+        lambda: BivariatePolynomial().add_term(1, 0.5, 1),
+        lambda: BivariatePolynomial().add_term(1, 1, Fraction(1, 2)),
+        lambda: BivariatePolynomial().add_term(True, 1, 1),
+    ],
+)
+def test_rejects_non_integers(build):
+    # no silent int(): a float, a bool or a fractional power is an error
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_arithmetic():
     p = HalfIntPolynomial({0: 1, 2: 1})       # 1 + x
     q = HalfIntPolynomial({0: 1, 2: -1})      # 1 - x

@@ -112,6 +112,9 @@ def test_covers_match_brute_force(n):
         up, down = covers_up(a), covers_down(a)
         assert up == brute_force_covers(a, 1)
         assert down == brute_force_covers(a, -1)
+        for e in up:
+            assert try_cover(a, e.upper) == e
+            assert try_cover(e.upper, a) is None
         up_edges.update(up)
         down_edges.update(down)
     # each edge is found once from either end

@@ -163,15 +163,6 @@ def test_stat_record(example_a, example_b):
     assert (rec_b.inv, rec_b.dual_inv, rec_b.minus, rec_b.weak, rec_b.beta) == (4, 2, 0, 4, 8)
 
 
-def test_stat_record_invariants(pools):
-    for n in (1, 2, 3, 4, 5):
-        for a in pools[n]:
-            rec = stat_record(a)
-            assert rec.weak2 == 2 * rec.inv - rec.minus
-            assert rec.inv + rec.dual_inv - rec.minus == n * (n - 1) // 2
-            assert rec.inv <= rec.beta
-
-
 @given(st.permutations(list(range(1, 9))))
 def test_permutation_statistics_match_classical(images):
     a = from_permutation(Permutation.from_images(images))
