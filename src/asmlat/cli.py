@@ -94,8 +94,11 @@ def _load_matrix(args) -> Asm:
     if args.matrix == "-":
         text = sys.stdin.read()
     else:
-        with open(args.matrix) as fh:
-            text = fh.read()
+        try:
+            with open(args.matrix, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise io.ParseError(f"{args.matrix}: byte {exc.start} is not UTF-8 text") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return io.matrix_from_json(text)

@@ -12,22 +12,27 @@ and beta.
 Also here: the closed-form count; generating polynomials of the
 statistics and the signed permutation identity, by a polynomial-valued
 DP over that table that lists no matrix; and the full cover graph with
-DOT export.
+DOT and JSON export.  The graph comes from one walk of the table that
+carries each matrix's I, N and beta, and from a second table, cached
+per size as well, that lists for each two-row path the covers
+exchanging a block inside those rows and how far each moves the
+canonical index.
 """
 
 from __future__ import annotations
 
 import decimal
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import Asm, AsmError, to_permutation
-from .poset import covers_up
+from .poset import _TYPE_BY_LOWER_BLOCK
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
-from .stats import StatRecord, _row_deltas, stat_record
+from .stats import StatRecord, _record, _row_deltas
 
 DEFAULT_GUARD = 10**7
 
@@ -134,6 +139,59 @@ def _row_table(n: int, perm_only: bool) -> dict[tuple[int, ...], tuple[_Step, ..
             todo.append(new)
         table[col] = tuple(steps)
     return table
+
+
+def _exchange(row: tuple[int, ...], j: int, d: int) -> tuple[int, ...]:
+    """``row`` with d added at j and subtracted at j + 1."""
+    return row[:j] + (row[j] + d, row[j + 1] - d) + row[j + 2 :]
+
+
+@functools.lru_cache(maxsize=None)
+def _cover_table(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+    """The up covers inside every two-row path through the row table.
+
+    ``_cover_table(n)[p][k1][k2]`` is for the path that takes step k1
+    from state p and then step k2 from the state it reaches.  It lists
+    (rank delta, cover type) for each column s, ascending, where adding
+    [[-1, 1], [1, -1]] at columns s, s + 1 of the two rows gives two rows
+    that are again steps of the table; the state after them is unchanged.
+    A matrix's canonical index is the sum over its rows of
+    off[state][k], the number of paths that leave the state by an
+    earlier step, so the exchange moves the index by the change in those
+    two terms alone: the rank delta.
+    """
+    table = _row_table(n, False)
+    paths = {(1,) * n: 1}  # paths from each state to the last
+    for col in sorted(table, key=sum, reverse=True)[1:]:
+        paths[col] = sum(paths[step.new] for step in table[col])
+    off = {
+        col: list(itertools.accumulate((paths[step.new] for step in steps), initial=0))
+        for col, steps in table.items()
+    }
+    at = {col: {step.row: k for k, step in enumerate(steps)} for col, steps in table.items()}
+    cover = {}
+    for p, steps in table.items():
+        from_p = []
+        for k1, first in enumerate(steps):
+            q = first.new
+            from_q = []
+            for k2, second in enumerate(table[q]):
+                found = []
+                for j in range(n - 1):
+                    x1 = at[p].get(_exchange(first.row, j, -1))
+                    if x1 is None:
+                        continue
+                    qx = steps[x1].new
+                    x2 = at[qx].get(_exchange(second.row, j, 1))
+                    if x2 is None:
+                        continue
+                    delta = off[p][x1] + off[qx][x2] - off[p][k1] - off[q][k2]
+                    block = first.row[j : j + 2] + second.row[j : j + 2]
+                    found.append((delta, _TYPE_BY_LOWER_BLOCK[block].index))
+                from_q.append(tuple(found))
+            from_p.append(tuple(from_q))
+        cover[p] = tuple(from_p)
+    return cover
 
 
 # the exponent key each row adds, per statistic and pair: (half-units of
@@ -324,20 +382,58 @@ def _node_label(a: Asm) -> str:
 
 
 def build_hasse(n: int, limit_guard: Optional[int] = None) -> HasseGraph:
-    """Enumerate A_n and wire up every cover edge."""
-    matrices = enumerate_asms(n, limit_guard)
-    index = {a: i for i, a in enumerate(matrices)}
-    # each edge is found once, from its lower end, so this counts lower covers
-    lower_covers = [0] * len(matrices)
-    edges = []
-    for i, a in enumerate(matrices):
-        for e in covers_up(a):
-            j = index[e.upper]
-            lower_covers[j] += 1
-            edges.append(HasseEdge(i, j, e.cover_type))
-    edges.sort(key=lambda e: (e.lower, e.upper))
+    """Enumerate A_n with its statistics and wire up every cover edge, in
+    one depth-first walk of the row table.
+
+    The walk carries the sums of I, N and beta along each path and, for
+    each pair of adjacent rows, the :func:`_cover_table` entry of their
+    two steps: node i's up edges go to i + delta.  No upper matrix is
+    built or looked up, and ``covers_up`` and ``stat_record`` are not
+    called (``verify.scanned_hasse``, which calls them, is the oracle).
+    An exchange at rows r, r + 1 keeps rows 1..r - 1 and makes row r
+    lexicographically smaller, so read in (r, s) order the upper ends
+    come out ascending and the edges need no sort.
+    """
+    _check_size(n, "asm", limit_guard)
+    table, cover = _row_table(n, False), _cover_table(n)
+    # every upper end is an object of this list, not a fresh int per edge
+    ids = list(range(count_formula(n)))
+    lower_covers = [0] * len(ids)
+    matrices: list[Asm] = []
+    records: list[StatRecord] = []
+    known: dict[tuple[int, int, int], StatRecord] = {}
+    edges: list[HasseEdge] = []
+    rows: list[tuple[int, ...]] = [()] * n
+    # exchanges[r]: (delta, type) of the covers exchanging rows r - 1 and
+    # r (0-based) on the current path; exchanges[0] stays empty
+    exchanges: list[tuple[tuple[int, int], ...]] = [()] * n
+
+    def walk(r: int, col: tuple[int, ...], above, inv: int, minus: int, rank: int) -> None:
+        for k, step in enumerate(table[col]):
+            rows[r] = step.row
+            if r:
+                exchanges[r] = above[k]
+            sums = (inv + step.d_inv, minus + step.d_minus, rank + step.d_beta)
+            if r + 1 < n:
+                walk(r + 1, step.new, cover[col][k], *sums)
+                continue
+            i = len(matrices)
+            matrices.append(Asm(n, tuple(rows)))
+            # equal statistics share one record
+            record = known.get(sums)
+            if record is None:
+                record = known[sums] = _record(n, *sums)
+            records.append(record)
+            lower = ids[i]
+            for found in exchanges:
+                for delta, cover_type in found:
+                    upper = ids[i + delta]
+                    lower_covers[upper] += 1
+                    edges.append(HasseEdge(lower, upper, cover_type))
+
+    walk(0, (0,) * n, None, 0, 0, 0)
     nodes = tuple(
-        HasseNode(a, stat_record(a), join_irreducible=k == 1)
-        for a, k in zip(matrices, lower_covers)
+        HasseNode(a, record, join_irreducible=k == 1)
+        for a, record, k in zip(matrices, records, lower_covers)
     )
     return HasseGraph(n, nodes, tuple(edges))

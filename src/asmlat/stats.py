@@ -178,17 +178,23 @@ def _row_deltas(i: int, col: Sequence[int], row: Sequence[int]) -> tuple[int, in
     return d_inv, d_minus, m * (m - weighted)
 
 
+def _record(n: int, inv: int, minus: int, beta: int) -> StatRecord:
+    """The record of a size-n matrix with the given I, N and beta:
+    I* = C(n, 2) - I + N (the duality identity) and 2H = 2I - N."""
+    return StatRecord(inv, n * (n - 1) // 2 - inv + minus, minus, 2 * inv - minus, beta)
+
+
 def stat_record(a: Asm) -> StatRecord:
     """All five statistics in one pass of :func:`_row_deltas` over the
-    rows; I* = C(n, 2) - I + N (the duality identity) and 2H = 2I - N
-    follow.  The definitional functions above are its oracles."""
-    n, col = a.n, [0] * a.n
+    rows, completed by :func:`_record`.  The definitional functions above
+    are its oracles."""
+    col = [0] * a.n
     inv = minus = rank = 0
     for i, row in enumerate(a.entries, 1):
         d_inv, d_minus, d_beta = _row_deltas(i, col, row)
         inv, minus, rank = inv + d_inv, minus + d_minus, rank + d_beta
         col = [c + r for c, r in zip(col, row)]
-    return StatRecord(inv, n * (n - 1) // 2 - inv + minus, minus, 2 * inv - minus, rank)
+    return _record(a.n, inv, minus, rank)
 
 
 def classical_beta(images: tuple[int, ...]) -> int:

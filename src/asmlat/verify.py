@@ -6,8 +6,9 @@ maximum) and reports "name: passed/checked"; a failure anywhere means a
 broken build.  The test suite runs every entry at every size up to its
 cap.  The brute-force oracles the suites compare against (the generic
 cover test, the cover closure, the definitional beta, the greedy chain
-rank, the generating polynomials by enumeration) and the lattice-law
-predicate live here too, each in one place.
+rank, the generating polynomials by enumeration, the Hasse diagram by
+the cover scan) and the lattice-law predicate live here too, each in
+one place.
 """
 
 from __future__ import annotations
@@ -245,6 +246,42 @@ def bfs_cover_closure(n: int) -> list[Asm]:
                 seen.add(e.upper)
                 queue.append(e.upper)
     return sorted(seen, key=lambda a: a.entries)
+
+
+def scanned_hasse(n: int) -> enumeration.HasseGraph:
+    """The Hasse diagram by the cover scan, the oracle for
+    :func:`enumeration.build_hasse`: ``covers_up`` and ``stat_record`` on
+    every matrix of A_n, an index dict for the upper ends, and one global
+    sort of the edges."""
+    matrices = _asms(n)
+    index = {a: i for i, a in enumerate(matrices)}
+    # each edge is found once, from its lower end, so this counts lower covers
+    lower_covers = [0] * len(matrices)
+    edges = []
+    for i, a in enumerate(matrices):
+        for e in poset.covers_up(a):
+            j = index[e.upper]
+            lower_covers[j] += 1
+            edges.append(enumeration.HasseEdge(i, j, e.cover_type))
+    edges.sort(key=lambda e: (e.lower, e.upper))
+    nodes = tuple(
+        enumeration.HasseNode(a, stats.stat_record(a), join_irreducible=k == 1)
+        for a, k in zip(matrices, lower_covers)
+    )
+    return enumeration.HasseGraph(n, nodes, tuple(edges))
+
+
+def check_hasse_vs_cover_scan(n: int):
+    # one check per node (matrix, record, join-irreducible flag) and per
+    # edge (ends and type, in order); a missing one compares with None
+    got, want = enumeration.build_hasse(n), scanned_hasse(n)
+    pairs = itertools.chain(
+        itertools.zip_longest(got.nodes, want.nodes),
+        itertools.zip_longest(got.edges, want.edges),
+    )
+    return _check_all(
+        pairs, lambda p: None if p[0] == p[1] else f"walk {p[0]} != scan {p[1]} at n={n}"
+    )
 
 
 def check_cover_local_vs_generic(n: int):
@@ -502,6 +539,7 @@ SUITES: list[tuple[str, int, Callable[[int], tuple[int, list[str]]]]] = [
     ("genfun-at-one", 7, check_genfun_at_one),
     ("signed-identity", 10, check_signed_identity),
     ("genfun-dp-vs-enumeration", 6, check_genfun_dp_vs_enumeration),
+    ("hasse-vs-cover-scan", 6, check_hasse_vs_cover_scan),
 ]
 
 

@@ -154,6 +154,14 @@ def test_exit_domain_missing_file(capsys, tmp_path):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("command", ["stats", "covers"])
+def test_exit_domain_matrix_file_not_utf8(capsys, tmp_path, command):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"\xff\xfe\n")
+    code, out, err = invoke(capsys, command, "--matrix", str(f))
+    assert (code, out) == (2, "") and "not UTF-8" in err
+
+
 def test_exit_guard(capsys, monkeypatch):
     monkeypatch.setenv("ASMLAT_GUARD", "10")
     code, _, err = invoke(capsys, "enumerate", "--size", "4")
