@@ -13,6 +13,7 @@ import argparse
 import decimal
 import json
 import sys
+from itertools import islice
 
 from . import enumeration, io, poset
 from .verify import verify as run_verify
@@ -162,7 +163,11 @@ def _cmd_covers(args) -> int:
 def _cmd_hasse(args) -> int:
     graph = enumeration.build_hasse(args.size, args.guard)
     if args.output == "dot":
-        sys.stdout.write(graph.to_dot(highlight_ji=args.highlight_ji))
+        # in batches of lines: the whole text of a large diagram outweighs
+        # the graph, and one write per line is slower than one per batch
+        lines = graph._dot_lines(args.highlight_ji)
+        while chunk := "".join(islice(lines, 16384)):
+            sys.stdout.write(chunk)
     else:
         print(json.dumps(graph.to_json_dict()))
     return EXIT_OK

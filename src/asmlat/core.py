@@ -7,16 +7,25 @@ freely across threads and used as dict keys.
 
 Corner sums are the one internal representation of the order.
 :func:`corner_sum` computes an :class:`Asm`'s table on first use and keeps
-it in a memo on the instance, so a matrix compared again reuses it.  The
-memo is a cache, not a field; it takes no part in equality, hashing,
-``repr`` or ``to_json_dict``.  It is a function of the entries, so two
-threads that fill it at once store the same table.
+it in a memo on the instance, so a matrix compared again reuses it;
+:func:`validate` fills that memo as it checks the rows.  Beside it sits a
+second memo, the order code: one integer holding every corner sum as a
+thermometer field (value c sets bits c and up of its field), so a smaller
+sum sets more bits.  The order tests of :mod:`asmlat.poset` read the
+code: A <= B iff A's bits are a subset of B's, the entrywise min and max
+of two tables are the OR and AND of their codes, and the popcount is
+beta(A) plus a constant of n.  Both memos are caches, not fields; they
+take no part in equality, hashing, ``repr`` or ``to_json_dict``.  Each is
+a function of the entries, so two threads that fill one at once store the
+same value.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from operator import sub
+from itertools import accumulate, chain
+from operator import add, sub
 from typing import Iterator, Sequence
 
 
@@ -62,10 +71,12 @@ def _as_rows(raw: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
         rows = tuple(tuple(row) for row in raw)
     except TypeError:
         raise NotSquare("a matrix must be a sequence of rows") from None
-    for i, row in enumerate(rows, start=1):
-        for j, x in enumerate(row, start=1):
-            if type(x) is not int:
-                raise EntryOutOfRange(f"entry {x!r} at ({i}, {j}) is not an integer")
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+        # find the first entry that is not an int, for the message
+        for i, row in enumerate(rows, start=1):
+            for j, x in enumerate(row, start=1):
+                if type(x) is not int:
+                    raise EntryOutOfRange(f"entry {x!r} at ({i}, {j}) is not an integer")
     return rows
 
 
@@ -76,9 +87,9 @@ class Asm:
     Entries are in {-1, 0, 1}; every row- and column-prefix sum is 0 or 1
     and every full row/column sum is 1.  Construct via :func:`validate`
     (checked) or the classmethods below; the raw constructor trusts its
-    input.  The corner-sum table, once computed, is kept in the instance
-    ``__dict__`` (see :func:`corner_sum`); only ``n`` and ``entries`` take
-    part in ``==``, ``hash`` and ``repr``.
+    input.  The corner-sum table and the order code, once computed, are
+    kept in the instance ``__dict__`` (see the module docstring); only
+    ``n`` and ``entries`` take part in ``==``, ``hash`` and ``repr``.
     """
 
     n: int
@@ -176,11 +187,18 @@ class CornerSumMatrix:
     sums: tuple[tuple[int, ...], ...]
 
 
+_UNIT = frozenset((-1, 0, 1))
+_BITS = frozenset((0, 1))
+
+
 def validate(raw: Sequence[Sequence[int]]) -> Asm:
     """Check the alternating-sign conditions and build an :class:`Asm`.
 
     The first violated constraint in a row-major scan is reported, with
-    1-based coordinates in the message, so errors are deterministic.
+    1-based coordinates in the message, so errors are deterministic.  The
+    running sums along each row, added to the corner-sum row above, give
+    that row's corner sums, so the matrix comes back with its corner-sum
+    memo filled.
     """
     rows = _as_rows(raw)
     n = len(rows)
@@ -190,26 +208,45 @@ def validate(raw: Sequence[Sequence[int]]) -> Asm:
         if len(row) != n:
             raise NotSquare(f"row {i} has {len(row)} entries, expected {n}")
 
-    col_sums = [0] * n
+    col = prev = (0,) * n
+    sums = []
     for i, row in enumerate(rows, start=1):
-        # row constraints first, then this row's column prefixes
-        row_sum = 0
-        for j, v in enumerate(row, start=1):
-            if v not in (-1, 0, 1):
-                raise EntryOutOfRange(f"entry {v} at ({i}, {j}) not in {{-1, 0, 1}}")
-            row_sum += v
-            if row_sum not in (0, 1):
-                raise BadPartialSum(f"row prefix sum {row_sum} at ({i}, {j})")
-        if row_sum != 1:
-            raise BadTotalSum(f"row {i} sums to {row_sum}, expected 1")
-        for j, v in enumerate(row, start=1):
-            col_sums[j - 1] += v
-            if col_sums[j - 1] not in (0, 1):
-                raise BadPartialSum(f"column prefix sum {col_sums[j-1]} at ({i}, {j})")
-    for j, s in enumerate(col_sums, start=1):
+        prefix = tuple(accumulate(row))
+        below = tuple(map(add, col, row))
+        if not (
+            _UNIT.issuperset(row)
+            and _BITS.issuperset(prefix)
+            and prefix[-1] == 1
+            and _BITS.issuperset(below)
+        ):
+            _raise_first_violation(i, row, col)
+        col = below
+        prev = tuple(map(add, prev, prefix))
+        sums.append(prev)
+    for j, s in enumerate(col, start=1):
         if s != 1:
             raise BadTotalSum(f"column {j} sums to {s}, expected 1")
-    return Asm(n, rows)
+    a = Asm(n, rows)
+    a.__dict__[_MEMO] = tuple(sums)
+    return a
+
+
+def _raise_first_violation(i: int, row: tuple[int, ...], col: tuple[int, ...]) -> None:
+    """Scan row i entry by entry and raise its first violation: the row
+    constraints first, then the column prefixes (col holds the column sums
+    of the rows above)."""
+    row_sum = 0
+    for j, v in enumerate(row, start=1):
+        if v not in (-1, 0, 1):
+            raise EntryOutOfRange(f"entry {v} at ({i}, {j}) not in {{-1, 0, 1}}")
+        row_sum += v
+        if row_sum not in (0, 1):
+            raise BadPartialSum(f"row prefix sum {row_sum} at ({i}, {j})")
+    if row_sum != 1:
+        raise BadTotalSum(f"row {i} sums to {row_sum}, expected 1")
+    for j, (c, v) in enumerate(zip(col, row), start=1):
+        if c + v not in (0, 1):
+            raise BadPartialSum(f"column prefix sum {c + v} at ({i}, {j})")
 
 
 def identity(n: int) -> Asm:
@@ -241,21 +278,18 @@ def to_permutation(a: Asm) -> Permutation:
     return Permutation(a.n, images)
 
 
-# The instance attribute that holds an Asm's corner-sum table once computed.
+# The instance attributes that hold an Asm's corner-sum table and its
+# order code once computed.
 _MEMO = "_corner_sums"
+_CODE = "_order_code"
 
 
 def _prefix_sums(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The corner-sum table of the rows, computed afresh."""
-    sums = []
-    prev = (0,) * len(rows)
+    """The corner-sum table of the rows, computed afresh: row i is row
+    i - 1 plus the running sums along row i."""
+    prev, sums = (0,) * len(rows), []
     for row in rows:
-        acc = 0
-        cur = []
-        for j, v in enumerate(row):
-            acc += v
-            cur.append(prev[j] + acc)
-        prev = tuple(cur)
+        prev = tuple(map(add, prev, accumulate(row)))
         sums.append(prev)
     return tuple(sums)
 
@@ -266,6 +300,35 @@ def _sums(a: Asm) -> tuple[tuple[int, ...], ...]:
     if s is None:
         s = a.__dict__[_MEMO] = _prefix_sums(a.entries)
     return s
+
+
+def _width(n: int) -> int:
+    """Bytes per field of the order code: 8 * width bits exceed n, the
+    largest corner sum."""
+    return n // 8 + 1
+
+
+@functools.cache
+def _field_codes(n: int) -> tuple[bytes, ...]:
+    """For each corner sum c in 0..n, its field: bits c .. 8 * width - 1 set."""
+    w = _width(n)
+    return tuple(((1 << 8 * w) - (1 << c)).to_bytes(w, "big") for c in range(n + 1))
+
+
+def _code(a: Asm) -> int:
+    """a's order code, built on first use and then kept on a.
+
+    The fields run row-major from the most significant end; field
+    (i, j) holds c(i, j) as a thermometer code, so min(c1, c2) is
+    code1 | code2 and A <= B iff ``code(A) & ~code(B) == 0``.
+    """
+    k = a.__dict__.get(_CODE)
+    if k is None:
+        codes = _field_codes(a.n)
+        k = a.__dict__[_CODE] = int.from_bytes(
+            b"".join(map(codes.__getitem__, chain.from_iterable(_sums(a)))), "big"
+        )
+    return k
 
 
 def corner_sum(a: Asm) -> CornerSumMatrix:
@@ -305,10 +368,12 @@ def _second_differences(sums: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     return tuple(rows)
 
 
-def _with_sums(n: int, sums: tuple[tuple[int, ...], ...]) -> Asm:
-    """The matrix whose corner sums are ``sums``, unchecked, memo set."""
+def _with_sums(n: int, sums: tuple[tuple[int, ...], ...], code: int) -> Asm:
+    """The matrix whose corner sums are ``sums`` and whose order code is
+    ``code``, unchecked, both memos set."""
     a = Asm(n, _second_differences(sums))
     a.__dict__[_MEMO] = sums
+    a.__dict__[_CODE] = code
     return a
 
 

@@ -346,16 +346,20 @@ class HasseGraph:
     edges: tuple[HasseEdge, ...]
 
     def to_dot(self, highlight_ji: bool = True) -> str:
-        lines = [f"digraph asm_lattice_{self.n} {{", "  rankdir=BT;", "  node [shape=box];"]
+        return "".join(self._dot_lines(highlight_ji))
+
+    def _dot_lines(self, highlight_ji: bool) -> Iterator[str]:
+        """The DOT text line by line, each with its newline, so a writer
+        need not hold the whole text."""
+        yield f"digraph asm_lattice_{self.n} {{\n  rankdir=BT;\n  node [shape=box];\n"
         for idx, node in enumerate(self.nodes):
             attrs = [f'label="{_node_label(node.matrix)}"']
             if highlight_ji and node.join_irreducible:
                 attrs.append("style=filled")
-            lines.append(f"  a{idx} [{', '.join(attrs)}];")
+            yield f"  a{idx} [{', '.join(attrs)}];\n"
         for e in self.edges:
-            lines.append(f'  a{e.lower} -> a{e.upper} [label="t{e.cover_type}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            yield f'  a{e.lower} -> a{e.upper} [label="t{e.cover_type}"];\n'
+        yield "}\n"
 
     def to_json_dict(self) -> dict:
         return {

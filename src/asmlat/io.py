@@ -35,7 +35,7 @@ def parse_matrix_text(text: str) -> Asm:
     rows = []
     for ln in lines:
         try:
-            rows.append([int(tok) for tok in ln.split()])
+            rows.append(list(map(int, ln.split())))
         except ValueError:
             raise ParseError(f"bad matrix line: {ln!r}") from None
     return validate(rows)

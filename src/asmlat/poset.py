@@ -1,18 +1,19 @@
 """The lattice order on alternating sign matrices.
 
-Comparison goes through corner sum matrices (A <= B iff the prefix-sum
-table of A dominates that of B entrywise).  Covering pairs differ by a
-single 2x2 block exchange adding [[-1, 1], [1, -1]], which moves exactly
-one corner sum by one: try_cover looks for that one difference, and the
-cover scan tests the corner sums around each position.  The sixteen
-possible block contents classify every cover and determine how I, N and
-H move along the edge.  Join and meet come from entrywise min/max of
-corner sums, which the distributive-lattice structure guarantees to be
-valid, so they are not checked again.  Comparison, try_cover, join and
-meet read each matrix's corner-sum memo (see asmlat.core), and a join or
-meet hands its result the table it built; the cover scan computes its
-table without keeping it.  This module's brute-force oracles live in
-asmlat.verify.
+A <= B iff the corner-sum table of A dominates that of B entrywise.  The
+order tests read each matrix's order code (see asmlat.core), in which
+that domination is a subset test on bits: compare and leq are and-not
+tests, and b covers a iff b's code adds exactly one bit to a's, so the
+corner sums differ at one position (r, s) only, by one.  Covering pairs
+differ by a single 2x2 block exchange adding [[-1, 1], [1, -1]]; the
+sixteen possible block contents classify every cover and determine how
+I, N and H move along the edge.  Join and meet build their entries from
+the entrywise min/max of the corner-sum tables, which the
+distributive-lattice structure guarantees to be valid, so they are not
+checked again; the result gets that table and the OR/AND of the codes as
+its memos.  The cover scan tests the corner sums around each position of
+the table.  Bigrassmannian permutations are built directly as block
+swaps.  This module's brute-force oracles live in asmlat.verify.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .core import (
     AsmError,
     Permutation,
     SizeMismatch,
-    _prefix_sums,
+    _code,
     _sums,
+    _width,
     _with_sums,
-    iter_permutations,
 )
 
 class NotAnExchangeBlock(AsmError):
@@ -110,33 +111,24 @@ class CoverEdge:
 
 
 def compare(a: Asm, b: Asm) -> Ordering:
-    """Order two matrices by entrywise domination of corner sums.
-
-    Short-circuits to INCOMPARABLE as soon as strict corner-sum
-    differences in both directions have been seen.
-    """
+    """Order two matrices by entrywise domination of corner sums, read as
+    subset tests on their order codes."""
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    ca, cb = _sums(a), _sums(b)
-    a_below = False  # witnessed ca > cb somewhere (meaning a < b)
-    b_below = False
-    for ra, rb in zip(ca, cb):
-        for x, y in zip(ra, rb):
-            if x > y:
-                a_below = True
-            elif x < y:
-                b_below = True
-            if a_below and b_below:
-                return Ordering.INCOMPARABLE
-    if a_below:
+    x, y = _code(a), _code(b)
+    if x == y:
+        return Ordering.EQUAL
+    if not x & ~y:
         return Ordering.LESS
-    if b_below:
+    if not y & ~x:
         return Ordering.GREATER
-    return Ordering.EQUAL
+    return Ordering.INCOMPARABLE
 
 
 def leq(a: Asm, b: Asm) -> bool:
-    return compare(a, b) in (Ordering.LESS, Ordering.EQUAL)
+    if a.n != b.n:
+        raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
+    return not _code(a) & ~_code(b)
 
 
 def _block_entries(block: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -179,19 +171,19 @@ def try_cover(a: Asm, b: Asm) -> Optional[CoverEdge]:
     """The cover edge a <| b, or None when b does not cover a.
 
     b covers a exactly when their corner sums differ at one position
-    (r, s) only, where a's is the larger by one.
+    (r, s) only, where a's is the larger by one: b's code holds a's and
+    one bit more, and that bit's field is (r, s).
     """
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    found = None
-    for r, (ra, rb) in enumerate(zip(_sums(a), _sums(b)), start=1):
-        if ra != rb:
-            for s, (x, y) in enumerate(zip(ra, rb), start=1):
-                if x != y:
-                    if found or x - y != 1:
-                        return None
-                    found = (r, s)
-    return None if found is None else _edge(a, b, *found)
+    x, y = _code(a), _code(b)
+    d = y & ~x
+    if x & ~y or not d or d & (d - 1):
+        return None
+    n = a.n
+    # fields run row-major from the top bit down
+    p = n * n - 1 - (d.bit_length() - 1) // (8 * _width(n))
+    return _edge(a, b, p // n + 1, p % n + 1)
 
 
 def _covers(a: Asm, up: bool) -> list[CoverEdge]:
@@ -202,7 +194,7 @@ def _covers(a: Asm, up: bool) -> list[CoverEdge]:
     unit steps around c(r, s) stay in {0, 1}.
     """
     n, d, sign = a.n, int(up), 1 if up else -1
-    c = [(0,) * (n + 1)] + [(0,) + row for row in _prefix_sums(a.entries)]
+    c = [(0,) * (n + 1)] + [(0,) + row for row in _sums(a)]
     e = a.entries
     out = []
     for r in range(1, n):
@@ -232,14 +224,16 @@ def join(a: Asm, b: Asm) -> Asm:
     """Least upper bound: entrywise minimum of corner sums."""
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    return _with_sums(a.n, tuple(tuple(map(min, x, y)) for x, y in zip(_sums(a), _sums(b))))
+    sums = tuple(tuple(map(min, x, y)) for x, y in zip(_sums(a), _sums(b)))
+    return _with_sums(a.n, sums, _code(a) | _code(b))
 
 
 def meet(a: Asm, b: Asm) -> Asm:
     """Greatest lower bound: entrywise maximum of corner sums."""
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    return _with_sums(a.n, tuple(tuple(map(max, x, y)) for x, y in zip(_sums(a), _sums(b))))
+    sums = tuple(tuple(map(max, x, y)) for x, y in zip(_sums(a), _sums(b)))
+    return _with_sums(a.n, sums, _code(a) & _code(b))
 
 
 def is_bigrassmannian(w: Permutation) -> bool:
@@ -248,8 +242,21 @@ def is_bigrassmannian(w: Permutation) -> bool:
 
 
 def enumerate_bigrassmannians(n: int) -> list[Permutation]:
-    """All bigrassmannian permutations of S_n, in one-line lexicographic order."""
-    return [w for w in iter_permutations(n) if is_bigrassmannian(w)]
+    """All bigrassmannian permutations of S_n, in one-line lexicographic order.
+
+    They are the C(n+1, 3) block swaps 1..a, b+1..c, a+1..b, c+1..n with
+    0 <= a < b < c <= n.  A longer fixed prefix 1..a comes first, then
+    the smaller b + 1 at position a + 1, then the earlier a + 1 (the
+    smaller c), so a falls while b and c rise.
+    """
+    return [
+        Permutation(
+            n, (*range(1, a + 1), *range(b + 1, c + 1), *range(a + 1, b + 1), *range(c + 1, n + 1))
+        )
+        for a in range(n - 2, -1, -1)
+        for b in range(a + 1, n)
+        for c in range(b + 1, n + 1)
+    ]
 
 
 def is_join_irreducible(a: Asm) -> bool:

@@ -4,11 +4,12 @@
 sweeps matrices up to a size cap (intersected with the requested
 maximum) and reports "name: passed/checked"; a failure anywhere means a
 broken build.  The test suite runs every entry at every size up to its
-cap.  The brute-force oracles the suites compare against (the generic
-cover test, the cover closure, the definitional beta, the greedy chain
-rank, the generating polynomials by enumeration, the Hasse diagram by
-the cover scan) and the lattice-law predicate live here too, each in
-one place.
+cap.  The brute-force oracles the suites and tests compare against (the
+entrywise order and cover test on corner sums, validation entry by
+entry, the generic cover test, the cover closure, the definitional beta,
+the greedy chain rank, the generating polynomials by enumeration, the
+Hasse diagram by the cover scan) and the lattice-law predicate live here
+too, each in one place.
 """
 
 from __future__ import annotations
@@ -193,6 +194,77 @@ def check_max_weak_inversion(n: int):
     return checked, failures
 
 
+def dominance_compare(a: Asm, b: Asm) -> Ordering:
+    """The order by an entrywise walk of the corner-sum tables, the oracle
+    for :func:`poset.compare` and :func:`poset.leq`: a < b where a's sums
+    are larger somewhere and smaller nowhere."""
+    a_below = b_below = False
+    for ra, rb in zip(core.corner_sum(a).sums, core.corner_sum(b).sums):
+        for x, y in zip(ra, rb):
+            if x > y:
+                a_below = True
+            elif x < y:
+                b_below = True
+    if a_below and b_below:
+        return Ordering.INCOMPARABLE
+    if a_below:
+        return Ordering.LESS
+    return Ordering.GREATER if b_below else Ordering.EQUAL
+
+
+def scanned_try_cover(a: Asm, b: Asm) -> Optional[poset.CoverEdge]:
+    """The cover edge a <| b by a scan of the corner-sum tables, the oracle
+    for :func:`poset.try_cover`: the tables differ at one position (r, s)
+    only, where a's is the larger by one."""
+    found = None
+    for r, (ra, rb) in enumerate(zip(core.corner_sum(a).sums, core.corner_sum(b).sums), start=1):
+        for s, (x, y) in enumerate(zip(ra, rb), start=1):
+            if x != y:
+                if found or x - y != 1:
+                    return None
+                found = (r, s)
+    return None if found is None else poset._edge(a, b, *found)
+
+
+def scanned_validate(raw) -> Asm:
+    """:func:`core.validate` entry by entry, the oracle for its results and
+    its messages: the first violated constraint in a row-major scan, each
+    row's own constraints before its column prefixes."""
+    try:
+        rows = tuple(tuple(row) for row in raw)
+    except TypeError:
+        raise core.NotSquare("a matrix must be a sequence of rows") from None
+    for i, row in enumerate(rows, start=1):
+        for j, x in enumerate(row, start=1):
+            if type(x) is not int:
+                raise core.EntryOutOfRange(f"entry {x!r} at ({i}, {j}) is not an integer")
+    n = len(rows)
+    if n == 0:
+        raise core.NotSquare("empty matrix")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != n:
+            raise core.NotSquare(f"row {i} has {len(row)} entries, expected {n}")
+    col_sums = [0] * n
+    for i, row in enumerate(rows, start=1):
+        row_sum = 0
+        for j, v in enumerate(row, start=1):
+            if v not in (-1, 0, 1):
+                raise core.EntryOutOfRange(f"entry {v} at ({i}, {j}) not in {{-1, 0, 1}}")
+            row_sum += v
+            if row_sum not in (0, 1):
+                raise core.BadPartialSum(f"row prefix sum {row_sum} at ({i}, {j})")
+        if row_sum != 1:
+            raise core.BadTotalSum(f"row {i} sums to {row_sum}, expected 1")
+        for j, v in enumerate(row, start=1):
+            col_sums[j - 1] += v
+            if col_sums[j - 1] not in (0, 1):
+                raise core.BadPartialSum(f"column prefix sum {col_sums[j-1]} at ({i}, {j})")
+    for j, s in enumerate(col_sums, start=1):
+        if s != 1:
+            raise core.BadTotalSum(f"column {j} sums to {s}, expected 1")
+    return Asm(n, rows)
+
+
 def generic_cover_oracle(universe: list[Asm], a: Asm, b: Asm) -> bool:
     """Abstract cover test from comparisons alone: a < b with nothing between."""
     if compare(a, b) is not Ordering.LESS:
@@ -211,8 +283,8 @@ def bigrassmannians_below(b: Asm) -> list[Permutation]:
 def beta_poset_oracle(b: Asm) -> int:
     """The definitional rank: bigrassmannian permutations weakly below b.
 
-    Exponential in n (it scans S_n); used to cross-check the closed
-    formulas, not as the production beta.
+    One order test per bigrassmannian of S_n, C(n+1, 3) of them; used to
+    cross-check the closed formulas, not as the production beta.
     """
     return len(bigrassmannians_below(b))
 
@@ -333,6 +405,59 @@ def check_cover_deltas(n: int):
     return checked, failures
 
 
+def _order_pairs(n: int) -> Iterable[tuple[Asm, Asm]]:
+    """All pairs of A_n for n <= 4; above that 10^4 seeded pairs, a third
+    drawn independently and the rest one or two random covers apart, in
+    either order, so covers and near-covers are tested too."""
+    universe = _asms(n)
+    if n <= 4:
+        return itertools.product(universe, repeat=2)
+    rng = random.Random(n)
+    pairs = []
+    for k in range(10_000):
+        a = b = rng.choice(universe)
+        if k % 3 == 0:
+            b = rng.choice(universe)
+        for _ in range(k % 3):
+            up = poset.covers_up(b)
+            if up:
+                b = rng.choice(up).upper
+        pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+    return pairs
+
+
+def check_order_code_vs_dominance(n: int):
+    def pred(pair):
+        a, b = pair
+        want = dominance_compare(a, b)
+        got = compare(a, b)
+        if got is not want:
+            return f"compare gives {got.value}, dominance {want.value}, on pair\n{a}\n--\n{b}"
+        if leq(a, b) != (want in (Ordering.LESS, Ordering.EQUAL)):
+            return f"leq disagrees with dominance ({want.value}) on pair\n{a}\n--\n{b}"
+        if poset.try_cover(a, b) != scanned_try_cover(a, b):
+            return f"try_cover disagrees with the corner-sum scan on pair\n{a}\n--\n{b}"
+        return None
+    return _check_all(_order_pairs(n), pred)
+
+
+def check_beta_code_popcount(n: int):
+    # the popcount of the order code is beta(A) + K_n: each field has
+    # 8 * width - c(i, j) bits set, and beta is the sum of min(i, j) - c(i, j)
+    mins = [[min(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    k_n = 8 * core._width(n) * n * n - sum(map(sum, mins))
+    def pred(a: Asm):
+        by_code = core._code(a).bit_count() - k_n
+        by_sums = sum(
+            m - c for ms, cs in zip(mins, core.corner_sum(a).sums) for m, c in zip(ms, cs)
+        )
+        beta = stats.beta_weighted(a)
+        if by_code == by_sums == beta:
+            return None
+        return f"popcount - K_n = {by_code}, corner sums {by_sums}, beta {beta} on\n{a}"
+    return _check_all(_asms(n), pred)
+
+
 def check_duality_anti_automorphism(n: int):
     # each dual is built once, so its corner-sum table serves every pair
     pairs = itertools.combinations([(a, dual(a)) for a in _asms(n)], 2)
@@ -421,6 +546,23 @@ def check_bigrassmannian_join_irreducible(n: int):
     bg = {m for _, m in _bigrassmannians(n)}
     ok = ji == bg
     return len(_asms(n)), [] if ok else [f"join-irreducibles != bigrassmannians at n={n}"]
+
+
+def check_bigrassmannian_construction(n: int):
+    # one check per permutation (built iff it has one descent and its
+    # inverse one), and one that the list is strictly lexicographic
+    built = poset.enumerate_bigrassmannians(n)
+    members = set(built)
+    checked, failures = _check_all(
+        iter_permutations(n),
+        lambda w: None
+        if (w in members) == poset.is_bigrassmannian(w)
+        else f"{w}: block-swap construction and descent test disagree",
+    )
+    images = [w.images for w in built]
+    if not all(x < y for x, y in zip(images, images[1:])):
+        failures.append(f"bigrassmannians of S_{n} not in strict lexicographic order")
+    return checked + 1, failures
 
 
 def check_count_formula(n: int):
@@ -525,6 +667,8 @@ SUITES: list[tuple[str, int, Callable[[int], tuple[int, list[str]]]]] = [
     ("permutation-beta-formula", 7, check_permutation_beta_formula),
     ("max-weak-inversion", 5, check_max_weak_inversion),
     ("cover-local-vs-generic", 4, check_cover_local_vs_generic),
+    ("order-code-vs-dominance", 6, check_order_code_vs_dominance),
+    ("beta-order-code-popcount", 6, check_beta_code_popcount),
     ("grading-and-reachability", 5, check_grading_and_reachability),
     ("cover-deltas-table", 5, check_cover_deltas),
     ("duality-anti-automorphism", 4, check_duality_anti_automorphism),
@@ -533,6 +677,7 @@ SUITES: list[tuple[str, int, Callable[[int], tuple[int, list[str]]]]] = [
     ("beta-join-irreducible-count", 5, check_beta_oracle),
     ("lattice-laws", 4, check_lattice_laws),
     ("bigrassmannian-join-irreducible", 5, check_bigrassmannian_join_irreducible),
+    ("bigrassmannian-construction", 7, check_bigrassmannian_construction),
     ("count-matches-formula", 7, check_count_formula),
     ("genfun-symmetries", 7, check_genfun_symmetries),
     ("perm-inversion-genfun", 7, check_perm_inversion_genfun),

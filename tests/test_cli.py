@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from asmlat.cli import run
-from asmlat.enumeration import count_formula
+from asmlat.enumeration import build_hasse, count_formula
 
 from conftest import EXAMPLE_A_ROWS
 
@@ -122,6 +122,14 @@ def test_hasse_dot_deterministic(capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     assert outs[0].count("style=filled") == 4
+
+
+@pytest.mark.parametrize("highlight", [[], ["--highlight-ji"]])
+def test_hasse_dot_written_in_batches_equals_to_dot(capsys, highlight):
+    # 39,996 lines at size 6, so the command writes more than one batch
+    code, out, _ = invoke(capsys, "hasse", "--size", "6", "--output", "dot", *highlight)
+    assert code == 0
+    assert out == build_hasse(6).to_dot(highlight_ji=bool(highlight))
 
 
 def test_verify_small(capsys):

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from asmlat import (
     Asm,
+    AsmError,
     BadPartialSum,
     BadTotalSum,
     EntryOutOfRange,
@@ -20,6 +23,8 @@ from asmlat import (
     validate,
 )
 from asmlat.core import check_corner_sums, iter_permutations
+from asmlat.enumeration import enumerate_asms
+from asmlat.verify import scanned_validate
 
 from conftest import EXAMPLE_A_ROWS
 
@@ -63,6 +68,73 @@ def test_validate_not_square():
         validate([[1, 0], [0, 1], [0, 0]])
     with pytest.raises(NotSquare):
         validate([])
+
+
+def _mutate(rng, rows):
+    """One random defect: an entry out of range, an entry moved by one, two
+    entries of a row swapped, an exchange block of either sign, a ragged
+    row, or an entry that is a bool, float or str.  A defect that does not
+    fit rows an earlier one left ragged or non-int is skipped."""
+    n = len(rows)
+    i = rng.randrange(n)
+    row = rows[i]
+    if not row:
+        row.append(0)
+    j, k = rng.randrange(len(row)), rng.randrange(len(row))
+    kind = rng.randrange(6)
+    if kind == 0:
+        row[j] = rng.choice([-3, -2, 2, 3, 10**20])
+    elif kind == 1 and type(row[j]) is int:
+        row[j] += rng.choice([-1, 1])
+    elif kind == 2:
+        row[j], row[k] = row[k], row[j]
+    elif kind == 3 and i + 1 < n and j + 1 < min(len(row), len(rows[i + 1])):
+        block = (row[j], row[j + 1], rows[i + 1][j], rows[i + 1][j + 1])
+        if all(type(x) is int for x in block):
+            sign = rng.choice([-1, 1])
+            row[j] -= sign
+            row[j + 1] += sign
+            rows[i + 1][j] += sign
+            rows[i + 1][j + 1] -= sign
+    elif kind == 4:
+        if rng.random() < 0.5:
+            del row[j]
+        else:
+            row.append(rng.choice([0, 1]))
+    elif kind == 5:
+        row[j] = rng.choice([True, False, 1.0, 0.0, "1", "0"])
+
+
+def _outcome(check, raw):
+    try:
+        a = check(raw)
+    except AsmError as exc:
+        return type(exc), str(exc)
+    return a
+
+
+def test_validate_matches_entrywise_scan_on_malformed_input():
+    # the row-at-a-time checks must accept exactly what the entry-by-entry
+    # scan accepts and report the same first violation, word for word
+    rng = random.Random(2019)
+    pools = {n: enumerate_asms(n) for n in range(1, 7)}
+    malformed = 0
+    for _ in range(12_000):
+        rows = [list(row) for row in rng.choice(pools[rng.randint(1, 6)]).entries]
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, rows)
+        want = _outcome(scanned_validate, rows)
+        assert _outcome(validate, rows) == want, rows
+        if isinstance(want, Asm):
+            assert corner_sum(validate(rows)) == corner_sum(Asm(want.n, want.entries))
+        else:
+            malformed += 1
+    assert malformed >= 10_000
+
+
+def test_validate_fills_the_corner_sum_memo(example_a):
+    assert "_corner_sums" in vars(example_a)
+    assert corner_sum(example_a) == corner_sum(Asm(4, example_a.entries))
 
 
 def test_identity_sizes():
