@@ -4,13 +4,15 @@ Subcommands: enumerate, count, stats, covers, hasse, genfun, verify.
 Exit codes: 0 success, 1 usage error, 2 domain error (invalid matrix or
 arguments out of domain), 3 enumeration guard exceeded, 4 verification
 failure.  Output is human-readable by default; --format json switches to
-the documented JSON schemas.
+the documented JSON schemas.  ``run`` builds its parser on the first
+call and reuses it for the rest of the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import sys
 from itertools import islice
@@ -38,6 +40,7 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="asmlat", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

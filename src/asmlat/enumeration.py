@@ -4,10 +4,11 @@ Generation runs row by row.  The search state is the vector of column
 prefix sums, each 0 or 1 (a row of the matrix's monotone triangle); a
 candidate row is any {-1, 0, 1} vector whose running prefix sums stay in
 {0, 1}, whose total is 1, and which keeps all column prefix sums in
-{0, 1}.  One row-transition table per size, cached, lists every state's
-legal rows in row-major lexicographic order (entry order -1 < 0 < 1),
-which is the package's canonical order, and what each row adds to I, N
-and beta.
+{0, 1}.  One row-transition table per size and universe, cached, lists
+every state's legal rows in row-major lexicographic order (entry order
+-1 < 0 < 1), which is the package's canonical order, and what each row
+adds to I, N and beta.  A state's rows come from one sweep over its
+columns; the permutation table never makes a -1 branch.
 
 Also here: the closed-form count; generating polynomials of the
 statistics and the signed permutation identity, by a polynomial-valued
@@ -73,32 +74,28 @@ def count_formula(n: int) -> int:
     return num // den
 
 
-def _next_rows(col: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All legal next rows for the given column prefix-sum vector.
+def _next_rows(
+    col: tuple[int, ...], perm_only: bool
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All legal next rows for the given column prefix-sum vector, as
+    (row, new column vector) in ascending lexicographic row order.
 
-    Yields (row, new column vector) in ascending lexicographic row order.
+    One sweep over the columns, left to right, keeps every partial row
+    with its new column prefix sums and its running sum; each extends by
+    -1, 0, then 1 where that keeps both sums in {0, 1}, so the partial
+    rows stay in lexicographic order.  ``perm_only`` never makes a -1.
     """
-    n = len(col)
-    row = [0] * n
-    new = list(col)
-
-    def rec(j: int, prefix: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        if j == n:
-            if prefix == 1:
-                yield tuple(row), tuple(new)
-            return
-        c = col[j]
-        # options in entry order -1 < 0 < 1 for lexicographic output
-        if c == 1 and prefix == 1:
-            row[j], new[j] = -1, 0
-            yield from rec(j + 1, 0)
-            row[j], new[j] = 0, c
-        yield from rec(j + 1, prefix)
-        if c == 0 and prefix == 0:
-            row[j], new[j] = 1, 1
-            yield from rec(j + 1, 1)
-            row[j], new[j] = 0, c
-    return rec(0, 0)
+    partial = [((), (), 0)]
+    for c in col:
+        nxt = []
+        for row, new, prefix in partial:
+            if c and prefix and not perm_only:
+                nxt.append((row + (-1,), new + (0,), 0))
+            nxt.append((row + (0,), new + (c,), prefix))
+            if not (c or prefix):
+                nxt.append((row + (1,), new + (1,), 1))
+        partial = nxt
+    return [(row, new) for row, new, prefix in partial if prefix]
 
 
 class _Step(NamedTuple):
@@ -115,7 +112,7 @@ class _Step(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _row_table(n: int, perm_only: bool) -> dict[tuple[int, ...], tuple[_Step, ...]]:
     """Every column prefix state of size n with its legal next rows, in
-    canonical order; ``perm_only`` keeps the rows with no -1.
+    canonical order; ``perm_only`` makes only the rows with no -1.
 
     The state before row i has sum i - 1; what a row adds to I, N and
     beta is :func:`stats._row_deltas`.
@@ -131,9 +128,7 @@ def _row_table(n: int, perm_only: bool) -> dict[tuple[int, ...], tuple[_Step, ..
             continue
         i = 1 + sum(col)
         steps = []
-        for row, new in _next_rows(col):
-            if perm_only and -1 in row:
-                continue
+        for row, new in _next_rows(col, perm_only):
             row, new = shared.setdefault(row, row), shared.setdefault(new, new)
             steps.append(_Step(row, new, *_row_deltas(i, col, row)))
             todo.append(new)

@@ -3,10 +3,12 @@
 Generating functions of the weak inversion number live in Z[x^(1/2)], so
 exponents are stored in half-units: the key 2e maps to the coefficient of
 x^e.  Coefficients are arbitrary-precision ints and zero coefficients are
-never stored; a key or coefficient that is not an int, or an exponent
-that is neither an int nor a Fraction (a bool or a float, say), is a
-ValueError.  The printed form, shared by both classes, is deterministic
-(ascending exponents, half exponents as "k/2"), a golden-file format.
+never stored.  Each of these is a ValueError: a key or coefficient that
+is not an int, an exponent that is neither an int nor a Fraction (a bool
+or a float, say), a power that is not an int or is negative, and an
+operand of +, - or * that is not a polynomial in the same variable.  The
+printed form, shared by both classes, is deterministic (ascending
+exponents, half exponents as "k/2"), a golden-file format.
 """
 
 from __future__ import annotations
@@ -109,9 +111,14 @@ class HalfIntPolynomial(_Polynomial):
         """In-place accumulation; used while streaming over enumerations."""
         self._accumulate(_half_units(exponent), _int(coeff))
 
+    def _operand(self, other: object) -> "HalfIntPolynomial":
+        if type(other) is not HalfIntPolynomial or other.var != self.var:
+            raise ValueError(f"{other!r} is not a polynomial in {self.var}")
+        return other
+
     def __add__(self, other: "HalfIntPolynomial") -> "HalfIntPolynomial":
         out = HalfIntPolynomial(dict(self.coeffs), self.var)
-        for h, c in other.coeffs.items():
+        for h, c in self._operand(other).coeffs.items():
             out._accumulate(h, c)
         return out
 
@@ -119,9 +126,10 @@ class HalfIntPolynomial(_Polynomial):
         return HalfIntPolynomial({h: -c for h, c in self.coeffs.items()}, self.var)
 
     def __sub__(self, other: "HalfIntPolynomial") -> "HalfIntPolynomial":
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __mul__(self, other: "HalfIntPolynomial") -> "HalfIntPolynomial":
+        other = self._operand(other)
         out: dict[int, int] = {}
         for h1, c1 in self.coeffs.items():
             for h2, c2 in other.coeffs.items():
@@ -130,6 +138,8 @@ class HalfIntPolynomial(_Polynomial):
         return HalfIntPolynomial(out, self.var)
 
     def __pow__(self, k: int) -> "HalfIntPolynomial":
+        if _int(k) < 0:
+            raise ValueError(f"power {k} is negative")
         out = HalfIntPolynomial.one(self.var)
         for _ in range(k):
             out = out * self

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from asmlat import cli
 from asmlat.cli import run
 from asmlat.enumeration import build_hasse, count_formula
 
@@ -142,6 +143,27 @@ def test_verify_small(capsys):
 def test_exit_usage(capsys):
     code, _, err = invoke(capsys, "count")
     assert code == 1 and err
+
+
+def test_parser_reused_across_calls(capsys, monkeypatch, tmp_path):
+    # one parser serves every call of a process: after a usage error, a
+    # domain error and a guard error, each call answers as a fresh one
+    monkeypatch.delenv("ASMLAT_GUARD", raising=False)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 -1\n0 1\n")
+    calls = [
+        (["count"], 1),
+        (["genfun", "--size", "3", "--stat", "I"], 0),
+        (["stats", "--matrix", str(bad)], 2),
+        (["genfun", "--size", "9", "--stat", "I"], 3),
+        (["genfun", "--size", "3", "--stat", "I"], 0),
+    ]
+    for argv, code in calls:
+        reused = invoke(capsys, *argv)
+        cli._build_parser.cache_clear()
+        fresh = invoke(capsys, *argv)
+        assert reused == fresh and reused[0] == code
+        assert cli._build_parser() is cli._build_parser()
 
 
 def test_genfun_needs_one_of_stat_and_bivariate(capsys):

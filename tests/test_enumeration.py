@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -182,6 +183,28 @@ def test_row_table_paths_count_matrices():
         # with every exponent key at (0, 0) the DP counts paths
         assert _path_sums(n, False, lambda s: (0, 0)) == {(0, 0): count_formula(n)}
         assert _path_sums(n, True, lambda s: (0, 0)) == {(0, 0): math.factorial(n)}
+
+
+@pytest.mark.parametrize("perm_only", [False, True])
+def test_row_table_matches_brute_force(perm_only):
+    # every state's steps are the rows of {-1, 0, 1}^n, in lexicographic
+    # order, whose running sums stay in {0, 1}, whose total is 1, which
+    # keep the state in {0, 1}, and which hold no -1 for permutations
+    for n in range(1, 8):
+        rows = [
+            row
+            for row in itertools.product((-1, 0, 1), repeat=n)
+            if set(itertools.accumulate(row)) <= {0, 1} and sum(row) == 1
+            and not (perm_only and -1 in row)
+        ]
+        table = _row_table(n, perm_only)
+        assert set(table) == set(itertools.product((0, 1), repeat=n))
+        for col, steps in table.items():
+            want = [row for row in rows if all(c + r in (0, 1) for c, r in zip(col, row))]
+            assert [step.row for step in steps] == want
+            assert [step.new for step in steps] == [
+                tuple(map(sum, zip(col, row))) for row in want
+            ]
 
 
 def test_row_table_deltas_sum_to_statistics(pools):

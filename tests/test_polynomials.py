@@ -59,6 +59,25 @@ def test_rejects_non_integers(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: p ** -1,
+        lambda p: p ** True,
+        lambda p: p ** 2.0,
+        lambda p: p + HalfIntPolynomial.one("q"),
+        lambda p: p - HalfIntPolynomial.one("q"),
+        lambda p: p * HalfIntPolynomial.one("q"),
+        lambda p: HalfIntPolynomial.zero() * HalfIntPolynomial.one("q"),
+        lambda p: p + 1,
+    ],
+)
+def test_arithmetic_rejects_coercions(build):
+    # no power taken as 1 or as an int, and no operand's variable ignored
+    with pytest.raises(ValueError):
+        build(HalfIntPolynomial({0: 1, 2: 1}))
+
+
 def test_arithmetic():
     p = HalfIntPolynomial({0: 1, 2: 1})       # 1 + x
     q = HalfIntPolynomial({0: 1, 2: -1})      # 1 - x
