@@ -249,10 +249,17 @@ def _raise_first_violation(i: int, row: tuple[int, ...], col: tuple[int, ...]) -
             raise BadPartialSum(f"column prefix sum {c + v} at ({i}, {j})")
 
 
+def _require_size(n: int, error: type[AsmError] = AsmError) -> None:
+    """Refuse a size that is not an int (a bool is not) or is below one."""
+    if type(n) is not int:
+        raise error(f"size {n!r} is not an integer")
+    if n < 1:
+        raise error(f"size {n} must be positive")
+
+
 def identity(n: int) -> Asm:
     """The unit matrix, the minimum of the lattice."""
-    if n < 1:
-        raise NotSquare(f"size {n} must be positive")
+    _require_size(n, NotSquare)
     return Asm(n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 

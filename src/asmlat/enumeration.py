@@ -11,9 +11,10 @@ adds to I, N and beta.  A state's rows come from one sweep over its
 columns; the permutation table never makes a -1 branch.
 
 Also here: the closed-form count; generating polynomials of the
-statistics and the signed permutation identity, by a polynomial-valued
-DP over that table that lists no matrix; and the full cover graph with
-DOT and JSON export.  The graph comes from one walk of the table that
+statistics and the signed permutation identity, by a DP over that table
+that lists no matrix and packs each state's polynomial into one integer,
+a fixed-width field per exponent; and the full cover graph with DOT and
+JSON export.  The graph comes from one walk of the table that
 carries each matrix's I, N and beta, and from a second table, cached
 per size as well, that lists for each two-row path the covers
 exchanging a block inside those rows and how far each moves the
@@ -30,7 +31,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .core import Asm, AsmError, to_permutation
+from .core import Asm, AsmError, _require_size, to_permutation
 from .poset import _TYPE_BY_LOWER_BLOCK
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import StatRecord, _record, _row_deltas
@@ -45,26 +46,25 @@ class TooLarge(AsmError):
 def resolve_guard(limit_guard: Optional[int] = None) -> int:
     """The guard to apply: ``limit_guard`` if given, else ASMLAT_GUARD,
     else 10^7; a negative or non-integer guard is a domain error."""
-    if limit_guard is not None:
-        if limit_guard < 0:
-            raise AsmError(f"guard {limit_guard} is negative")
-        return limit_guard
-    env = os.environ.get("ASMLAT_GUARD")
-    if not env:
-        return DEFAULT_GUARD
-    try:
-        guard = int(env)
-    except ValueError:
-        raise AsmError(f"ASMLAT_GUARD={env!r} is not an integer") from None
+    source, guard = "guard ", limit_guard
+    if guard is None:
+        env = os.environ.get("ASMLAT_GUARD")
+        if not env:
+            return DEFAULT_GUARD
+        try:
+            source, guard = "ASMLAT_GUARD=", int(env)
+        except ValueError:
+            raise AsmError(f"ASMLAT_GUARD={env!r} is not an integer") from None
+    elif type(guard) is not int:
+        raise AsmError(f"guard {guard!r} is not an integer")
     if guard < 0:
-        raise AsmError(f"ASMLAT_GUARD={guard} is negative")
+        raise AsmError(f"{source}{guard} is negative")
     return guard
 
 
 def count_formula(n: int) -> int:
     """The closed-form product for |A_n|, exact."""
-    if n < 1:
-        raise AsmError(f"size {n} must be positive")
+    _require_size(n)
     num = den = 1
     for i in range(n):
         num *= math.factorial(3 * i + 1)
@@ -189,49 +189,44 @@ def _cover_table(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, i
     return cover
 
 
-# the exponent key each row adds, per statistic and pair: (half-units of
-# λ, power of q); a single statistic leaves q at 0
-_KEYS: dict[str, Callable[[_Step], tuple[int, int]]] = {
-    "I": lambda s: (2 * s.d_inv, 0),
-    "H": lambda s: (2 * s.d_inv - s.d_minus, 0),
-    "beta": lambda s: (2 * s.d_beta, 0),
-    "I:beta": lambda s: (2 * s.d_inv, s.d_beta),
-    "H:beta": lambda s: (2 * s.d_inv - s.d_minus, s.d_beta),
+# the exponent of λ each row adds, in half-units, never negative: each -1
+# and the 1 left of it add at least 1 to I (a 1 sits above the -1): ΔI >= ΔN
+_KEYS: dict[str, Callable[[_Step], int]] = {
+    "I": lambda s: 2 * s.d_inv,
+    "H": lambda s: 2 * s.d_inv - s.d_minus,
+    "beta": lambda s: 2 * s.d_beta,
 }
-_STATS = ("I", "H", "beta")
 _PAIRS = ("I:beta", "H:beta")
 
 
-def _path_sums(
-    n: int, perm_only: bool, key: Callable[[_Step], tuple[int, int]]
-) -> dict[tuple[int, int], int]:
-    """{exponent key: number of matrices} over every path through the table.
-
-    Runs row by row; each state carries the coefficients of the paths
-    that reach it, so no matrix is listed.
-    """
+def _path_sums(n: int, perm_only: bool, key: Callable[[_Step], int]) -> dict[int, int]:
+    """{exponent: number of matrices} over every path through the table,
+    ``key`` giving each step's share of the exponent, >= 0.  Lists no
+    matrix: each state carries its paths' polynomial as one int, x^e's
+    coefficient in field e of ``width`` bytes; a step is a shift and an add."""
     table = _row_table(n, perm_only)
-    layer = {(0,) * n: {(0, 0): 1}}
+    # no carry: a coefficient counts paths into one state, each extends
+    # to a distinct matrix, so it is at most |A_n| (n!) < 2^(8 * width)
+    width = (math.factorial(n) if perm_only else count_formula(n)).bit_length() // 8 + 1
+    layer = {(0,) * n: 1}
     for _ in range(n):
-        nxt: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-        for col, coeffs in layer.items():
+        nxt: dict[tuple[int, ...], int] = {}
+        for col, poly in layer.items():
             for step in table[col]:
-                d1, d2 = key(step)
-                out = nxt.setdefault(step.new, {})
-                for (e1, e2), c in coeffs.items():
-                    k = (e1 + d1, e2 + d2)
-                    out[k] = out.get(k, 0) + c
+                nxt[step.new] = nxt.get(step.new, 0) + (poly << 8 * width * key(step))
         layer = nxt
-    return layer[(1,) * n]
+    poly = layer[(1,) * n]
+    data = poly.to_bytes((poly.bit_length() + 7) // 8, "little")
+    fields = (int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width))
+    return {e: c for e, c in enumerate(fields) if c}
 
 
 def _check_size(n: int, over: str, limit_guard: Optional[int]) -> bool:
-    """Refuse an unknown universe, a size below one, or a universe (|A_n|
-    or n!) larger than :func:`resolve_guard`; True for permutations."""
+    """Refuse an unknown universe, a size that is not a positive int, or
+    |A_n| (n! for permutations) above :func:`resolve_guard`; True for them."""
     if over not in ("asm", "perm"):
         raise AsmError(f"unknown universe {over!r}; expected 'asm' or 'perm'")
-    if n < 1:
-        raise AsmError(f"size {n} must be positive")
+    _require_size(n)
     perm_only = over == "perm"
     what, size = ("n!", math.factorial(n)) if perm_only else (f"|A_{n}|", count_formula(n))
     guard = resolve_guard(limit_guard)
@@ -246,8 +241,7 @@ def _check_size(n: int, over: str, limit_guard: Optional[int]) -> bool:
 def iter_asms(n: int) -> Iterator[Asm]:
     """Stream every ASM of size n, canonical order, no guard, by walking
     the row table depth first."""
-    if n < 1:
-        raise AsmError(f"size {n} must be positive")
+    _require_size(n)
     table = _row_table(n, False)
 
     def rec(rows: list[tuple[int, ...]], col: tuple[int, ...]) -> Iterator[Asm]:
@@ -282,10 +276,9 @@ def genfun_stat(
     stat is one of "I", "H", "beta"; H produces half-integer exponents.
     Computed by the row-table DP, without listing the matrices.
     """
-    if stat not in _STATS:
+    if stat not in _KEYS:
         raise AsmError(f"unknown statistic {stat!r}; expected I, H or beta")
-    coeffs = _path_sums(n, _check_size(n, over, limit_guard), _KEYS[stat])
-    return HalfIntPolynomial({h: c for (h, _), c in coeffs.items()})
+    return HalfIntPolynomial(_path_sums(n, _check_size(n, over, limit_guard), _KEYS[stat]))
 
 
 def bivariate_genfun(
@@ -297,24 +290,21 @@ def bivariate_genfun(
     """Sum of λ^s1 q^s2 over the chosen universe, by the row-table DP."""
     if pair not in _PAIRS:
         raise AsmError(f"unknown pair {pair!r}; expected one of {sorted(_PAIRS)}")
-    return BivariatePolynomial(_path_sums(n, _check_size(n, over, limit_guard), _KEYS[pair]))
+    perm_only = _check_size(n, over, limit_guard)
+    # one exponent: s1's half-units times a stride above beta's top, C(n + 1, 3)
+    first, stride = _KEYS[pair.split(":")[0]], math.comb(n + 1, 3) + 1
+    coeffs = _path_sums(n, perm_only, lambda s: first(s) * stride + s.d_beta)
+    return BivariatePolynomial({divmod(e, stride): c for e, c in coeffs.items()})
 
 
 def signed_identity_check(n: int, limit_guard: Optional[int] = None) -> tuple[bool, HalfIntPolynomial, HalfIntPolynomial]:
-    """Compare the signed rank sum over S_n with its product form.
-
-    Left side: sum over permutations of (-1)^I(w) q^beta(w), read off the
-    permutation I:beta DP.  Right side: product over k < n of
-    (1 - q^k)^(n - k).  Returns (equal, left, right).
-    """
-    _check_size(n, "perm", limit_guard)
-    lhs = HalfIntPolynomial.zero(var="q")
-    for (inv2, beta), c in _path_sums(n, True, _KEYS["I:beta"]).items():
-        lhs.add_term(-c if inv2 % 4 else c, beta)  # inv2 = 2I: odd I leaves 2
-    rhs = HalfIntPolynomial.one(var="q")
-    for k in range(1, n):
-        factor = HalfIntPolynomial({0: 1, 2 * k: -1}, var="q")
-        rhs = rhs * factor ** (n - k)
+    """Compare the signed rank sum over S_n with its product form: left,
+    the sum of (-1)^I(w) q^beta(w), the permutation I:beta polynomial at
+    λ = -1; right, the product over k < n of (1 - q^k)^(n - k).  Returns
+    (equal, left, right)."""
+    lhs = bivariate_genfun(n, "I:beta", "perm", limit_guard).specialize_first(-1)
+    factors = (HalfIntPolynomial({0: 1, 2 * k: -1}, var="q") ** (n - k) for k in range(1, n))
+    rhs = math.prod(factors, start=HalfIntPolynomial.one(var="q"))
     return lhs == rhs, lhs, rhs
 
 

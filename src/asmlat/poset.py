@@ -28,6 +28,7 @@ from .core import (
     Permutation,
     SizeMismatch,
     _code,
+    _require_size,
     _sums,
     _width,
     _with_sums,
@@ -249,6 +250,7 @@ def enumerate_bigrassmannians(n: int) -> list[Permutation]:
     the smaller b + 1 at position a + 1, then the earlier a + 1 (the
     smaller c), so a falls while b and c rise.
     """
+    _require_size(n)
     return [
         Permutation(
             n, (*range(1, a + 1), *range(b + 1, c + 1), *range(a + 1, b + 1), *range(c + 1, n + 1))

@@ -161,11 +161,11 @@ def _row_deltas(i: int, col: Sequence[int], row: Sequence[int]) -> tuple[int, in
 
     An entry's share of I is its product with the column sums strictly to
     its right, the entries north-east of it; N gains the row's -1 count;
-    beta gains the row's terms of :func:`beta_corner`, which sum to
-    m * (m - sum_j r_j (n - j + 1)) with m = n - i + 1.
+    beta gains sum_j (min(i, j) - c(i, j)) over the row's corner sums
+    c(i, j), which over all rows is :func:`beta_corner`.
     """
     n = len(row)
-    d_inv = d_minus = weighted = right = 0
+    d_inv = d_minus = weighted = above = right = 0
     for j in range(n - 1, -1, -1):
         r = row[j]
         if r:
@@ -173,9 +173,11 @@ def _row_deltas(i: int, col: Sequence[int], row: Sequence[int]) -> tuple[int, in
             weighted += r * (n - j)
             if r < 0:
                 d_minus += 1
+        above += right
         right += col[j]
-    m = n - i + 1
-    return d_inv, d_minus, m * (m - weighted)
+    # sum_j min(i, j) = i(2n - i + 1)/2, sum_j c(i, j) = n(i - 1) - above + weighted;
+    # a prefix sum is 0 or 1, so c(i, j) <= min(i, j) and the share is >= 0
+    return d_inv, d_minus, i * (2 * n - i + 1) // 2 - n * (i - 1) + above - weighted
 
 
 def _record(n: int, inv: int, minus: int, beta: int) -> StatRecord:

@@ -711,8 +711,7 @@ class VerifyReport:
 
 def verify(n_max: int) -> VerifyReport:
     """Run every suite for sizes 1..min(cap, n_max); n_max must be >= 1."""
-    if n_max < 1:
-        raise core.AsmError(f"verify needs a maximum size of at least 1, got {n_max}")
+    core._require_size(n_max)
     lines = []
     all_failures = []
     for name, cap, suite in SUITES:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import asmlat
 from asmlat import (
     Asm,
     AsmError,
@@ -142,6 +143,30 @@ def test_identity_sizes():
     assert identity(3).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(NotSquare):
         identity(0)
+
+
+@pytest.mark.parametrize(
+    "call, n, error",
+    [
+        (asmlat.count_formula, 3.0, AsmError),
+        (asmlat.count_formula, True, AsmError),
+        (asmlat.iter_asms, 2.5, AsmError),
+        (asmlat.verify, 2.0, AsmError),
+        (asmlat.verify, 0, AsmError),
+        (asmlat.build_hasse, "3", AsmError),
+        (asmlat.enumerate_asms, False, AsmError),
+        (asmlat.signed_identity_check, True, AsmError),
+        (asmlat.enumerate_bigrassmannians, -1, AsmError),
+        (asmlat.enumerate_bigrassmannians, 2.0, AsmError),
+        (identity, 1.5, NotSquare),
+        (identity, -2, NotSquare),
+    ],
+)
+def test_size_must_be_a_positive_int(call, n, error):
+    # one check in core: a float, str or bool size is a domain error, not
+    # a TypeError and not size 1
+    with pytest.raises(error, match="not an integer" if type(n) is not int else "must be positive"):
+        call(n)
 
 
 def test_from_permutation_3412():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -76,6 +78,10 @@ def test_guard_message_names_the_override():
 def test_guard_rejects_bad_values(monkeypatch):
     with pytest.raises(AsmError, match="negative"):
         enumerate_asms(3, limit_guard=-1)
+    for guard in ("5", 1e3, True):
+        with pytest.raises(AsmError, match="not an integer") as info:
+            enumerate_asms(3, limit_guard=guard)
+        assert not isinstance(info.value, TooLarge)
     for env in ("abc", "-5", "1.5"):
         monkeypatch.setenv("ASMLAT_GUARD", env)
         with pytest.raises(AsmError, match="ASMLAT_GUARD") as info:
@@ -180,9 +186,49 @@ def test_iter_asms_streams():
 
 def test_row_table_paths_count_matrices():
     for n in range(1, 11):
-        # with every exponent key at (0, 0) the DP counts paths
-        assert _path_sums(n, False, lambda s: (0, 0)) == {(0, 0): count_formula(n)}
-        assert _path_sums(n, True, lambda s: (0, 0)) == {(0, 0): math.factorial(n)}
+        # with every exponent at 0 the DP counts paths, and the whole count
+        # sits in one field
+        assert _path_sums(n, False, lambda s: 0) == {0: count_formula(n)}
+        assert _path_sums(n, True, lambda s: 0) == {0: math.factorial(n)}
+
+
+# sha256 of str(poly) + "\n" + its JSON, recorded with the coefficient-map
+# DP that packed polynomials replaced; the fields are wider here than at
+# n <= 7
+_BIG_DIGESTS = {
+    (8, "asm", "I"): "92d5c0c2f954812fd844a56d9df6f2b8bddf3a34127e3779db2fd1b370a0e4f2",
+    (8, "asm", "H"): "b81b2cbe261cf39816fb735b1b74a66f06fd9dc99bd02c3d284a7fe30cff8b4a",
+    (8, "asm", "beta"): "886b06c0e1ece111ede6fe2415a723bd5ccdf0a09bc71dcf4b198575346c914b",
+    (8, "asm", "I:beta"): "f4c1ae4d4551384302d3e9ffca32dca21512b4164e5b8d7c3b73751242912c00",
+    (8, "asm", "H:beta"): "b355444a0715f7a1eb668ba2055674d6e33f199bd1a83ee24d53723a51adfea3",
+    (9, "perm", "I"): "06ce2f584d04aa558eb12b45e93e288cd8bd58cbaaebb1cc11766383703e067a",
+    (9, "perm", "H"): "06ce2f584d04aa558eb12b45e93e288cd8bd58cbaaebb1cc11766383703e067a",
+    (9, "perm", "beta"): "7fde0ff494033c4b80aad20070afc9665e2b785a4147eda3f2c22c36e8f19916",
+    (9, "perm", "I:beta"): "8b827c3fd370f870c7087751ed7617648a90bf036cdb8d7153c862e3c2d8ab1a",
+    (9, "perm", "H:beta"): "8b827c3fd370f870c7087751ed7617648a90bf036cdb8d7153c862e3c2d8ab1a",
+}
+
+
+@pytest.mark.parametrize("n, over, what", sorted(_BIG_DIGESTS))
+def test_genfun_output_pinned_past_seven(n, over, what):
+    genfun = bivariate_genfun if ":" in what else genfun_stat
+    poly = genfun(n, what, over, limit_guard=10**30)
+    text = f"{poly}\n{json.dumps(poly.to_json_dict())}"
+    assert hashlib.sha256(text.encode()).hexdigest() == _BIG_DIGESTS[n, over, what]
+
+
+@pytest.mark.parametrize("perm_only", [False, True])
+def test_row_deltas_never_negative(perm_only):
+    # every share the DP packs is >= 0, and a step's beta share is
+    # sum_j (min(i, j) - c(i, j)) over the corner sums of its new state
+    for n in range(1, 9):
+        for col, steps in _row_table(n, perm_only).items():
+            i = 1 + sum(col)
+            for step in steps:
+                corner = itertools.accumulate(step.new)
+                want = sum(min(i, j) - c for j, c in enumerate(corner, 1))
+                assert step.d_inv >= 0 and 2 * step.d_inv - step.d_minus >= 0
+                assert step.d_beta == want >= 0
 
 
 @pytest.mark.parametrize("perm_only", [False, True])
