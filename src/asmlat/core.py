@@ -7,24 +7,23 @@ freely across threads and used as dict keys.
 
 Corner sums are the one internal representation of the order.
 :func:`corner_sum` computes an :class:`Asm`'s table on first use and keeps
-it in a memo on the instance, so a matrix compared again reuses it;
-:func:`validate` fills that memo as it checks the rows.  Beside it sits a
-second memo, the order code: one integer holding every corner sum as a
-thermometer field (value c sets bits c and up of its field), so a smaller
-sum sets more bits.  The order tests of :mod:`asmlat.poset` read the
-code: A <= B iff A's bits are a subset of B's, the entrywise min and max
-of two tables are the OR and AND of their codes, and the popcount is
-beta(A) plus a constant of n.  Both memos are caches, not fields; they
-take no part in equality, hashing, ``repr`` or ``to_json_dict``.  Each is
-a function of the entries, so two threads that fill one at once store the
-same value.
+it in a memo on the instance, so a matrix compared again reuses it.
+Beside it sits a second memo, the order code: one integer holding every
+corner sum as a thermometer field (value c sets bits c and up of its
+field), so a smaller sum sets more bits.  The order tests of
+:mod:`asmlat.poset` read the code: A <= B iff A's bits are a subset of
+B's, the entrywise min and max of two tables are the OR and AND of their
+codes, and the popcount is beta(A) plus a constant of n.  Both memos are
+caches, not fields; they take no part in equality, hashing, ``repr`` or
+``to_json_dict``.  Each is a function of the entries, so two threads
+that fill one at once store the same value.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, permutations
 from operator import add, sub
 from typing import Iterator, Sequence
 
@@ -97,8 +96,7 @@ class Asm:
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based position (i, j)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexOutOfRange(f"position ({i}, {j}) outside 1..{self.n}")
+        _require_position(self.n, i, j)
         return self.entries[i - 1][j - 1]
 
     def nonzeros(self) -> list[tuple[int, int, int]]:
@@ -144,11 +142,13 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        _require_size(n, NotAPermutation)
         return cls(n, tuple(range(1, n + 1)))
 
     @classmethod
     def longest(cls, n: int) -> "Permutation":
         """The reversal i -> n - i + 1 (the maximum of Bruhat order)."""
+        _require_size(n, NotAPermutation)
         return cls(n, tuple(range(n, 0, -1)))
 
     def __call__(self, i: int) -> int:
@@ -187,18 +187,13 @@ class CornerSumMatrix:
     sums: tuple[tuple[int, ...], ...]
 
 
-_UNIT = frozenset((-1, 0, 1))
-_BITS = frozenset((0, 1))
-
-
 def validate(raw: Sequence[Sequence[int]]) -> Asm:
     """Check the alternating-sign conditions and build an :class:`Asm`.
 
     The first violated constraint in a row-major scan is reported, with
-    1-based coordinates in the message, so errors are deterministic.  The
-    running sums along each row, added to the corner-sum row above, give
-    that row's corner sums, so the matrix comes back with its corner-sum
-    memo filled.
+    1-based coordinates in the message, so errors are deterministic: each
+    row's entries and running sums left to right, then its total, then
+    its column prefix sums.
     """
     rows = _as_rows(raw)
     n = len(rows)
@@ -207,46 +202,30 @@ def validate(raw: Sequence[Sequence[int]]) -> Asm:
     for i, row in enumerate(rows, start=1):
         if len(row) != n:
             raise NotSquare(f"row {i} has {len(row)} entries, expected {n}")
-
-    col = prev = (0,) * n
-    sums = []
+    col_sums = [0] * n
     for i, row in enumerate(rows, start=1):
-        prefix = tuple(accumulate(row))
-        below = tuple(map(add, col, row))
-        if not (
-            _UNIT.issuperset(row)
-            and _BITS.issuperset(prefix)
-            and prefix[-1] == 1
-            and _BITS.issuperset(below)
-        ):
-            _raise_first_violation(i, row, col)
-        col = below
-        prev = tuple(map(add, prev, prefix))
-        sums.append(prev)
-    for j, s in enumerate(col, start=1):
-        if s != 1:
-            raise BadTotalSum(f"column {j} sums to {s}, expected 1")
-    a = Asm(n, rows)
-    a.__dict__[_MEMO] = tuple(sums)
-    return a
+        row_sum = 0
+        for j, v in enumerate(row, start=1):
+            if v not in (-1, 0, 1):
+                raise EntryOutOfRange(f"entry {v} at ({i}, {j}) not in {{-1, 0, 1}}")
+            row_sum += v
+            if row_sum not in (0, 1):
+                raise BadPartialSum(f"row prefix sum {row_sum} at ({i}, {j})")
+        if row_sum != 1:
+            raise BadTotalSum(f"row {i} sums to {row_sum}, expected 1")
+        for j, v in enumerate(row, start=1):
+            col_sums[j - 1] += v
+            if col_sums[j - 1] not in (0, 1):
+                raise BadPartialSum(f"column prefix sum {col_sums[j - 1]} at ({i}, {j})")
+    # every row sums to 1 and every column ends in {0, 1}, so the n column
+    # totals add up to n and each of them is 1
+    return Asm(n, rows)
 
 
-def _raise_first_violation(i: int, row: tuple[int, ...], col: tuple[int, ...]) -> None:
-    """Scan row i entry by entry and raise its first violation: the row
-    constraints first, then the column prefixes (col holds the column sums
-    of the rows above)."""
-    row_sum = 0
-    for j, v in enumerate(row, start=1):
-        if v not in (-1, 0, 1):
-            raise EntryOutOfRange(f"entry {v} at ({i}, {j}) not in {{-1, 0, 1}}")
-        row_sum += v
-        if row_sum not in (0, 1):
-            raise BadPartialSum(f"row prefix sum {row_sum} at ({i}, {j})")
-    if row_sum != 1:
-        raise BadTotalSum(f"row {i} sums to {row_sum}, expected 1")
-    for j, (c, v) in enumerate(zip(col, row), start=1):
-        if c + v not in (0, 1):
-            raise BadPartialSum(f"column prefix sum {c + v} at ({i}, {j})")
+def _require_position(n: int, i: int, j: int) -> None:
+    """Refuse a position that is not two ints (a bool is not) in 1..n."""
+    if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
+        raise IndexOutOfRange(f"position ({i!r}, {j!r}) outside 1..{n}")
 
 
 def _require_size(n: int, error: type[AsmError] = AsmError) -> None:
@@ -406,8 +385,7 @@ def minus_count(a: Asm) -> int:
 
 
 def iter_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic one-line order."""
-    import itertools
-
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(n, images)
+    """All of S_n in lexicographic one-line order; the size is checked at
+    the call, not on first use."""
+    _require_size(n, NotAPermutation)
+    return (Permutation(n, images) for images in permutations(range(1, n + 1)))

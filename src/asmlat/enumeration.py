@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import Asm, AsmError, _require_size, to_permutation
-from .poset import _TYPE_BY_LOWER_BLOCK
+from .poset import _TYPE_BY_LOWER_BLOCK, _exchange
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import StatRecord, _record, _row_deltas
 
@@ -134,11 +134,6 @@ def _row_table(n: int, perm_only: bool) -> dict[tuple[int, ...], tuple[_Step, ..
             todo.append(new)
         table[col] = tuple(steps)
     return table
-
-
-def _exchange(row: tuple[int, ...], j: int, d: int) -> tuple[int, ...]:
-    """``row`` with d added at j and subtracted at j + 1."""
-    return row[:j] + (row[j] + d, row[j + 1] - d) + row[j + 2 :]
 
 
 @functools.lru_cache(maxsize=None)

@@ -187,6 +187,12 @@ def try_cover(a: Asm, b: Asm) -> Optional[CoverEdge]:
     return _edge(a, b, p // n + 1, p % n + 1)
 
 
+def _exchange(row: tuple[int, ...], j: int, d: int) -> tuple[int, ...]:
+    """``row`` with d added at j and subtracted at j + 1: one row of the
+    2x2 exchange."""
+    return row[:j] + (row[j] + d, row[j + 1] - d) + row[j + 2 :]
+
+
 def _covers(a: Asm, up: bool) -> list[CoverEdge]:
     """Every cover edge at a, upward or downward, in (r, s) order.
 
@@ -203,9 +209,7 @@ def _covers(a: Asm, up: bool) -> list[CoverEdge]:
         for s in range(1, n):
             x = row[s] - d
             if row[s - 1] == above[s] == x == row[s + 1] - 1 == below[s] - 1:
-                top, bot = e[r - 1], e[r]
-                top = top[: s - 1] + (top[s - 1] - sign, top[s] + sign) + top[s + 1 :]
-                bot = bot[: s - 1] + (bot[s - 1] + sign, bot[s] - sign) + bot[s + 1 :]
+                top, bot = _exchange(e[r - 1], s - 1, -sign), _exchange(e[r], s - 1, sign)
                 b = Asm(n, e[: r - 1] + (top, bot) + e[r + 1 :])
                 out.append(_edge(a, b, r, s) if up else _edge(b, a, r, s))
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import Asm, IndexOutOfRange, minus_count
+from .core import Asm, _require_position, minus_count
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,7 @@ def local_weak_contribution(a: Asm, p: int, q: int) -> Fraction:
 
     Zero wherever a_pq = 0; summed over all positions it gives H(A).
     """
-    if not (1 <= p <= a.n and 1 <= q <= a.n):
-        raise IndexOutOfRange(f"position ({p}, {q}) outside 1..{a.n}")
+    _require_position(a.n, p, q)
     apq = a.entries[p - 1][q - 1]
     if apq == 0:
         return Fraction(0)

@@ -5,11 +5,10 @@ sweeps matrices up to a size cap (intersected with the requested
 maximum) and reports "name: passed/checked"; a failure anywhere means a
 broken build.  The test suite runs every entry at every size up to its
 cap.  The brute-force oracles the suites and tests compare against (the
-entrywise order and cover test on corner sums, validation entry by
-entry, the generic cover test, the cover closure, the definitional beta,
-the greedy chain rank, the generating polynomials by enumeration, the
-Hasse diagram by the cover scan) and the lattice-law predicate live here
-too, each in one place.
+entrywise order and cover test on corner sums, the generic cover test,
+the cover closure, the definitional beta, the greedy chain rank, the
+generating polynomials by enumeration, the Hasse diagram by the cover
+scan) and the lattice-law predicate live here too, each in one place.
 """
 
 from __future__ import annotations
@@ -224,45 +223,6 @@ def scanned_try_cover(a: Asm, b: Asm) -> Optional[poset.CoverEdge]:
                     return None
                 found = (r, s)
     return None if found is None else poset._edge(a, b, *found)
-
-
-def scanned_validate(raw) -> Asm:
-    """:func:`core.validate` entry by entry, the oracle for its results and
-    its messages: the first violated constraint in a row-major scan, each
-    row's own constraints before its column prefixes."""
-    try:
-        rows = tuple(tuple(row) for row in raw)
-    except TypeError:
-        raise core.NotSquare("a matrix must be a sequence of rows") from None
-    for i, row in enumerate(rows, start=1):
-        for j, x in enumerate(row, start=1):
-            if type(x) is not int:
-                raise core.EntryOutOfRange(f"entry {x!r} at ({i}, {j}) is not an integer")
-    n = len(rows)
-    if n == 0:
-        raise core.NotSquare("empty matrix")
-    for i, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise core.NotSquare(f"row {i} has {len(row)} entries, expected {n}")
-    col_sums = [0] * n
-    for i, row in enumerate(rows, start=1):
-        row_sum = 0
-        for j, v in enumerate(row, start=1):
-            if v not in (-1, 0, 1):
-                raise core.EntryOutOfRange(f"entry {v} at ({i}, {j}) not in {{-1, 0, 1}}")
-            row_sum += v
-            if row_sum not in (0, 1):
-                raise core.BadPartialSum(f"row prefix sum {row_sum} at ({i}, {j})")
-        if row_sum != 1:
-            raise core.BadTotalSum(f"row {i} sums to {row_sum}, expected 1")
-        for j, v in enumerate(row, start=1):
-            col_sums[j - 1] += v
-            if col_sums[j - 1] not in (0, 1):
-                raise core.BadPartialSum(f"column prefix sum {col_sums[j-1]} at ({i}, {j})")
-    for j, s in enumerate(col_sums, start=1):
-        if s != 1:
-            raise core.BadTotalSum(f"column {j} sums to {s}, expected 1")
-    return Asm(n, rows)
 
 
 def generic_cover_oracle(universe: list[Asm], a: Asm, b: Asm) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -23,9 +24,9 @@ from asmlat import (
     transpose,
     validate,
 )
-from asmlat.core import check_corner_sums, iter_permutations
+from asmlat import core
+from asmlat.core import IndexOutOfRange, check_corner_sums, iter_permutations
 from asmlat.enumeration import enumerate_asms
-from asmlat.verify import scanned_validate
 
 from conftest import EXAMPLE_A_ROWS
 
@@ -69,6 +70,26 @@ def test_validate_not_square():
         validate([[1, 0], [0, 1], [0, 0]])
     with pytest.raises(NotSquare):
         validate([])
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([[1, 0], [1, 0]], BadPartialSum, "column prefix sum 2 at (2, 1)"),
+        ([[1, -1, 1], [0, 1, 0], [0, 1, 0]], BadPartialSum, "column prefix sum -1 at (1, 2)"),
+        # column 2 totals 0, so another column totals 2 and its prefix
+        # reaches 2 first: a column total other than 1 always shows there
+        ([[0, 1, 0], [1, 0, 0], [1, 0, 0]], BadPartialSum, "column prefix sum 2 at (3, 1)"),
+        # (2, 1) breaks a column prefix first, but the row rules come first
+        ([[1, 0], [1, 1]], BadPartialSum, "row prefix sum 2 at (2, 2)"),
+        # ragged and non-int: the type is checked before the shape
+        ([[1], [0, "x"]], EntryOutOfRange, "entry 'x' at (2, 2) is not an integer"),
+    ],
+)
+def test_validate_messages(rows, error, message):
+    with pytest.raises(error) as info:
+        validate(rows)
+    assert str(info.value) == message
 
 
 def _mutate(rng, rows):
@@ -115,8 +136,9 @@ def _outcome(check, raw):
 
 
 def test_validate_matches_entrywise_scan_on_malformed_input():
-    # the row-at-a-time checks must accept exactly what the entry-by-entry
-    # scan accepts and report the same first violation, word for word
+    # the entry-by-entry scan against the corner-sum characterization
+    # (Robbins-Rumsey): a square integer matrix is an ASM iff its corner
+    # sums step by 0 or 1 and end in 1..n along the last row and column
     rng = random.Random(2019)
     pools = {n: enumerate_asms(n) for n in range(1, 7)}
     malformed = 0
@@ -124,18 +146,16 @@ def test_validate_matches_entrywise_scan_on_malformed_input():
         rows = [list(row) for row in rng.choice(pools[rng.randint(1, 6)]).entries]
         for _ in range(rng.randint(1, 3)):
             _mutate(rng, rows)
-        want = _outcome(scanned_validate, rows)
-        assert _outcome(validate, rows) == want, rows
-        if isinstance(want, Asm):
-            assert corner_sum(validate(rows)) == corner_sum(Asm(want.n, want.entries))
+        got = _outcome(validate, rows)
+        square = all(len(row) == len(rows) for row in rows)
+        if square and all(type(x) is int for row in rows for x in row):
+            want = _outcome(check_corner_sums, core._prefix_sums(rows))
+            assert isinstance(got, Asm) == isinstance(want, core.CornerSumMatrix), rows
+        if isinstance(got, Asm):
+            assert got == Asm(len(rows), tuple(map(tuple, rows)))
         else:
             malformed += 1
     assert malformed >= 10_000
-
-
-def test_validate_fills_the_corner_sum_memo(example_a):
-    assert "_corner_sums" in vars(example_a)
-    assert corner_sum(example_a) == corner_sum(Asm(4, example_a.entries))
 
 
 def test_identity_sizes():
@@ -160,6 +180,11 @@ def test_identity_sizes():
         (asmlat.enumerate_bigrassmannians, 2.0, AsmError),
         (identity, 1.5, NotSquare),
         (identity, -2, NotSquare),
+        (Permutation.identity, 0, NotAPermutation),
+        (Permutation.identity, True, NotAPermutation),
+        (Permutation.longest, -2, NotAPermutation),
+        (iter_permutations, -1, NotAPermutation),
+        (iter_permutations, 2.5, NotAPermutation),
     ],
 )
 def test_size_must_be_a_positive_int(call, n, error):
@@ -167,6 +192,14 @@ def test_size_must_be_a_positive_int(call, n, error):
     # a TypeError and not size 1
     with pytest.raises(error, match="not an integer" if type(n) is not int else "must be positive"):
         call(n)
+
+
+@pytest.mark.parametrize("i, j", [(True, 1), (1, False), (1.0, 1), (2, "1"), (0, 1), (1, 5)])
+def test_position_must_be_an_int_in_range(example_a, i, j):
+    # no silent coercion: True is not row 1, and 1.0 is not a position
+    for call in (example_a.entry, functools.partial(asmlat.local_weak_contribution, example_a)):
+        with pytest.raises(IndexOutOfRange, match=r"outside 1\.\.4"):
+            call(i, j)
 
 
 def test_from_permutation_3412():

@@ -29,6 +29,7 @@ from asmlat import (
     try_cover,
     validate,
 )
+from asmlat import core
 from asmlat.core import AsmError, SizeMismatch
 from asmlat.poset import COVER_TYPES, CoverEdge, NotAnExchangeBlock, leq
 from asmlat.verify import bigrassmannians_below
@@ -233,10 +234,12 @@ def test_join_meet_match_checked_rebuild(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_join_meet_memo_matches_fresh_corner_sums(n):
     # join/meet keep the min/max table they built as the result's corner-sum
-    # memo; a fresh instance with the same entries, and no memo, must agree
+    # memo and the OR/AND of the codes as its order code; a fresh instance
+    # with the same entries, and no memos, must agree on both
     for _, _, j, m in _join_meet_sweep(n):
         for x in (j, m):
             assert corner_sum(x) == corner_sum(Asm(x.n, x.entries))
+            assert core._code(x) == core._code(Asm(x.n, x.entries))
 
 
 def test_corner_sum_memo_is_not_a_field(example_a, example_b):
