@@ -13,10 +13,14 @@ corner sum as a thermometer field (value c sets bits c and up of its
 field), so a smaller sum sets more bits.  The order tests of
 :mod:`asmlat.poset` read the code: A <= B iff A's bits are a subset of
 B's, the entrywise min and max of two tables are the OR and AND of their
-codes, and the popcount is beta(A) plus a constant of n.  Both memos are
-caches, not fields; they take no part in equality, hashing, ``repr`` or
-``to_json_dict``.  Each is a function of the entries, so two threads
-that fill one at once store the same value.
+codes, and the popcount is beta(A) plus a constant of n.  Only this
+module knows the code's layout: the encoder (:func:`_code`), the decoder
+(:func:`_from_code`, which rebuilds the entries from a code with a few
+byte translations and big-integer shifts, so join and meet never build a
+table) and the field of a given bit (:func:`_field_position`).  Both
+memos are caches, not fields; they take no part in equality, hashing,
+``repr`` or ``to_json_dict``.  Each is a function of the entries, so two
+threads that fill one at once store the same value.
 """
 
 from __future__ import annotations
@@ -301,6 +305,23 @@ def _field_codes(n: int) -> tuple[bytes, ...]:
     return tuple(((1 << 8 * w) - (1 << c)).to_bytes(w, "big") for c in range(n + 1))
 
 
+# For each byte value, the zeros below its lowest set bit, and 8 for a zero
+# byte: summed over a field's bytes, the corner sum the field holds.
+_ZEROS_BELOW = bytes(8 if b == 0 else (b & -b).bit_length() - 1 for b in range(256))
+# e + 1 in {0, 1, 2} to the signed byte e
+_SIGNED = bytes((255, 0, 1)) + bytes(253)
+
+
+@functools.cache
+def _decode_masks(n: int) -> tuple[int, int, int]:
+    """In the code's field layout: 1 in each field, 0xFF in each field's
+    low byte, and every bit of each field outside column 1."""
+    w = _width(n)
+    ones = int.from_bytes((bytes(w - 1) + b"\x01") * (n * n), "big")
+    inner = int.from_bytes((bytes(w) + b"\xff" * (w * (n - 1))) * n, "big")
+    return ones, 0xFF * ones, inner
+
+
 def _code(a: Asm) -> int:
     """a's order code, built on first use and then kept on a.
 
@@ -315,6 +336,38 @@ def _code(a: Asm) -> int:
             b"".join(map(codes.__getitem__, chain.from_iterable(_sums(a)))), "big"
         )
     return k
+
+
+def _from_code(n: int, k: int) -> Asm:
+    """The matrix whose order code is k, unchecked, with k as its code memo.
+
+    No step loops over the n * n positions.  Each code byte, translated,
+    gives the zeros below its lowest set bit; moving each field's bytes in
+    turn to its low byte and adding gives every corner sum c, in a field
+    of the code's width, so a sum past 255 carries within its field.  One
+    second difference of all fields at once, c(i, j) - c(i, j-1) -
+    c(i-1, j) + c(i-1, j-1) plus one, leaves e(i, j) + 1 in {0, 1, 2} in
+    each field's low byte, so no field borrows from the next.
+    """
+    w = _width(n)
+    size, f = w * n * n, 8 * w
+    ones, low, inner = _decode_masks(n)
+    t = int.from_bytes(k.to_bytes(size, "big").translate(_ZEROS_BELOW), "big")
+    s = t & low
+    for i in range(1, w):
+        s += (t >> 8 * i) & low
+    e = s + ones + ((s >> (n + 1) * f) & inner) - (s >> n * f) - ((s >> f) & inner)
+    signed = memoryview(e.to_bytes(size, "big")[w - 1 :: w].translate(_SIGNED)).cast("b")
+    a = Asm(n, tuple(zip(*[iter(signed)] * n)))
+    a.__dict__[_CODE] = k
+    return a
+
+
+def _field_position(n: int, bit: int) -> tuple[int, int]:
+    """The 1-based (r, s) of the field holding bit ``bit`` of an order
+    code; fields run row-major from the top bit down."""
+    p = n * n - 1 - bit // (8 * _width(n))
+    return p // n + 1, p % n + 1
 
 
 def corner_sum(a: Asm) -> CornerSumMatrix:
@@ -352,15 +405,6 @@ def _second_differences(sums: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
         rows.append(tuple(map(sub, step, (0, *step))))
         prev = cur
     return tuple(rows)
-
-
-def _with_sums(n: int, sums: tuple[tuple[int, ...], ...], code: int) -> Asm:
-    """The matrix whose corner sums are ``sums`` and whose order code is
-    ``code``, unchecked, both memos set."""
-    a = Asm(n, _second_differences(sums))
-    a.__dict__[_MEMO] = sums
-    a.__dict__[_CODE] = code
-    return a
 
 
 def from_corner_sum(c: CornerSumMatrix | Sequence[Sequence[int]]) -> Asm:

@@ -7,13 +7,14 @@ tests, and b covers a iff b's code adds exactly one bit to a's, so the
 corner sums differ at one position (r, s) only, by one.  Covering pairs
 differ by a single 2x2 block exchange adding [[-1, 1], [1, -1]]; the
 sixteen possible block contents classify every cover and determine how
-I, N and H move along the edge.  Join and meet build their entries from
-the entrywise min/max of the corner-sum tables, which the
-distributive-lattice structure guarantees to be valid, so they are not
-checked again; the result gets that table and the OR/AND of the codes as
-its memos.  The cover scan tests the corner sums around each position of
-the table.  Bigrassmannian permutations are built directly as block
-swaps.  This module's brute-force oracles live in asmlat.verify.
+I, N and H move along the edge.  Join and meet are the entrywise min and
+max of the corner sums, that is the OR and AND of the two codes, which
+the distributive-lattice structure guarantees to be the code of an ASM;
+core decodes the entries straight from it, unchecked, and the result
+keeps it as its order code.  The cover scan tests the corner sums around
+each position of the table.  Bigrassmannian permutations are built
+directly as block swaps.  This module's brute-force oracles live in
+asmlat.verify.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .core import (
     Permutation,
     SizeMismatch,
     _code,
+    _field_position,
+    _from_code,
     _require_size,
     _sums,
-    _width,
-    _with_sums,
 )
 
 class NotAnExchangeBlock(AsmError):
@@ -181,10 +182,7 @@ def try_cover(a: Asm, b: Asm) -> Optional[CoverEdge]:
     d = y & ~x
     if x & ~y or not d or d & (d - 1):
         return None
-    n = a.n
-    # fields run row-major from the top bit down
-    p = n * n - 1 - (d.bit_length() - 1) // (8 * _width(n))
-    return _edge(a, b, p // n + 1, p % n + 1)
+    return _edge(a, b, *_field_position(a.n, d.bit_length() - 1))
 
 
 def _exchange(row: tuple[int, ...], j: int, d: int) -> tuple[int, ...]:
@@ -226,19 +224,19 @@ def covers_down(b: Asm) -> list[CoverEdge]:
 
 
 def join(a: Asm, b: Asm) -> Asm:
-    """Least upper bound: entrywise minimum of corner sums."""
+    """Least upper bound: entrywise minimum of corner sums, the OR of the
+    order codes."""
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    sums = tuple(tuple(map(min, x, y)) for x, y in zip(_sums(a), _sums(b)))
-    return _with_sums(a.n, sums, _code(a) | _code(b))
+    return _from_code(a.n, _code(a) | _code(b))
 
 
 def meet(a: Asm, b: Asm) -> Asm:
-    """Greatest lower bound: entrywise maximum of corner sums."""
+    """Greatest lower bound: entrywise maximum of corner sums, the AND of
+    the order codes."""
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    sums = tuple(tuple(map(max, x, y)) for x, y in zip(_sums(a), _sums(b)))
-    return _with_sums(a.n, sums, _code(a) & _code(b))
+    return _from_code(a.n, _code(a) & _code(b))
 
 
 def is_bigrassmannian(w: Permutation) -> bool:

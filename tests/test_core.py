@@ -250,6 +250,17 @@ def test_from_corner_sum_round_trip(example_a):
     assert from_corner_sum(corner_sum(example_a)) == example_a
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_decoding_inverts_encoding(n):
+    # the decoder rebuilds every matrix from its order code alone and keeps
+    # that code as the result's memo
+    for a in enumerate_asms(n):
+        k = core._code(a)
+        x = core._from_code(n, k)
+        assert x == a
+        assert vars(x)[core._CODE] == k
+
+
 def test_from_corner_sum_rejects_bad_table():
     with pytest.raises(InvalidCornerSums):
         from_corner_sum([[1, 1], [1, 1]])

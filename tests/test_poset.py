@@ -209,20 +209,38 @@ def test_join_meet_are_bounds(pools):
                 assert leq(c, m)
 
 
+# sizes past A_6, with order-code fields of 1, 2, 3 and 33 bytes
+WIDE_SIZES = (7, 8, 9, 15, 16, 17, 260)
+
+
+def _random_perm(n, rng):
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return perm(*images)
+
+
 @functools.lru_cache(maxsize=None)
 def _join_meet_sweep(n):
     # the pairs both join/meet tests below check, with their join and meet,
-    # built once per n: every pair for n <= 4, 10,000 seeded draws above
-    universe = list(iter_asms(n))
+    # built once per n: every pair for n <= 4, 10,000 seeded draws for 5 and
+    # 6, and above that, where nothing is enumerated, pairs from seeded
+    # random permutations and the joins and meets of two of them
+    if n <= 6:
+        universe = list(iter_asms(n))
+    else:
+        rng = random.Random(n)
+        perms = [_random_perm(n, rng) for _ in range(8 if n < 256 else 4)]
+        universe = perms + [f(x, y) for x, y in itertools.combinations(perms, 2) for f in (join, meet)]
     if n <= 4:
         pairs = itertools.product(universe, repeat=2)
     else:
         rng = random.Random(n)
-        pairs = ((rng.choice(universe), rng.choice(universe)) for _ in range(10_000))
+        draws = 10_000 if n <= 6 else 100 if n < 256 else 4
+        pairs = ((rng.choice(universe), rng.choice(universe)) for _ in range(draws))
     return [(a, b, join(a, b), meet(a, b)) for a, b in pairs]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 7), *WIDE_SIZES])
 def test_join_meet_match_checked_rebuild(n):
     # join/meet skip the checks that from_corner_sum makes on the same table
     for a, b, j, m in _join_meet_sweep(n):
@@ -231,11 +249,12 @@ def test_join_meet_match_checked_rebuild(n):
         assert m == from_corner_sum([list(map(max, x, y)) for x, y in zip(ca, cb)])
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 7), *WIDE_SIZES])
 def test_join_meet_memo_matches_fresh_corner_sums(n):
-    # join/meet keep the min/max table they built as the result's corner-sum
-    # memo and the OR/AND of the codes as its order code; a fresh instance
-    # with the same entries, and no memos, must agree on both
+    # join/meet decode their entries from the OR/AND of the codes and keep
+    # it as the result's order code; the corner-sum table is built on first
+    # use.  A fresh instance with the same entries, and no memos, must agree
+    # on both
     for _, _, j, m in _join_meet_sweep(n):
         for x in (j, m):
             assert corner_sum(x) == corner_sum(Asm(x.n, x.entries))
