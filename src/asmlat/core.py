@@ -298,6 +298,11 @@ def _width(n: int) -> int:
     return n // 8 + 1
 
 
+def _field_bits(n: int) -> int:
+    """Bits per field of the order code."""
+    return 8 * _width(n)
+
+
 @functools.cache
 def _field_codes(n: int) -> tuple[bytes, ...]:
     """For each corner sum c in 0..n, its field: bits c .. 8 * width - 1 set."""
@@ -366,7 +371,7 @@ def _from_code(n: int, k: int) -> Asm:
 def _field_position(n: int, bit: int) -> tuple[int, int]:
     """The 1-based (r, s) of the field holding bit ``bit`` of an order
     code; fields run row-major from the top bit down."""
-    p = n * n - 1 - bit // (8 * _width(n))
+    p = n * n - 1 - bit // _field_bits(n)
     return p // n + 1, p % n + 1
 
 

@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .core import Asm, AsmError, _require_size, to_permutation
+from .core import Asm, AsmError, _require_size
 from .poset import _TYPE_BY_LOWER_BLOCK, _exchange
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import StatRecord, _record, _row_deltas
@@ -333,7 +333,7 @@ class HasseGraph:
         need not hold the whole text."""
         yield f"digraph asm_lattice_{self.n} {{\n  rankdir=BT;\n  node [shape=box];\n"
         for idx, node in enumerate(self.nodes):
-            attrs = [f'label="{_node_label(node.matrix)}"']
+            attrs = [f'label="{_node_label(node)}"']
             if highlight_ji and node.join_irreducible:
                 attrs.append("style=filled")
             yield f"  a{idx} [{', '.join(attrs)}];\n"
@@ -359,10 +359,13 @@ class HasseGraph:
         }
 
 
-def _node_label(a: Asm) -> str:
-    if a.is_permutation():
-        return str(to_permutation(a))
-    return "|".join(" ".join(str(v) for v in row) for row in a.entries)
+def _node_label(node: HasseNode) -> str:
+    """A permutation in one-line notation, as ``core.Permutation`` prints
+    it; any other matrix row by row."""
+    rows = node.matrix.entries
+    if node.record.minus == 0:
+        return ("," if len(rows) > 9 else "").join(str(row.index(1) + 1) for row in rows)
+    return "|".join([" ".join(map(str, row)) for row in rows])
 
 
 def build_hasse(n: int, limit_guard: Optional[int] = None) -> HasseGraph:

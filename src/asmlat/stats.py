@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import Asm, _require_position, minus_count
+from .core import Asm, _require_position, _sums, minus_count
 
 
 @dataclass(frozen=True)
@@ -136,22 +136,32 @@ def weak_inversion(a: Asm) -> Fraction:
     return Fraction(weak_inversion_twice(a), 2)
 
 
+_ZERO = Fraction(0)
+
+
 def local_weak_contribution(a: Asm, p: int, q: int) -> Fraction:
     """The local share H_pq of the weak inversion number at position (p, q).
 
-    Zero wherever a_pq = 0; summed over all positions it gives H(A).
+    Zero wherever a_pq = 0; summed over all positions it gives H(A).  It
+    is a_pq times half the entries strictly south-west and north-east of
+    (p, q) plus a quarter of those above it in its column and right of it
+    in its row, each read off the corner sums c(i, j), with
+    c(0, .) = c(., 0) = 0, in O(1); ``verify.scanned_local_weak_contribution``
+    counts the entries instead.
     """
     _require_position(a.n, p, q)
     apq = a.entries[p - 1][q - 1]
     if apq == 0:
-        return Fraction(0)
-    sw_ne = 0  # entries strictly south-west plus strictly north-east
-    for (r, s, v) in a.nonzeros():
-        if (r > p and s < q) or (r < p and s > q):
-            sw_ne += v
-    same_col_above = sum(a.entries[r][q - 1] for r in range(p - 1))
-    same_row_right = sum(a.entries[p - 1][s] for s in range(q, a.n))
-    return apq * (Fraction(sw_ne, 2) + Fraction(same_col_above + same_row_right, 4))
+        return _ZERO
+    sums = _sums(a)
+    row = sums[p - 1]
+    up = sums[p - 2] if p > 1 else (0,) * a.n
+    left, up_left = (row[q - 2], up[q - 2]) if q > 1 else (0, 0)
+    # c(n, j) = j and c(i, n) = i give the south-west and north-east blocks
+    sw_ne = (q - 1) - left + (p - 1) - up[q - 1]
+    above = up[q - 1] - up_left
+    right = 1 - row[q - 1] + up[q - 1]
+    return Fraction(apq * (2 * sw_ne + above + right), 4)
 
 
 def _row_deltas(i: int, col: Sequence[int], row: Sequence[int]) -> tuple[int, int, int]:

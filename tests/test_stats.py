@@ -11,11 +11,14 @@ from asmlat import (
     beta_row_weighted,
     beta_weighted,
     dual_inversion_number,
+    enumerate_asms,
     from_permutation,
     identity,
     inversion_list,
     inversion_number,
+    join,
     local_weak_contribution,
+    meet,
     minus_count,
     stat_record,
     validate,
@@ -24,6 +27,7 @@ from asmlat import (
 )
 from asmlat.core import IndexOutOfRange
 from asmlat.stats import classical_beta
+from asmlat.verify import scanned_local_weak_contribution
 
 
 # Quadruple-loop reference implementations, deliberately independent of the
@@ -150,6 +154,31 @@ def test_local_weak_contribution(example_a):
         local_weak_contribution(example_a, 0, 1)
     with pytest.raises(IndexOutOfRange):
         local_weak_contribution(example_a, 1, 5)
+
+
+def _random_asms(n, rng):
+    # four seeded random permutations with their joins and meets, most of
+    # which have -1 entries
+    perms = []
+    for _ in range(4):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        perms.append(from_permutation(Permutation.from_images(images)))
+    return perms + [f(x, y) for x in perms for y in perms if x != y for f in (join, meet)]
+
+
+def test_local_weak_contribution_matches_scan():
+    # the corner-sum reading against the entry scan at every position:
+    # all of A_n for n <= 5, then random matrices at n = 8..20
+    rng = random.Random(14)
+    matrices = [a for n in range(1, 6) for a in enumerate_asms(n)]
+    matrices += [a for n in (8, 9, 10, 13, 16, 20) for a in _random_asms(n, rng)]
+    assert sum(minus_count(a) > 0 for a in matrices if a.n >= 8) > 30
+    for a in matrices:
+        for p in range(1, a.n + 1):
+            for q in range(1, a.n + 1):
+                got = local_weak_contribution(a, p, q)
+                assert got == scanned_local_weak_contribution(a, p, q), (a, p, q)
 
 
 def test_stat_record(example_a, example_b):

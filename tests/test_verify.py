@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from asmlat import verify
+from asmlat import Permutation, from_permutation, poset, verify
 from asmlat.core import AsmError
 from asmlat.verify import SUITES
 
@@ -30,3 +32,24 @@ def test_report_counts_format():
     for line in report.lines:
         passed, checked = line.split(": ")[1].split("/")
         assert int(passed) == int(checked)
+
+
+def test_pass_counts_stay_in_range_when_covers_are_wrong(monkeypatch):
+    # every up edge sent to the reversal: an edge can break several claims
+    # of one suite at once, but it is one checked item, so it adds at most
+    # one failure and no line may report a negative or excess pass count
+    covers_up = poset.covers_up
+    def broken(a):
+        top = from_permutation(Permutation.longest(a.n))
+        return [dataclasses.replace(e, upper=top) for e in covers_up(a)]
+    monkeypatch.setattr(poset, "covers_up", broken)
+    report = verify(4)
+    counts = {}
+    for line in report.lines:
+        name, result = line.split(": ")
+        passed, checked = map(int, result.split("/"))
+        assert 0 <= passed <= checked, line
+        counts[name] = (passed, checked)
+    assert not report.ok
+    for name in ("cover-deltas-table", "cover-type-duality", "grading-and-reachability"):
+        assert counts[name][0] < counts[name][1], name
