@@ -92,17 +92,32 @@ def _add_matrix_args(sp) -> None:
     src.add_argument("--perm", help="one-line permutation, e.g. 3412 or 3,4,1,2")
 
 
+def _read_utf8(path: str) -> str:
+    """The file at path, or stdin for "-", decoded as strict UTF-8.
+
+    Stdin is read as bytes, since its text layer decodes by the locale
+    (the POSIX locale turns bad bytes into surrogates); a stdin with no
+    byte layer, such as an ``io.StringIO``, is already text.
+    """
+    if path == "-":
+        name, stream = "stdin", getattr(sys.stdin, "buffer", None)
+        if stream is None:
+            return sys.stdin.read()
+        data = stream.read()
+    else:
+        name = path
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise io.ParseError(f"{name}: byte {exc.start} is not UTF-8 text") from None
+
+
 def _load_matrix(args) -> Asm:
     if args.perm is not None:
         return from_permutation(io.parse_permutation(args.perm))
-    if args.matrix == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.matrix, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise io.ParseError(f"{args.matrix}: byte {exc.start} is not UTF-8 text") from None
+    text = _read_utf8(args.matrix)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return io.matrix_from_json(text)

@@ -192,6 +192,18 @@ def test_exit_domain_matrix_file_not_utf8(capsys, tmp_path, command):
     assert (code, out) == (2, "") and "not UTF-8" in err
 
 
+# a strict stdin raises on a bad byte; a surrogateescape one (the POSIX
+# locale's) turns it into a surrogate and lets it through as text
+@pytest.mark.parametrize("encoding, errors", [("utf-8", "strict"), ("ascii", "surrogateescape")])
+def test_exit_domain_stdin_not_utf8(capsys, monkeypatch, encoding, errors):
+    import io as _io
+
+    stdin = _io.TextIOWrapper(_io.BytesIO(b"\xff\xfe\n"), encoding=encoding, errors=errors)
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = invoke(capsys, "stats", "--matrix", "-")
+    assert (code, out, err) == (2, "", "asmlat: stdin: byte 0 is not UTF-8 text\n")
+
+
 def test_exit_guard(capsys, monkeypatch):
     monkeypatch.setenv("ASMLAT_GUARD", "10")
     code, _, err = invoke(capsys, "enumerate", "--size", "4")

@@ -1,10 +1,14 @@
 import dataclasses
+import importlib
 
 import pytest
 
-from asmlat import Permutation, from_permutation, poset, verify
+from asmlat import Permutation, build_hasse, from_permutation, poset, verify
 from asmlat.core import AsmError
-from asmlat.verify import SUITES
+from asmlat.verify import SUITES, generic_covers
+
+# the module, not the function asmlat.verify that shadows it
+verify_module = importlib.import_module("asmlat.verify")
 
 
 @pytest.mark.parametrize("n_max", [0, -2])
@@ -43,6 +47,8 @@ def test_pass_counts_stay_in_range_when_covers_are_wrong(monkeypatch):
         top = from_permutation(Permutation.longest(a.n))
         return [dataclasses.replace(e, upper=top) for e in covers_up(a)]
     monkeypatch.setattr(poset, "covers_up", broken)
+    # a fresh memo, so the suites find the broken covers, not kept ones
+    monkeypatch.setattr(verify_module, "_up", {})
     report = verify(4)
     counts = {}
     for line in report.lines:
@@ -53,3 +59,23 @@ def test_pass_counts_stay_in_range_when_covers_are_wrong(monkeypatch):
     assert not report.ok
     for name in ("cover-deltas-table", "cover-type-duality", "grading-and-reachability"):
         assert counts[name][0] < counts[name][1], name
+
+
+def test_verify_finds_each_matrix_up_covers_once(monkeypatch):
+    calls = []
+    covers_up = poset.covers_up
+    def counted(a):
+        calls.append(a)
+        return covers_up(a)
+    monkeypatch.setattr(poset, "covers_up", counted)
+    monkeypatch.setattr(verify_module, "_up", {})
+    assert verify(5).ok
+    # once per matrix of A_1 ... A_5: 1 + 2 + 7 + 42 + 429
+    assert len(calls) == len(set(calls)) == 481
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_generic_covers_are_the_hasse_edges(n):
+    graph = build_hasse(n)
+    want = {(e.lower, e.upper) for e in graph.edges}
+    assert generic_covers([node.matrix for node in graph.nodes]) == want
