@@ -140,7 +140,7 @@ def _cmd_count(args) -> int:
         count = enumeration.count_formula(args.size)
     else:
         # stream the matrices: counting needs none of them kept
-        enumeration._check_size(args.size, "asm", args.guard)
+        enumeration._check_size(args.size, args.guard)
         count = sum(1 for _ in enumeration.iter_asms(args.size))
     # exact at any size: str() of an int refuses more than 4,300 digits
     print(decimal.Decimal(count))

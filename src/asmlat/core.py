@@ -71,15 +71,13 @@ class IndexOutOfRange(AsmError):
 def _as_rows(raw: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """The rows as tuples; every entry must be an int (a bool is not)."""
     try:
-        rows = tuple(tuple(row) for row in raw)
+        rows = tuple(map(tuple, raw))
     except TypeError:
         raise NotSquare("a matrix must be a sequence of rows") from None
-    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
-        # find the first entry that is not an int, for the message
-        for i, row in enumerate(rows, start=1):
-            for j, x in enumerate(row, start=1):
-                if type(x) is not int:
-                    raise EntryOutOfRange(f"entry {x!r} at ({i}, {j}) is not an integer")
+    for i, row in enumerate(rows, start=1):
+        for j, x in enumerate(row, start=1):
+            if type(x) is not int:
+                raise EntryOutOfRange(f"entry {x!r} at ({i}, {j}) is not an integer")
     return rows
 
 

@@ -4,21 +4,21 @@ Generation runs row by row.  The search state is the vector of column
 prefix sums, each 0 or 1 (a row of the matrix's monotone triangle); a
 candidate row is any {-1, 0, 1} vector whose running prefix sums stay in
 {0, 1}, whose total is 1, and which keeps all column prefix sums in
-{0, 1}.  One row-transition table per size and universe, cached, lists
-every state's legal rows in row-major lexicographic order (entry order
--1 < 0 < 1), which is the package's canonical order, and what each row
-adds to I, N and beta.  A state's rows come from one sweep over its
-columns; the permutation table never makes a -1 branch.
+{0, 1}.  One row-transition table per size, cached, lists every state's
+legal rows in row-major lexicographic order (entry order -1 < 0 < 1),
+which is the package's canonical order, and what each row adds to I, N
+and beta.  A state's rows come from one sweep over its columns.
 
 Also here: the closed-form count; generating polynomials of the
-statistics and the signed permutation identity, by a DP over that table
-that lists no matrix and packs each state's polynomial into one integer,
-a fixed-width field per exponent; and the full cover graph with DOT and
-JSON export.  The graph comes from one walk of the table that
-carries each matrix's I, N and beta, and from a second table, cached
-per size as well, that lists for each two-row path the covers
-exchanging a block inside those rows and how far each moves the
-canonical index.
+statistics and the signed permutation identity, by a vertex DP that
+adds one position at a time, builds no table, lists no matrix and packs
+each state's polynomial into one integer, a fixed-width field per
+exponent; and the full cover graph with DOT and JSON export.  The graph
+comes from one walk of the row table that carries each matrix's I, N and
+beta, and from a second table, cached per size as well, that lists for
+each two-row path the covers exchanging a block inside those rows and
+how far each moves the canonical index.  The table and the DP read their
+shares of I, N and beta off one rule in ``stats``.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import Asm, AsmError, _require_size
 from .poset import _TYPE_BY_LOWER_BLOCK, _exchange
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
-from .stats import StatRecord, _record, _row_deltas
+from .stats import StatRecord, _entry_shares, _record, _row_beta
 
 DEFAULT_GUARD = 10**7
 
@@ -74,22 +74,20 @@ def count_formula(n: int) -> int:
     return num // den
 
 
-def _next_rows(
-    col: tuple[int, ...], perm_only: bool
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _next_rows(col: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All legal next rows for the given column prefix-sum vector, as
     (row, new column vector) in ascending lexicographic row order.
 
     One sweep over the columns, left to right, keeps every partial row
     with its new column prefix sums and its running sum; each extends by
     -1, 0, then 1 where that keeps both sums in {0, 1}, so the partial
-    rows stay in lexicographic order.  ``perm_only`` never makes a -1.
+    rows stay in lexicographic order.
     """
     partial = [((), (), 0)]
     for c in col:
         nxt = []
         for row, new, prefix in partial:
-            if c and prefix and not perm_only:
+            if c and prefix:
                 nxt.append((row + (-1,), new + (0,), 0))
             nxt.append((row + (0,), new + (c,), prefix))
             if not (c or prefix):
@@ -110,12 +108,13 @@ class _Step(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _row_table(n: int, perm_only: bool) -> dict[tuple[int, ...], tuple[_Step, ...]]:
+def _row_table(n: int) -> dict[tuple[int, ...], tuple[_Step, ...]]:
     """Every column prefix state of size n with its legal next rows, in
-    canonical order; ``perm_only`` makes only the rows with no -1.
+    canonical order.
 
-    The state before row i has sum i - 1; what a row adds to I, N and
-    beta is :func:`stats._row_deltas`.
+    The state before row i has sum i - 1; a row adds to I and N the
+    :func:`stats._entry_shares` of its positions and to beta its
+    :func:`stats._row_beta`.
     """
     table: dict[tuple[int, ...], tuple[_Step, ...]] = {}
     # one object per distinct row or state: all tables for n <= 10 then
@@ -128,9 +127,9 @@ def _row_table(n: int, perm_only: bool) -> dict[tuple[int, ...], tuple[_Step, ..
             continue
         i = 1 + sum(col)
         steps = []
-        for row, new in _next_rows(col, perm_only):
+        for row, new in _next_rows(col):
             row, new = shared.setdefault(row, row), shared.setdefault(new, new)
-            steps.append(_Step(row, new, *_row_deltas(i, col, row)))
+            steps.append(_Step(row, new, *_entry_shares(0, col, row), _row_beta(i, new)))
             todo.append(new)
         table[col] = tuple(steps)
     return table
@@ -150,7 +149,7 @@ def _cover_table(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, i
     earlier step, so the exchange moves the index by the change in those
     two terms alone: the rank delta.
     """
-    table = _row_table(n, False)
+    table = _row_table(n)
     paths = {(1,) * n: 1}  # paths from each state to the last
     for col in sorted(table, key=sum, reverse=True)[1:]:
         paths[col] = sum(paths[step.new] for step in table[col])
@@ -184,60 +183,122 @@ def _cover_table(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, i
     return cover
 
 
-# the exponent of λ each row adds, in half-units, never negative: each -1
-# and the 1 left of it add at least 1 to I (a 1 sits above the -1): ΔI >= ΔN
-_KEYS: dict[str, Callable[[_Step], int]] = {
-    "I": lambda s: 2 * s.d_inv,
-    "H": lambda s: 2 * s.d_inv - s.d_minus,
-    "beta": lambda s: 2 * s.d_beta,
-}
+# each statistic as weights on I, N and beta, and the factor that puts
+# its exponents in half-units: 2H = 2I - N already is
+_STATS = {"I": ((1, 0, 0), 2), "H": ((2, -1, 0), 1), "beta": ((0, 0, 1), 2)}
 _PAIRS = ("I:beta", "H:beta")
 
 
-def _path_sums(n: int, perm_only: bool, key: Callable[[_Step], int]) -> dict[int, int]:
-    """{exponent: number of matrices} over every path through the table,
-    ``key`` giving each step's share of the exponent, >= 0.  Lists no
-    matrix: each state carries its paths' polynomial as one int, x^e's
-    coefficient in field e of ``width`` bytes; a step is a shift and an add."""
-    table = _row_table(n, perm_only)
-    # no carry: a coefficient counts paths into one state, each extends
-    # to a distinct matrix, so it is at most |A_n| (n!) < 2^(8 * width)
-    width = (math.factorial(n) if perm_only else count_formula(n)).bit_length() // 8 + 1
-    layer = {(0,) * n: 1}
-    for _ in range(n):
-        nxt: dict[tuple[int, ...], int] = {}
-        for col, poly in layer.items():
-            for step in table[col]:
-                nxt[step.new] = nxt.get(step.new, 0) + (poly << 8 * width * key(step))
-        layer = nxt
-    poly = layer[(1,) * n]
+def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int) -> dict[int, int]:
+    """{exponent: number of matrices} over the ASMs of size n, or the
+    permutation matrices when not ``minus``, for the exponent
+    w_inv * I + w_minus * N + w_beta * beta; no position's or row's share
+    of it may be negative.
+
+    Lists no matrix.  The DP adds one position at a time, row by row, left
+    to right, in the six-vertex model's states: one int holding the
+    column sums of the rows so far as bits 0..n-1 and the current row's
+    running sum as bit n, each 0 or 1.  The entry is 0, or 1 where both
+    bits are 0, or -1 where both are 1 (ASMs only); a nonzero entry flips
+    both.  Shares come from the rule of ``stats``: each position's
+    :func:`stats._entry_shares`, and each row's :func:`stats._row_beta`
+    from the new column state, once the row ends in a state with running
+    sum 1.  Each state carries its paths' polynomial as one int, x^e's
+    coefficient in field e of ``width`` bytes; a move is a shift and an
+    add.
+    """
+    # no carry: a coefficient counts partial matrices into one state, and
+    # where the state can be completed each extends to a distinct matrix,
+    # so it is at most |A_n| (n!) < 2^(8 * width); a state that cannot
+    # (running sum 0, only columns at 1 left) never merges into one that
+    # can, and the row's end drops it
+    width = (count_formula(n) if minus else math.factorial(n)).bit_length() // 8 + 1
+    unit = 8 * width
+
+    def shift(entry: int) -> int:
+        d_inv, d_minus = _entry_shares(1, (1,), (entry,))
+        return unit * (w_inv * d_inv + w_minus * d_minus)
+
+    # only a position entered with both bits at 1 has a share: its 0 stays,
+    # its -1 turns both bits to 0
+    stay, down = shift(0), shift(-1)
+    row_bit = 1 << n
+    cols: list[tuple[int, ...]] = [()]  # cols[state]: its column sums
+    for _ in range(n if w_beta else 0):
+        cols = [c + (0,) for c in cols] + [c + (1,) for c in cols]
+    layer = {0: 1}
+    for i in range(1, n + 1):
+        for k in range(n):
+            flip = row_bit | 1 << k
+            nxt = {}
+            # a state with both bits at 0 and its flip with both at 1 reach
+            # each other by 1 and -1; a state with one bit at 1 only stays
+            for state, poly in layer.items():
+                both = state & flip
+                if not both:
+                    other = state ^ flip
+                    high = layer.get(other)
+                    if high is None:
+                        nxt[state] = nxt[other] = poly
+                    else:
+                        nxt[other] = (high << stay) + poly
+                        nxt[state] = poly + (high << down) if minus else poly
+                elif both == flip:
+                    other = state ^ flip
+                    if other not in layer:
+                        nxt[state] = poly << stay
+                        if minus:
+                            nxt[other] = poly << down
+                else:
+                    nxt[state] = poly
+            layer = nxt
+        ended = {}
+        for state, poly in layer.items():
+            if state & row_bit:
+                state ^= row_bit
+                if w_beta:
+                    poly <<= unit * w_beta * _row_beta(i, cols[state])
+                ended[state] = poly
+        layer = ended
+    poly = layer[row_bit - 1]
     data = poly.to_bytes((poly.bit_length() + 7) // 8, "little")
     fields = (int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width))
     return {e: c for e, c in enumerate(fields) if c}
 
 
-def _check_size(n: int, over: str, limit_guard: Optional[int]) -> bool:
-    """Refuse an unknown universe, a size that is not a positive int, or
-    |A_n| (n! for permutations) above :func:`resolve_guard`; True for them."""
-    if over not in ("asm", "perm"):
-        raise AsmError(f"unknown universe {over!r}; expected 'asm' or 'perm'")
-    _require_size(n)
-    perm_only = over == "perm"
-    what, size = ("n!", math.factorial(n)) if perm_only else (f"|A_{n}|", count_formula(n))
+def _raise_over_guard(what: str, size: int, limit_guard: Optional[int]) -> None:
     guard = resolve_guard(limit_guard)
     if size > guard:
         raise TooLarge(
             f"{what} = {decimal.Decimal(size)} exceeds guard {guard}; "
             "raise it with --guard N or ASMLAT_GUARD"
         )
-    return perm_only
+
+
+def _check_size(n: int, limit_guard: Optional[int]) -> None:
+    """Refuse a size that is not a positive int, or |A_n| above
+    :func:`resolve_guard`: the bound for listing A_n."""
+    _require_size(n)
+    _raise_over_guard(f"|A_{n}|", count_formula(n), limit_guard)
+
+
+def _check_dp(n: int, over: str, limit_guard: Optional[int]) -> bool:
+    """Refuse an unknown universe, a size that is not a positive int, or
+    more DP steps than :func:`resolve_guard` allows: n^2 positions, each
+    over at most 2^(n + 1) states.  True for ASMs, False for
+    permutations."""
+    if over not in ("asm", "perm"):
+        raise AsmError(f"unknown universe {over!r}; expected 'asm' or 'perm'")
+    _require_size(n)
+    _raise_over_guard(f"{n}^2 * 2^{n + 1} DP steps", n * n << n + 1, limit_guard)
+    return over == "asm"
 
 
 def iter_asms(n: int) -> Iterator[Asm]:
     """Stream every ASM of size n, canonical order, no guard, by walking
     the row table depth first."""
     _require_size(n)
-    table = _row_table(n, False)
+    table = _row_table(n)
 
     def rec(rows: list[tuple[int, ...]], col: tuple[int, ...]) -> Iterator[Asm]:
         if len(rows) == n:
@@ -256,7 +317,7 @@ def enumerate_asms(n: int, limit_guard: Optional[int] = None) -> list[Asm]:
     Refuses to run when the predicted count exceeds the guard
     (``limit_guard`` argument, ASMLAT_GUARD env var, or 10^7).
     """
-    _check_size(n, "asm", limit_guard)
+    _check_size(n, limit_guard)
     return list(iter_asms(n))
 
 
@@ -269,11 +330,14 @@ def genfun_stat(
     """Sum of λ^stat(A) over all ASMs (or permutation matrices) of size n.
 
     stat is one of "I", "H", "beta"; H produces half-integer exponents.
-    Computed by the row-table DP, without listing the matrices.
+    Computed by the vertex DP, without listing the matrices; the guard
+    bounds the DP's steps, n^2 * 2^(n + 1).
     """
-    if stat not in _KEYS:
+    if stat not in _STATS:
         raise AsmError(f"unknown statistic {stat!r}; expected I, H or beta")
-    return HalfIntPolynomial(_path_sums(n, _check_size(n, over, limit_guard), _KEYS[stat]))
+    weights, scale = _STATS[stat]
+    coeffs = _vertex_sums(n, _check_dp(n, over, limit_guard), *weights)
+    return HalfIntPolynomial({scale * e: c for e, c in coeffs.items()})
 
 
 def bivariate_genfun(
@@ -282,14 +346,15 @@ def bivariate_genfun(
     over: str = "asm",
     limit_guard: Optional[int] = None,
 ) -> BivariatePolynomial:
-    """Sum of λ^s1 q^s2 over the chosen universe, by the row-table DP."""
+    """Sum of λ^s1 q^s2 over the chosen universe, by the vertex DP."""
     if pair not in _PAIRS:
         raise AsmError(f"unknown pair {pair!r}; expected one of {sorted(_PAIRS)}")
-    perm_only = _check_size(n, over, limit_guard)
-    # one exponent: s1's half-units times a stride above beta's top, C(n + 1, 3)
-    first, stride = _KEYS[pair.split(":")[0]], math.comb(n + 1, 3) + 1
-    coeffs = _path_sums(n, perm_only, lambda s: first(s) * stride + s.d_beta)
-    return BivariatePolynomial({divmod(e, stride): c for e, c in coeffs.items()})
+    minus = _check_dp(n, over, limit_guard)
+    # one exponent: s1 times a stride above beta's top, C(n + 1, 3), plus beta
+    (w_inv, w_minus, _), scale = _STATS[pair.split(":")[0]]
+    stride = math.comb(n + 1, 3) + 1
+    coeffs = _vertex_sums(n, minus, w_inv * stride, w_minus * stride, 1)
+    return BivariatePolynomial({(scale * (e // stride), e % stride): c for e, c in coeffs.items()})
 
 
 def signed_identity_check(n: int, limit_guard: Optional[int] = None) -> tuple[bool, HalfIntPolynomial, HalfIntPolynomial]:
@@ -381,8 +446,8 @@ def build_hasse(n: int, limit_guard: Optional[int] = None) -> HasseGraph:
     lexicographically smaller, so read in (r, s) order the upper ends
     come out ascending and the edges need no sort.
     """
-    _check_size(n, "asm", limit_guard)
-    table, cover = _row_table(n, False), _cover_table(n)
+    _check_size(n, limit_guard)
+    table, cover = _row_table(n), _cover_table(n)
     # every upper end is an object of this list, not a fresh int per edge
     ids = list(range(count_formula(n)))
     lower_covers = [0] * len(ids)

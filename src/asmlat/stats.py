@@ -4,8 +4,10 @@ An inversion of A is a quadruple (i, j, k, l) with i < j, k < l and
 a_jk * a_il != 0: a nonzero entry with another nonzero entry strictly
 north-east of it.  The signed count I, its dual I*, the -1 count N, the
 weak inversion number H = I - N/2 and the lattice rank beta all live here.
-:func:`stat_record` and ``enumeration``'s row table read I, N and beta
-off one per-row rule, :func:`_row_deltas`, checked against the pair sums.
+:func:`stat_record`, ``enumeration``'s row table and its generating
+polynomial DP read I, N and beta off one rule, checked against the pair
+sums: :func:`_entry_shares`, each position's share of I and N, and
+:func:`_row_beta`, each row's share of beta.
 
 Half-integers are kept exact: H is exposed both as a Fraction and as the
 integer 2H; the local contributions H_pq are quarter-integer Fractions.
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .core import Asm, _require_position, _sums, minus_count
@@ -164,29 +168,33 @@ def local_weak_contribution(a: Asm, p: int, q: int) -> Fraction:
     return Fraction(apq * (2 * sw_ne + above + right), 4)
 
 
-def _row_deltas(i: int, col: Sequence[int], row: Sequence[int]) -> tuple[int, int, int]:
-    """What row i adds to I, N and beta, given ``col``, the column sums of
-    the rows above it (a row of the monotone triangle).
+def _entry_shares(left: int, aboves: Sequence[int], entries: Sequence[int]) -> tuple[int, int]:
+    """What a run of positions in one row adds to I and N, given
+    ``left``, the sum of the row's entries before the run, and for each
+    position its column sum over the rows above (``aboves``) and its
+    entry.
 
-    An entry's share of I is its product with the column sums strictly to
-    its right, the entries north-east of it; N gains the row's -1 count;
-    beta gains sum_j (min(i, j) - c(i, j)) over the row's corner sums
-    c(i, j), which over all rows is :func:`beta_corner`.
+    I sums a_jk * a_il over i < j, k < l; the terms with j and l fixed add
+    up to the product of the row sum left of (j, l) and the column sum
+    above it, whatever the entry at (j, l) is.  N counts the -1s.  In an
+    ASM both sums are 0 or 1, and a -1 has both at 1, so no position's
+    share of I, N or 2H = 2I - N is negative, and only a position with
+    both sums at 1 has a share at all.
     """
-    n = len(row)
-    d_inv = d_minus = weighted = above = right = 0
-    for j in range(n - 1, -1, -1):
-        r = row[j]
-        if r:
-            d_inv += r * right
-            weighted += r * (n - j)
-            if r < 0:
-                d_minus += 1
-        above += right
-        right += col[j]
-    # sum_j min(i, j) = i(2n - i + 1)/2, sum_j c(i, j) = n(i - 1) - above + weighted;
-    # a prefix sum is 0 or 1, so c(i, j) <= min(i, j) and the share is >= 0
-    return d_inv, d_minus, i * (2 * n - i + 1) // 2 - n * (i - 1) + above - weighted
+    return sum(map(mul, accumulate(entries, initial=left), aboves)), entries.count(-1)
+
+
+def _row_beta(i: int, new: Sequence[int]) -> int:
+    """What row i adds to beta, given ``new``, the column sums of rows
+    1..i: sum_j (min(i, j) - c(i, j)) over its corner sums c(i, j), which
+    over all rows is :func:`beta_corner`.
+
+    sum_j min(i, j) is i(2n - i + 1)/2, and c(i, j) is the running sum of
+    ``new`` up to column j.  A prefix sum is 0 or 1, so c(i, j) <=
+    min(i, j) and the share is never negative.
+    """
+    n = len(new)
+    return i * (2 * n - i + 1) // 2 - sum(accumulate(new))
 
 
 def _record(n: int, inv: int, minus: int, beta: int) -> StatRecord:
@@ -196,15 +204,16 @@ def _record(n: int, inv: int, minus: int, beta: int) -> StatRecord:
 
 
 def stat_record(a: Asm) -> StatRecord:
-    """All five statistics in one pass of :func:`_row_deltas` over the
-    rows, completed by :func:`_record`.  The definitional functions above
-    are its oracles."""
-    col = [0] * a.n
+    """All five statistics in one pass over the rows, each adding its
+    positions' :func:`_entry_shares` and its :func:`_row_beta`, completed
+    by :func:`_record`.  The definitional functions above are its
+    oracles."""
+    col = (0,) * a.n
     inv = minus = rank = 0
     for i, row in enumerate(a.entries, 1):
-        d_inv, d_minus, d_beta = _row_deltas(i, col, row)
-        inv, minus, rank = inv + d_inv, minus + d_minus, rank + d_beta
-        col = [c + r for c, r in zip(col, row)]
+        d_inv, d_minus = _entry_shares(0, col, row)
+        col = tuple(map(add, col, row))
+        inv, minus, rank = inv + d_inv, minus + d_minus, rank + _row_beta(i, col)
     return _record(a.n, inv, minus, rank)
 
 

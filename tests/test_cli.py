@@ -155,7 +155,7 @@ def test_parser_reused_across_calls(capsys, monkeypatch, tmp_path):
         (["count"], 1),
         (["genfun", "--size", "3", "--stat", "I"], 0),
         (["stats", "--matrix", str(bad)], 2),
-        (["genfun", "--size", "9", "--stat", "I"], 3),
+        (["genfun", "--size", "15", "--stat", "I"], 3),
         (["genfun", "--size", "3", "--stat", "I"], 0),
     ]
     for argv, code in calls:
@@ -217,6 +217,18 @@ def test_exit_guard_message(capsys):
         assert code == 3 and out == ""
         assert "|A_4| = 42 exceeds guard 10" in err
         assert "--guard N" in err and "ASMLAT_GUARD" in err
+
+
+def test_genfun_guard_bounds_dp_steps(capsys, monkeypatch):
+    # |A_8| is above the default guard, the DP's 8^2 * 2^9 steps are not
+    monkeypatch.delenv("ASMLAT_GUARD", raising=False)
+    code, out, _ = invoke(capsys, "genfun", "--size", "8", "--stat", "I", "--format", "json")
+    assert code == 0
+    assert sum(c for _, c in json.loads(out)["terms"]) == count_formula(8) > 10**7
+    code, out, err = invoke(capsys, "genfun", "--size", "15", "--stat", "I")
+    assert (code, out) == (3, "")
+    assert "15^2 * 2^16 DP steps = 14745600 exceeds guard 10000000" in err
+    assert "--guard N" in err and "ASMLAT_GUARD" in err
 
 
 def test_exit_domain_bad_guard(capsys, monkeypatch):

@@ -21,9 +21,9 @@ from asmlat import (
     validate,
 )
 from asmlat.core import AsmError, minus_count
-from asmlat.enumeration import _path_sums, _row_table
-from asmlat.polynomials import HalfIntPolynomial
-from asmlat.stats import beta_corner, inversion_number
+from asmlat.enumeration import _row_table, _vertex_sums
+from asmlat.polynomials import BivariatePolynomial, HalfIntPolynomial
+from asmlat.stats import _entry_shares, _row_beta, beta_corner, classical_beta, inversion_number
 
 from pathlib import Path
 
@@ -71,7 +71,7 @@ def test_guard():
 def test_guard_message_names_the_override():
     with pytest.raises(TooLarge, match=r"\|A_6\| = 7436 exceeds guard 100; .*--guard N.*ASMLAT_GUARD"):
         enumerate_asms(6, limit_guard=100)
-    with pytest.raises(TooLarge, match=r"n! = 5040 .*--guard N"):
+    with pytest.raises(TooLarge, match=r"7\^2 \* 2\^8 DP steps = 12544 .*--guard N.*ASMLAT_GUARD"):
         genfun_stat(7, "I", over="perm", limit_guard=10)
 
 
@@ -186,10 +186,19 @@ def test_iter_asms_streams():
 
 def test_row_table_paths_count_matrices():
     for n in range(1, 11):
-        # with every exponent at 0 the DP counts paths, and the whole count
+        table = _row_table(n)
+        paths = {(1,) * n: 1}  # paths from each state to the last
+        for col in sorted(table, key=sum, reverse=True)[1:]:
+            paths[col] = sum(paths[step.new] for step in table[col])
+        assert paths[(0,) * n] == count_formula(n)
+
+
+def test_vertex_dp_counts_matrices():
+    for n in range(1, 11):
+        # with every weight at 0 the DP counts paths, and the whole count
         # sits in one field
-        assert _path_sums(n, False, lambda s: 0) == {0: count_formula(n)}
-        assert _path_sums(n, True, lambda s: 0) == {0: math.factorial(n)}
+        assert _vertex_sums(n, True, 0, 0, 0) == {0: count_formula(n)}
+        assert _vertex_sums(n, False, 0, 0, 0) == {0: math.factorial(n)}
 
 
 # sha256 of str(poly) + "\n" + its JSON, recorded with the coefficient-map
@@ -217,12 +226,11 @@ def test_genfun_output_pinned_past_seven(n, over, what):
     assert hashlib.sha256(text.encode()).hexdigest() == _BIG_DIGESTS[n, over, what]
 
 
-@pytest.mark.parametrize("perm_only", [False, True])
-def test_row_deltas_never_negative(perm_only):
-    # every share the DP packs is >= 0, and a step's beta share is
+def test_row_deltas_never_negative():
+    # every step's shares are >= 0, and its beta share is
     # sum_j (min(i, j) - c(i, j)) over the corner sums of its new state
     for n in range(1, 9):
-        for col, steps in _row_table(n, perm_only).items():
+        for col, steps in _row_table(n).items():
             i = 1 + sum(col)
             for step in steps:
                 corner = itertools.accumulate(step.new)
@@ -231,19 +239,36 @@ def test_row_deltas_never_negative(perm_only):
                 assert step.d_beta == want >= 0
 
 
-@pytest.mark.parametrize("perm_only", [False, True])
-def test_row_table_matches_brute_force(perm_only):
+def test_vertex_shares_never_negative():
+    # every move of the vertex DP: entry e at a position entered with
+    # running row sum `left` and column sum `above`, both kept in {0, 1}
+    for left, above, e in itertools.product((0, 1), (0, 1), (-1, 0, 1)):
+        if left + e not in (0, 1) or above + e not in (0, 1):
+            continue
+        d_inv, d_minus = _entry_shares(left, (above,), (e,))
+        assert (d_inv, d_minus) == (left * above, int(e == -1))
+        assert d_inv >= 0 and d_minus >= 0 and 2 * d_inv - d_minus >= 0
+    # and every row's beta share, from any column state with sum i
+    for n in range(1, 9):
+        for new in itertools.product((0, 1), repeat=n):
+            i = sum(new)
+            if i:
+                corner = itertools.accumulate(new)
+                want = sum(min(i, j) - c for j, c in enumerate(corner, 1))
+                assert _row_beta(i, new) == want >= 0
+
+
+def test_row_table_matches_brute_force():
     # every state's steps are the rows of {-1, 0, 1}^n, in lexicographic
-    # order, whose running sums stay in {0, 1}, whose total is 1, which
-    # keep the state in {0, 1}, and which hold no -1 for permutations
+    # order, whose running sums stay in {0, 1}, whose total is 1 and
+    # which keep the state in {0, 1}
     for n in range(1, 8):
         rows = [
             row
             for row in itertools.product((-1, 0, 1), repeat=n)
             if set(itertools.accumulate(row)) <= {0, 1} and sum(row) == 1
-            and not (perm_only and -1 in row)
         ]
-        table = _row_table(n, perm_only)
+        table = _row_table(n)
         assert set(table) == set(itertools.product((0, 1), repeat=n))
         for col, steps in table.items():
             want = [row for row in rows if all(c + r in (0, 1) for c, r in zip(col, row))]
@@ -253,10 +278,26 @@ def test_row_table_matches_brute_force(perm_only):
             ]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_perm_genfun_matches_brute_force(n):
+    # over S_n by its one-line notation alone: inversions, and beta by the
+    # 2011 permutation formula
+    want_i, want_beta, want_pair = {}, {}, {}
+    for images in itertools.permutations(range(1, n + 1)):
+        inv = sum(x > y for x, y in itertools.combinations(images, 2))
+        beta = classical_beta(images)
+        for want, key in ((want_i, 2 * inv), (want_beta, 2 * beta), (want_pair, (2 * inv, beta))):
+            want[key] = want.get(key, 0) + 1
+    assert genfun_stat(n, "I", "perm") == genfun_stat(n, "H", "perm") == HalfIntPolynomial(want_i)
+    assert genfun_stat(n, "beta", "perm") == HalfIntPolynomial(want_beta)
+    for pair in ("I:beta", "H:beta"):
+        assert bivariate_genfun(n, pair, "perm") == BivariatePolynomial(want_pair)
+
+
 def test_row_table_deltas_sum_to_statistics(pools):
     # along the rows of a matrix the table's deltas add up to I, N and beta
     for n in (3, 4, 5):
-        table = _row_table(n, False)
+        table = _row_table(n)
         for a in pools[n]:
             col, total = (0,) * n, [0, 0, 0]
             for row in a.entries:
@@ -266,14 +307,29 @@ def test_row_table_deltas_sum_to_statistics(pools):
             assert total == [inversion_number(a), minus_count(a), beta_corner(a)]
 
 
-def test_genfun_guard_still_counts_matrices():
-    # the DP lists no matrix, but the guard still bounds |A_n| and n!
-    with pytest.raises(TooLarge, match=r"\|A_5\| = 429"):
-        genfun_stat(5, "beta", limit_guard=428)
-    with pytest.raises(TooLarge, match=r"n! = 120"):
-        bivariate_genfun(5, "I:beta", over="perm", limit_guard=119)
-    with pytest.raises(TooLarge, match=r"n! = 3628800"):
-        signed_identity_check(10, limit_guard=10**6)
+def test_genfun_guard_counts_dp_steps():
+    # the DP lists no matrix: the guard bounds its n^2 * 2^(n + 1) steps
+    # in either universe, not |A_n| or n!
+    with pytest.raises(TooLarge, match=r"5\^2 \* 2\^6 DP steps = 1600 exceeds guard 1599"):
+        genfun_stat(5, "beta", limit_guard=1599)
+    assert genfun_stat(5, "beta", limit_guard=1600).evaluate_at_one() == 429
+    with pytest.raises(TooLarge, match=r"= 1600 exceeds guard 1599"):
+        bivariate_genfun(5, "I:beta", over="perm", limit_guard=1599)
+    # the default 10^7 admits n <= 14, though |A_8| is above it already
+    assert count_formula(8) > 10**7
+    assert genfun_stat(8, "I", limit_guard=10**7).evaluate_at_one() == count_formula(8)
+    assert 14**2 * 2**15 <= 10**7 < 15**2 * 2**16
+    with pytest.raises(TooLarge, match=r"15\^2 \* 2\^16 DP steps = 14745600 exceeds guard 10000000"):
+        signed_identity_check(15, limit_guard=10**7)
+
+
+@pytest.mark.parametrize("stat", ["I", "H", "beta"])
+def test_genfun_at_twelve(stat):
+    # past every size the enumeration reaches: the coefficients still sum
+    # to |A_12|, and the beta and H polynomials are palindromic
+    poly = genfun_stat(12, stat)
+    assert poly.evaluate_at_one() == count_formula(12)
+    assert poly.is_palindromic() == (stat != "I")
 
 
 @pytest.mark.parametrize("n", [-1, 0])
