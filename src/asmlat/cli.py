@@ -15,7 +15,7 @@ import decimal
 import functools
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from . import enumeration, io, poset
 from .verify import verify as run_verify
@@ -181,13 +181,13 @@ def _cmd_covers(args) -> int:
 def _cmd_hasse(args) -> int:
     graph = enumeration.build_hasse(args.size, args.guard)
     if args.output == "dot":
-        # in batches of lines: the whole text of a large diagram outweighs
-        # the graph, and one write per line is slower than one per batch
-        lines = graph._dot_lines(args.highlight_ji)
-        while chunk := "".join(islice(lines, 16384)):
-            sys.stdout.write(chunk)
+        pieces = graph._dot_lines(args.highlight_ji)
     else:
-        print(json.dumps(graph.to_json_dict()))
+        pieces = chain(graph._json_chunks(), ("\n",))
+    # in batches of pieces: the whole text of a large diagram outweighs
+    # the graph, and one write per piece is slower than one per batch
+    while chunk := "".join(islice(pieces, 16384)):
+        sys.stdout.write(chunk)
     return EXIT_OK
 
 

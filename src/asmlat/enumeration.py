@@ -13,12 +13,14 @@ Also here: the closed-form count; generating polynomials of the
 statistics and the signed permutation identity, by a vertex DP that
 adds one position at a time, builds no table, lists no matrix and packs
 each state's polynomial into one integer, a fixed-width field per
-exponent; and the full cover graph with DOT and JSON export.  The graph
-comes from one walk of the row table that carries each matrix's I, N and
-beta, and from a second table, cached per size as well, that lists for
-each two-row path the covers exchanging a block inside those rows and
-how far each moves the canonical index.  The table and the DP read their
-shares of I, N and beta off one rule in ``stats``.
+exponent; and the full cover graph.  The graph comes from one walk of
+the row table that carries each matrix's I, N and beta, and from a second
+table, cached per size as well, that lists for each two-row path the
+covers exchanging a block inside those rows and how far each moves the
+canonical index.  Its nodes and edges are named tuples, and its DOT and
+JSON texts come as a stream of pieces, one per node or edge, built from
+the text of each distinct row and record, made once.  The table and the
+DP read their shares of I, N and beta off one rule in ``stats``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from __future__ import annotations
 import decimal
 import functools
 import itertools
+import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import Asm, AsmError, _require_size
 from .poset import _TYPE_BY_LOWER_BLOCK, _exchange
@@ -266,20 +269,44 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int) -> 
     return {e: c for e, c in enumerate(fields) if c}
 
 
-def _raise_over_guard(what: str, size: int, limit_guard: Optional[int]) -> None:
+# a size at or past this is refused as at least this bound, on a lower
+# bound past it, and neither made nor printed in full: printing takes time
+# quadratic in the digits
+_SHOWN = 10**10000
+
+
+def _raise_over_guard(what: str, sizes: Iterable[int], limit_guard: Optional[int]) -> None:
+    """Refuse a size above :func:`resolve_guard`.  ``sizes`` are rising
+    lower bounds on it, the last the size itself; they are read until
+    one is above both the guard and ``_SHOWN``."""
     guard = resolve_guard(limit_guard)
+    for size in sizes:
+        if size > guard and size >= _SHOWN:
+            break
     if size > guard:
+        shown = f"= {decimal.Decimal(size)}" if size < _SHOWN else ">= 10^10000"
         raise TooLarge(
-            f"{what} = {decimal.Decimal(size)} exceeds guard {guard}; "
+            f"{what} {shown} exceeds guard {decimal.Decimal(guard)}; "
             "raise it with --guard N or ASMLAT_GUARD"
         )
 
 
+def _asm_counts() -> Iterator[int]:
+    """|A_1|, |A_2|, ..., each from the last by the ratio of the count
+    formula's products: |A_(k+1)| = |A_k| C(3k + 1, k) / C(2k, k)."""
+    count, k = 1, 1
+    while True:
+        yield count
+        count = count * math.comb(3 * k + 1, k) // math.comb(2 * k, k)
+        k += 1
+
+
 def _check_size(n: int, limit_guard: Optional[int]) -> None:
     """Refuse a size that is not a positive int, or |A_n| above
-    :func:`resolve_guard`: the bound for listing A_n."""
+    :func:`resolve_guard`: the bound for listing A_n.  |A_k| rises with
+    k, so the walk to |A_n| stops early for a large n."""
     _require_size(n)
-    _raise_over_guard(f"|A_{n}|", count_formula(n), limit_guard)
+    _raise_over_guard(f"|A_{n}|", itertools.islice(_asm_counts(), n), limit_guard)
 
 
 def _check_dp(n: int, over: str, limit_guard: Optional[int]) -> bool:
@@ -290,7 +317,13 @@ def _check_dp(n: int, over: str, limit_guard: Optional[int]) -> bool:
     if over not in ("asm", "perm"):
         raise AsmError(f"unknown universe {over!r}; expected 'asm' or 'perm'")
     _require_size(n)
-    _raise_over_guard(f"{n}^2 * 2^{n + 1} DP steps", n * n << n + 1, limit_guard)
+
+    def steps() -> Iterator[int]:
+        # first a lower bound cheap to make: 2^(n + 1), capped just past _SHOWN
+        yield 1 << min(n + 1, _SHOWN.bit_length())
+        yield n * n << n + 1
+
+    _raise_over_guard(f"{n}^2 * 2^{n + 1} DP steps", steps(), limit_guard)
     return over == "asm"
 
 
@@ -368,18 +401,38 @@ def signed_identity_check(n: int, limit_guard: Optional[int] = None) -> tuple[bo
     return lhs == rhs, lhs, rhs
 
 
-@dataclass(frozen=True)
-class HasseNode:
+class HasseNode(NamedTuple):
     matrix: Asm
     record: StatRecord
     join_irreducible: bool
 
 
-@dataclass(frozen=True)
-class HasseEdge:
+class HasseEdge(NamedTuple):
     lower: int  # node indices into HasseGraph.nodes
     upper: int
     cover_type: int
+
+
+class _Texts(dict):
+    """Each key's text, made by ``make`` on first use and kept: a graph's
+    nodes share a few distinct rows and records."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self.make(key)
+        return text
+
+
+def _listed(items: Iterator[str]) -> Iterator[str]:
+    """The items of a JSON list as pieces, each after the first behind
+    its ", "."""
+    for first in items:
+        yield first
+        # the rest: the loop ends with them
+        yield from map(", ".__add__, items)
 
 
 @dataclass(frozen=True)
@@ -395,15 +448,21 @@ class HasseGraph:
 
     def _dot_lines(self, highlight_ji: bool) -> Iterator[str]:
         """The DOT text line by line, each with its newline, so a writer
-        need not hold the whole text."""
+        need not hold the whole text.  A node's label is a permutation in
+        one-line notation, as ``core.Permutation`` prints it, or any other
+        matrix row by row."""
         yield f"digraph asm_lattice_{self.n} {{\n  rankdir=BT;\n  node [shape=box];\n"
-        for idx, node in enumerate(self.nodes):
-            attrs = [f'label="{_node_label(node)}"']
-            if highlight_ji and node.join_irreducible:
-                attrs.append("style=filled")
-            yield f"  a{idx} [{', '.join(attrs)}];\n"
-        for e in self.edges:
-            yield f'  a{e.lower} -> a{e.upper} [label="t{e.cover_type}"];\n'
+        digit = _Texts(lambda row: str(row.index(1) + 1)).__getitem__
+        entries = _Texts(lambda row: " ".join(map(str, row))).__getitem__
+        comma = "," if self.n > 9 else ""
+        filled = ", style=filled" if highlight_ji else ""
+        for idx, (matrix, record, join_irreducible) in enumerate(self.nodes):
+            if record.minus:
+                label = "|".join(map(entries, matrix.entries))
+            else:
+                label = comma.join(map(digit, matrix.entries))
+            yield '  a%d [label="%s"%s];\n' % (idx, label, filled if join_irreducible else "")
+        yield from map('  a%d -> a%d [label="t%d"];\n'.__mod__, self.edges)
         yield "}\n"
 
     def to_json_dict(self) -> dict:
@@ -423,14 +482,22 @@ class HasseGraph:
             ],
         }
 
-
-def _node_label(node: HasseNode) -> str:
-    """A permutation in one-line notation, as ``core.Permutation`` prints
-    it; any other matrix row by row."""
-    rows = node.matrix.entries
-    if node.record.minus == 0:
-        return ("," if len(rows) > 9 else "").join(str(row.index(1) + 1) for row in rows)
-    return "|".join([" ".join(map(str, row)) for row in rows])
+    def _json_chunks(self) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_json_dict())`` in pieces, one
+        per node and one per edge, so a writer need not hold it whole;
+        each distinct row's and record's text is made once."""
+        rows = _Texts(lambda row: json.dumps(list(row))).__getitem__
+        stats = _Texts(lambda record: json.dumps(record.to_json_dict())).__getitem__
+        matrix = '{"matrix": {"n": %d, "entries": [' % self.n
+        yield '{"n": %d, "nodes": [' % self.n
+        yield from _listed(
+            f'{matrix}{", ".join(map(rows, a.entries))}]}}, "stats": {stats(record)}, '
+            f'"join_irreducible": {"true" if join_irreducible else "false"}}}'
+            for a, record, join_irreducible in self.nodes
+        )
+        yield '], "edges": ['
+        yield from _listed(map('{"lower": %d, "upper": %d, "type": %d}'.__mod__, self.edges))
+        yield "]}"
 
 
 def build_hasse(n: int, limit_guard: Optional[int] = None) -> HasseGraph:

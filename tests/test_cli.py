@@ -1,13 +1,16 @@
 import decimal
 import json
 import os
+import hashlib
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from asmlat import cli
+from asmlat import cli, enumeration
 from asmlat.cli import run
 from asmlat.enumeration import build_hasse, count_formula
 
@@ -133,6 +136,79 @@ def test_hasse_dot_written_in_batches_equals_to_dot(capsys, highlight):
     assert out == build_hasse(6).to_dot(highlight_ji=bool(highlight))
 
 
+# sha256 of `hasse --size n` as DOT, DOT with --highlight-ji and JSON
+# (with or without the flag), recorded before the DOT and JSON writers
+# were rewritten to stream
+HASSE_SHA256 = {
+    1: (
+        "0c94d8e5233d3846aac585048d3270ec952a402f2d01ba9b45b340630185fd7f",
+        "0c94d8e5233d3846aac585048d3270ec952a402f2d01ba9b45b340630185fd7f",
+        "b65689ec4b7afebc4de69e4d2ef267bffa5eb385059a63254910b77781688c44",
+    ),
+    2: (
+        "3da256f2dd13ee834999f7861dce4845acd61ae52cc7c2bd9edaea850b080f70",
+        "881cbf5e5aed85c9e29b7c99563b01a323216a24a8653de0acf0b6d071a33dbe",
+        "2be6c92003a0ad501694a903b0ee0f2c205b9d63af58a4f476658fca53c8ecb5",
+    ),
+    3: (
+        "240b75622fbe353854520d86ee4e668cb268a1ad6daef50d66edea8f5e8f6b4e",
+        "f55285fe33f5e5eae89b530ca568d3a7addc53d93fa57d2dbac3d4eb981e8182",
+        "80e223668fac86918048ef7a786ec68d189068800199149d158054c1905aae87",
+    ),
+    4: (
+        "321dac9dd727cd8dba53c0bf37899de95615f44a45993ef143a7cf6c9f003ec2",
+        "17491dac464730501952b461140aae88b57b72bd621bde3548525c0161c17a90",
+        "2de799b386c8a1316766aa9b42b3de1b481e53dca6dafae6c7f10a262671b7ff",
+    ),
+    5: (
+        "beffcbc2006f2c54e0749f5e7673fac43081676cae47b1ecb0a346ef7c6131b0",
+        "f043495db8853a4916814e34d7364c33c0c69705efd4f143b77b82d5d2b88729",
+        "a304936e5cc71f8ed78b1c1a6870a8f926edfdde9af1587ac0f2e014830961d1",
+    ),
+    6: (
+        "8ba0c7da7474e1e6938368df4c3b2209045bf4e715dd13dfd4d46e42347d637f",
+        "efb2d681de402a136ed96ce2ef5948c46b0e1df8aa3461c9d9dfcf3d78cbdee8",
+        "e317c346ee8ea087b192cd1537602cdeee57e2b1cb0a9208a9617811cd34a0e1",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize(
+    "fmt, highlight, column",
+    [("dot", [], 0), ("dot", ["--highlight-ji"], 1), ("json", [], 2), ("json", ["--highlight-ji"], 2)],
+)
+def test_hasse_output_bytes_pinned(capsys, n, fmt, highlight, column):
+    code, out, _ = invoke(capsys, "hasse", "--size", str(n), "--output", fmt, *highlight)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HASSE_SHA256[n][column]
+
+
+def test_hasse_json_streams(monkeypatch):
+    # the JSON text is 1.7 times the DOT text, and neither is held whole:
+    # both peaks are mostly the graph
+    enumeration._cover_table(6)  # the cached tables stay out of both peaks
+
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    peaks, sizes = {}, {}
+    for fmt in ("dot", "json"):
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            assert run(["hasse", "--size", "6", "--output", fmt]) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes[fmt] = sys.stdout.size
+    assert sizes["json"] > 1.5 * sizes["dot"]
+    assert peaks["json"] <= 1.5 * peaks["dot"]
+
+
 def test_verify_small(capsys):
     code, out, _ = invoke(capsys, "verify", "--max", "2")
     assert code == 0
@@ -217,6 +293,25 @@ def test_exit_guard_message(capsys):
         assert code == 3 and out == ""
         assert "|A_4| = 42 exceeds guard 10" in err
         assert "--guard N" in err and "ASMLAT_GUARD" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--size", "20000"],
+        ["count", "--method", "enumerate", "--size", "3000"],
+        ["genfun", "--size", "1000000", "--stat", "I"],
+    ],
+)
+def test_guard_refuses_a_huge_size_at_once(capsys, monkeypatch, argv):
+    # the refusal compares a bound: the exact size would take minutes to
+    # compute or to print
+    monkeypatch.delenv("ASMLAT_GUARD", raising=False)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert ">= 10^10000 exceeds guard 10000000; raise it with --guard N or ASMLAT_GUARD" in err
 
 
 def test_genfun_guard_bounds_dp_steps(capsys, monkeypatch):

@@ -21,7 +21,7 @@ from asmlat import (
     validate,
 )
 from asmlat.core import AsmError, minus_count
-from asmlat.enumeration import _row_table, _vertex_sums
+from asmlat.enumeration import HasseEdge, HasseNode, _asm_counts, _row_table, _vertex_sums
 from asmlat.polynomials import BivariatePolynomial, HalfIntPolynomial
 from asmlat.stats import _entry_shares, _row_beta, beta_corner, classical_beta, inversion_number
 
@@ -73,6 +73,24 @@ def test_guard_message_names_the_override():
         enumerate_asms(6, limit_guard=100)
     with pytest.raises(TooLarge, match=r"7\^2 \* 2\^8 DP steps = 12544 .*--guard N.*ASMLAT_GUARD"):
         genfun_stat(7, "I", over="perm", limit_guard=10)
+
+
+def test_guard_walk_gives_the_count_formula():
+    assert list(itertools.islice(_asm_counts(), 60)) == [count_formula(n) for n in range(1, 61)]
+
+
+def test_guard_message_bounds_a_size_too_long_to_print():
+    # |A_296| has 9,955 digits and prints in full; |A_297| and the DP steps
+    # at n = 10^6 are past 10^10000 and print as that bound
+    with pytest.raises(TooLarge, match=r"\|A_296\| = \d{9955} exceeds guard 10; "):
+        enumerate_asms(296, limit_guard=10)
+    with pytest.raises(TooLarge, match=r"\|A_297\| >= 10\^10000 exceeds guard 10; .*--guard N"):
+        enumerate_asms(297, limit_guard=10)
+    with pytest.raises(TooLarge, match=r"^1000000\^2 \* 2\^1000001 DP steps >= 10\^10000 exceeds guard 10; "):
+        genfun_stat(10**6, "I", limit_guard=10)
+    # a guard too long for str() prints in full too
+    with pytest.raises(TooLarge, match=r"\|A_300\| >= 10\^10000 exceeds guard 10{5000}; "):
+        enumerate_asms(300, limit_guard=10**5000)
 
 
 def test_guard_rejects_bad_values(monkeypatch):
@@ -175,6 +193,25 @@ def test_hasse_json_shape():
     assert d["n"] == 2
     assert len(d["nodes"]) == 2 and len(d["edges"]) == 1
     assert d["nodes"][0]["stats"]["beta"] in (0, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hasse_json_chunks_are_the_json_text(n):
+    graph = build_hasse(n)
+    assert "".join(graph._json_chunks()) == json.dumps(graph.to_json_dict())
+
+
+def test_hasse_nodes_and_edges_are_immutable_tuples():
+    graph = build_hasse(3)
+    assert HasseNode._fields == ("matrix", "record", "join_irreducible")
+    assert HasseEdge._fields == ("lower", "upper", "cover_type")
+    node, edge = graph.nodes[-1], graph.edges[0]
+    for item, field in ((node, "join_irreducible"), (edge, "cover_type")):
+        with pytest.raises(AttributeError):
+            setattr(item, field, 0)
+    assert HasseNode(node.matrix, node.record, join_irreducible=node.join_irreducible) == node
+    # the one difference from the dataclasses they replaced
+    assert edge == (edge.lower, edge.upper, edge.cover_type)
 
 
 def test_iter_asms_streams():

@@ -79,3 +79,10 @@ def test_generic_covers_are_the_hasse_edges(n):
     graph = build_hasse(n)
     want = {(e.lower, e.upper) for e in graph.edges}
     assert generic_covers([node.matrix for node in graph.nodes]) == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hasse_vs_cover_scan_on_tuple_nodes_and_edges(n):
+    checked, failures = verify_module.check_hasse_vs_cover_scan(n)
+    graph = build_hasse(n)
+    assert failures == [] and checked == len(graph.nodes) + len(graph.edges)
