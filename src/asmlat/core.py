@@ -81,7 +81,7 @@ def _as_rows(raw: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Asm:
     """An n x n alternating sign matrix.
 
@@ -95,6 +95,13 @@ class Asm:
 
     n: int
     entries: tuple[tuple[int, ...], ...]
+
+    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        # the two fields go straight into __dict__: the generated frozen
+        # init sets each through object.__setattr__, at about twice the cost
+        d = self.__dict__
+        d["n"] = n
+        d["entries"] = entries
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based position (i, j)."""

@@ -9,7 +9,8 @@ legal rows in row-major lexicographic order (entry order -1 < 0 < 1),
 which is the package's canonical order, and what each row adds to I, N
 and beta.  A state's rows come from one sweep over its columns.
 
-Also here: the closed-form count; generating polynomials of the
+Also here: the closed-form count, walked from |A_k| to |A_(k+1)| by
+one ratio of binomials; generating polynomials of the
 statistics and the signed permutation identity, by a vertex DP that
 adds one position at a time, builds no table, lists no matrix and packs
 each state's polynomial into one integer, a fixed-width field per
@@ -66,15 +67,10 @@ def resolve_guard(limit_guard: Optional[int] = None) -> int:
 
 
 def count_formula(n: int) -> int:
-    """The closed-form product for |A_n|, exact."""
+    """|A_n| by the closed-form product, exact: the n-th value of
+    :func:`_asm_counts`, the walk that :func:`_check_size` reads too."""
     _require_size(n)
-    num = den = 1
-    for i in range(n):
-        num *= math.factorial(3 * i + 1)
-        den *= math.factorial(n + i)
-    # the product is an integer even though single factors are not
-    assert num % den == 0
-    return num // den
+    return next(itertools.islice(_asm_counts(), n - 1, None))
 
 
 def _next_rows(col: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

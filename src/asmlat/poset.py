@@ -9,19 +9,23 @@ differ by a single 2x2 block exchange adding [[-1, 1], [1, -1]]; the
 sixteen possible block contents classify every cover and determine how
 I, N and H move along the edge.  Join and meet are the entrywise min and
 max of the corner sums, that is the OR and AND of the two codes, which
-the distributive-lattice structure guarantees to be the code of an ASM;
-core decodes the entries straight from it, unchecked, and the result
-keeps it as its order code.  The cover scan tests the corner sums around
-each position of the table.  Bigrassmannian permutations are built
-directly as block swaps.  This module's brute-force oracles live in
-asmlat.verify.
+the distributive-lattice structure guarantees to be the code of an ASM.
+When that code is one operand's own, the operands are comparable and
+that operand is returned as it is; otherwise core decodes the entries
+straight from the code, unchecked, and the result keeps it as its order
+code.  The cover scan tests the corner sums around each position of the
+table; the covers build a matrix at each position that passes, while the
+join-irreducible test only counts the positions.  Bigrassmannian
+permutations are built directly as block swaps.  This module's
+brute-force oracles live in asmlat.verify.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Asm,
@@ -191,25 +195,33 @@ def _exchange(row: tuple[int, ...], j: int, d: int) -> tuple[int, ...]:
     return row[:j] + (row[j] + d, row[j + 1] - d) + row[j + 2 :]
 
 
-def _covers(a: Asm, up: bool) -> list[CoverEdge]:
-    """Every cover edge at a, upward or downward, in (r, s) order.
+def _cover_positions(a: Asm, up: bool) -> Iterator[tuple[int, int]]:
+    """Each (r, s) of a cover at a, upward or downward, in order.
 
     The exchange block at (r, s) moves only the corner sum c(r, s), by -1
     going up and +1 going down, so the other matrix is an ASM iff the four
     unit steps around c(r, s) stay in {0, 1}.
     """
-    n, d, sign = a.n, int(up), 1 if up else -1
+    n, d = a.n, int(up)
     c = [(0,) * (n + 1)] + [(0,) + row for row in _sums(a)]
-    e = a.entries
-    out = []
     for r in range(1, n):
         above, row, below = c[r - 1], c[r], c[r + 1]
         for s in range(1, n):
             x = row[s] - d
             if row[s - 1] == above[s] == x == row[s + 1] - 1 == below[s] - 1:
-                top, bot = _exchange(e[r - 1], s - 1, -sign), _exchange(e[r], s - 1, sign)
-                b = Asm(n, e[: r - 1] + (top, bot) + e[r + 1 :])
-                out.append(_edge(a, b, r, s) if up else _edge(b, a, r, s))
+                yield r, s
+
+
+def _covers(a: Asm, up: bool) -> list[CoverEdge]:
+    """Every cover edge at a, upward or downward, in (r, s) order: the
+    exchange at each of :func:`_cover_positions`."""
+    n, sign = a.n, 1 if up else -1
+    e = a.entries
+    out = []
+    for r, s in _cover_positions(a, up):
+        top, bot = _exchange(e[r - 1], s - 1, -sign), _exchange(e[r], s - 1, sign)
+        b = Asm(n, e[: r - 1] + (top, bot) + e[r + 1 :])
+        out.append(_edge(a, b, r, s) if up else _edge(b, a, r, s))
     return out
 
 
@@ -225,18 +237,32 @@ def covers_down(b: Asm) -> list[CoverEdge]:
 
 def join(a: Asm, b: Asm) -> Asm:
     """Least upper bound: entrywise minimum of corner sums, the OR of the
-    order codes."""
+    order codes.  When one code holds the other the operands are
+    comparable and the larger one is returned itself, not rebuilt."""
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    return _from_code(a.n, _code(a) | _code(b))
+    x, y = _code(a), _code(b)
+    k = x | y
+    if k == x:
+        return a
+    if k == y:
+        return b
+    return _from_code(a.n, k)
 
 
 def meet(a: Asm, b: Asm) -> Asm:
     """Greatest lower bound: entrywise maximum of corner sums, the AND of
-    the order codes."""
+    the order codes.  When one code holds the other the operands are
+    comparable and the smaller one is returned itself, not rebuilt."""
     if a.n != b.n:
         raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    return _from_code(a.n, _code(a) & _code(b))
+    x, y = _code(a), _code(b)
+    k = x & y
+    if k == x:
+        return a
+    if k == y:
+        return b
+    return _from_code(a.n, k)
 
 
 def is_bigrassmannian(w: Permutation) -> bool:
@@ -264,5 +290,6 @@ def enumerate_bigrassmannians(n: int) -> list[Permutation]:
 
 
 def is_join_irreducible(a: Asm) -> bool:
-    """True iff a covers exactly one element."""
-    return len(covers_down(a)) == 1
+    """True iff a covers exactly one element: the lower cover positions
+    are counted, up to the second, and no lower matrix is built."""
+    return len(list(islice(_cover_positions(a, up=False), 2))) == 1

@@ -12,10 +12,10 @@ the Hasse diagram by the cover scan) and the lattice-law predicate live
 here too, each in one place.
 
 Like each A_n, each matrix's up covers are found once per process and
-kept (``_up``); the cover edges, the closure from the identity, the
-random cover walks and the scanned Hasse diagram all read them.  The
-generic cover relation is built once per universe, from one comparison
-per pair of matrices.
+kept (``_up``), with the matrix of A_n itself as each edge's upper end;
+the cover edges, the closure from the identity, the random cover walks
+and the scanned Hasse diagram all read them.  The generic cover relation
+is built once per universe, from one comparison per pair of matrices.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .poset import Ordering, compare, leq
 
 _cache: dict[int, list[Asm]] = {}
+# for each n, every matrix of A_n keyed by itself: the upper end of each
+# kept edge below is looked up here
+_same: dict[int, dict[Asm, Asm]] = {}
 # each matrix's up covers, found once per process like the A_n above
 _up: dict[Asm, tuple[poset.CoverEdge, ...]] = {}
 
@@ -57,10 +60,20 @@ def _asms(n: int) -> list[Asm]:
 
 
 def _covers_up(a: Asm) -> tuple[poset.CoverEdge, ...]:
-    """``poset.covers_up(a)``, kept in ``_up`` from its first call."""
+    """``poset.covers_up(a)``, kept in ``_up`` from its first call, each
+    edge's upper end swapped for the equal matrix of ``_asms(a.n)``, so
+    a matrix and its memos are held once however many edges end at it."""
     up = _up.get(a)
     if up is None:
+        same = _same.get(a.n)
+        if same is None:
+            same = _same[a.n] = {b: b for b in _asms(a.n)}
         up = _up[a] = tuple(poset.covers_up(a))
+        for e in up:
+            # the edges are new and not yet shared, so the frozen field
+            # is set in place, not by a rebuilt edge (nor through
+            # e.__dict__, which would give each edge a dict of its own)
+            object.__setattr__(e, "upper", same[e.upper])
     return up
 
 

@@ -1,5 +1,6 @@
 import decimal
 import json
+import math
 import os
 import hashlib
 import subprocess
@@ -46,6 +47,18 @@ def test_count_past_the_int_str_digit_limit(capsys):
     assert decimal.Decimal(out) == want
     code, out, err = invoke(capsys, "enumerate", "--size", "200")
     assert (code, out) == (3, "") and f"|A_200| = {decimal.Decimal(want)} exceeds" in err
+
+
+def test_count_at_size_1000(capsys):
+    # the count is walked by ratios, not multiplied out of 2n factorials;
+    # its length and leading digits are checked against log10 of the product
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "count", "--size", "1000")
+    assert time.perf_counter() - start < 10
+    digits = out.strip()
+    log10 = sum(math.lgamma(3 * i + 2) - math.lgamma(1000 + i + 1) for i in range(1000)) / math.log(10)
+    assert code == 0 and len(digits) == math.floor(log10) + 1 == 113_622
+    assert digits.startswith(str(10 ** (log10 % 1)).replace(".", "")[:6])
 
 
 def test_stats_from_file(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -313,3 +314,20 @@ def test_asm_hashable_and_immutable(example_a):
     assert hash(example_a) == hash(validate(EXAMPLE_A_ROWS))
     with pytest.raises(AttributeError):
         example_a.n = 5
+
+
+def test_asm_constructor_keeps_the_dataclass_contract(example_a):
+    # the hand-written __init__ stores the two fields and nothing else;
+    # equality, hashing, repr, fields and immutability are the dataclass's
+    a = Asm(example_a.n, example_a.entries)
+    assert vars(a) == {"n": 4, "entries": example_a.entries}
+    assert [f.name for f in dataclasses.fields(Asm)] == ["n", "entries"]
+    assert a == example_a and hash(a) == hash((4, example_a.entries)) == hash(example_a)
+    assert a != Asm(4, identity(4).entries) and a != (4, example_a.entries)
+    assert repr(a) == f"Asm(n=4, entries={example_a.entries!r})"
+    assert Asm(n=4, entries=a.entries) == dataclasses.replace(a) == a
+    for field in ("n", "entries", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, field, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del a.n

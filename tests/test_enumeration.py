@@ -75,8 +75,21 @@ def test_guard_message_names_the_override():
         genfun_stat(7, "I", over="perm", limit_guard=10)
 
 
+def _factorial_product(n):
+    # the closed form multiplied out, then one exact division: the oracle
+    # for the ratio walk that count_formula and the guards read
+    num = den = 1
+    for i in range(n):
+        num *= math.factorial(3 * i + 1)
+        den *= math.factorial(n + i)
+    assert num % den == 0
+    return num // den
+
+
 def test_guard_walk_gives_the_count_formula():
-    assert list(itertools.islice(_asm_counts(), 60)) == [count_formula(n) for n in range(1, 61)]
+    want = [_factorial_product(n) for n in range(1, 61)]
+    assert list(itertools.islice(_asm_counts(), 60)) == want
+    assert [count_formula(n) for n in range(1, 61)] == want
 
 
 def test_guard_message_bounds_a_size_too_long_to_print():

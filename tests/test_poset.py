@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -307,6 +308,49 @@ def test_is_join_irreducible(middle3, pools):
     assert not is_join_irreducible(middle3)
     assert is_join_irreducible(perm(1, 3, 2))
     assert sum(1 for a in pools[4] if is_join_irreducible(a)) == 10
+
+
+def _cover_walk(n, steps, rng):
+    # a seeded walk up from the identity, one random up cover a step
+    a = identity(n)
+    for _ in range(steps):
+        up = covers_up(a)
+        if not up:
+            break
+        a = rng.choice(up).upper
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def _ji_universe(n):
+    if n <= 6:
+        return list(iter_asms(n))
+    rng = random.Random(n)
+    top = n * (n * n - 1) // 6  # beta of the reversal, the longest chain
+    return [_cover_walk(n, rng.randrange(top + 1), rng) for _ in range(300)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), 8, 10])
+def test_is_join_irreducible_counts_lower_covers(n):
+    # the position count, stopped at the second, agrees with the edges
+    for a in _ji_universe(n):
+        assert is_join_irreducible(a) == (len(covers_down(a)) == 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_join_irreducible_count_is_binomial(n):
+    # the join-irreducibles are the C(n+1, 3) bigrassmannians
+    assert sum(map(is_join_irreducible, _ji_universe(n))) == math.comb(n + 1, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_join_meet_of_comparable_pair_is_an_operand(n):
+    # a <= b: the join is b itself and the meet a itself, not rebuilt
+    universe = list(iter_asms(n))
+    for a, b in itertools.product(universe, repeat=2):
+        if leq(a, b):
+            assert join(a, b) is b and join(b, a) is b
+            assert meet(a, b) is a and meet(b, a) is a
 
 
 def test_rank_by_chain(example_a):

@@ -86,3 +86,16 @@ def test_hasse_vs_cover_scan_on_tuple_nodes_and_edges(n):
     checked, failures = verify_module.check_hasse_vs_cover_scan(n)
     graph = build_hasse(n)
     assert failures == [] and checked == len(graph.nodes) + len(graph.edges)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kept_up_covers_end_at_the_matrices_of_a_n(n, monkeypatch):
+    # each kept edge equals poset's, and its upper end is the matrix of
+    # A_n itself, not a fresh equal one
+    monkeypatch.setattr(verify_module, "_up", {})
+    universe = verify_module._asms(n)
+    ids = {id(a) for a in universe}
+    for a in universe:
+        kept = verify_module._covers_up(a)
+        assert list(kept) == poset.covers_up(a)
+        assert all(e.lower is a and id(e.upper) in ids for e in kept)
