@@ -4,8 +4,11 @@ Subcommands: enumerate, count, stats, covers, hasse, genfun, verify.
 Exit codes: 0 success, 1 usage error, 2 domain error (invalid matrix or
 arguments out of domain), 3 enumeration guard exceeded, 4 verification
 failure.  Output is human-readable by default; --format json switches to
-the documented JSON schemas.  ``run`` builds its parser on the first
-call and reuses it for the rest of the process.
+the documented JSON schemas.  ``run`` builds only the parser of the
+command it runs, on that command's first call, and reuses it for the
+rest of the process.  The full parser, with every command as a
+subparser, is built only when the arguments do not start with a
+command, or to report leftover arguments in its words.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import functools
 import json
 import sys
 from itertools import chain, islice
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import enumeration, io, poset
 from .verify import verify as run_verify
@@ -41,38 +45,54 @@ class _UsageError(Exception):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """One command's parser, or with no command the full parser, each
+    command a subparser; both add their arguments from ``_COMMANDS``."""
+    if command is not None:
+        p = _Parser(prog=f"asmlat {command}")
+        _COMMANDS[command].add_arguments(p)
+        p.set_defaults(command=command)
+        return p
     p = _Parser(prog="asmlat", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    return p
 
-    sp = sub.add_parser("enumerate", help="list all matrices of one size")
+
+def _enumerate_args(sp) -> None:
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--format", choices=["lines", "json"], default="lines")
     sp.add_argument("--guard", type=int, default=None)
 
-    sp = sub.add_parser("count", help="how many matrices of one size")
+
+def _count_args(sp) -> None:
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--method", choices=["formula", "enumerate"], default="formula")
     sp.add_argument("--guard", type=int, default=None)
 
-    sp = sub.add_parser("stats", help="statistics of one matrix")
+
+def _stats_args(sp) -> None:
     _add_matrix_args(sp)
     sp.add_argument("--format", choices=["human", "json"], default="human")
 
-    sp = sub.add_parser("covers", help="covering neighbours of one matrix")
+
+def _covers_args(sp) -> None:
     _add_matrix_args(sp)
     direction = sp.add_mutually_exclusive_group()
     direction.add_argument("--up", action="store_true")
     direction.add_argument("--down", action="store_true")
     sp.add_argument("--format", choices=["human", "json"], default="human")
 
-    sp = sub.add_parser("hasse", help="full cover graph of one size")
+
+def _hasse_args(sp) -> None:
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--output", choices=["dot", "json"], required=True)
     sp.add_argument("--highlight-ji", action="store_true")
     sp.add_argument("--guard", type=int, default=None)
 
-    sp = sub.add_parser("genfun", help="generating polynomial of a statistic")
+
+def _genfun_args(sp) -> None:
     sp.add_argument("--size", type=int, required=True)
     what = sp.add_mutually_exclusive_group(required=True)
     what.add_argument("--stat", choices=["I", "H", "beta"])
@@ -81,9 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=["human", "json"], default="human")
     sp.add_argument("--guard", type=int, default=None)
 
-    sp = sub.add_parser("verify", help="run every structural check")
+
+def _verify_args(sp) -> None:
     sp.add_argument("--max", type=int, required=True, dest="n_max")
-    return p
 
 
 def _add_matrix_args(sp) -> None:
@@ -125,13 +145,17 @@ def _load_matrix(args) -> Asm:
 
 
 def _cmd_enumerate(args) -> int:
-    matrices = enumeration.enumerate_asms(args.size, args.guard)
+    enumeration._check_size(args.size, args.guard)
+    matrices = enumeration.iter_asms(args.size)
+    # each distinct row's text is made once; the matrices stream
     if args.format == "json":
-        print(json.dumps([a.to_json_dict() for a in matrices]))
+        rows = enumeration._Texts(lambda row: json.dumps(list(row))).__getitem__
+        item = '{"n": %d, "entries": [%%s]}' % args.size
+        items = (item % ", ".join(map(rows, a.entries)) for a in matrices)
+        _write(chain(("[",), enumeration._listed(items), ("]\n",)))
     else:
-        for a in matrices:
-            print(a)
-            print()
+        rows = enumeration._Texts(lambda row: " ".join(map(str, row)) + "\n").__getitem__
+        _write("".join(map(rows, a.entries)) + "\n" for a in matrices)
     return EXIT_OK
 
 
@@ -184,11 +208,17 @@ def _cmd_hasse(args) -> int:
         pieces = graph._dot_lines(args.highlight_ji)
     else:
         pieces = chain(graph._json_chunks(), ("\n",))
-    # in batches of pieces: the whole text of a large diagram outweighs
-    # the graph, and one write per piece is slower than one per batch
+    _write(pieces)
+    return EXIT_OK
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout in batches: the whole text of a large
+    output outweighs what it is made from, and one write per piece is
+    slower than one per batch."""
+    pieces = iter(pieces)
     while chunk := "".join(islice(pieces, 16384)):
         sys.stdout.write(chunk)
-    return EXIT_OK
 
 
 def _cmd_genfun(args) -> int:
@@ -208,24 +238,35 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
+class _Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace], int]
+
+
 _COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "count": _cmd_count,
-    "stats": _cmd_stats,
-    "covers": _cmd_covers,
-    "hasse": _cmd_hasse,
-    "genfun": _cmd_genfun,
-    "verify": _cmd_verify,
+    "enumerate": _Command("list all matrices of one size", _enumerate_args, _cmd_enumerate),
+    "count": _Command("how many matrices of one size", _count_args, _cmd_count),
+    "stats": _Command("statistics of one matrix", _stats_args, _cmd_stats),
+    "covers": _Command("covering neighbours of one matrix", _covers_args, _cmd_covers),
+    "hasse": _Command("full cover graph of one size", _hasse_args, _cmd_hasse),
+    "genfun": _Command("generating polynomial of a statistic", _genfun_args, _cmd_genfun),
+    "verify": _Command("run every structural check", _verify_args, _cmd_verify),
 }
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
+            if extra:
+                # reported as argparse reports them, under the full usage line
+                _build_parser().error("unrecognized arguments: " + " ".join(extra))
+        else:
+            args = _build_parser().parse_args(argv)
         if "guard" in vars(args):
             args.guard = enumeration.resolve_guard(args.guard)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].handler(args)
     except _UsageError as exc:
         print(f"asmlat: {exc}", file=sys.stderr)
         return EXIT_USAGE

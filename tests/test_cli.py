@@ -222,6 +222,52 @@ def test_hasse_json_streams(monkeypatch):
     assert peaks["json"] <= 1.5 * peaks["dot"]
 
 
+# sha256 of `enumerate --size n` as lines and as JSON, recorded before
+# the command streamed its output
+ENUMERATE_SHA256 = {
+    1: (
+        "5a0a2b76858bf8cc147613f783d84cd22c0047d142ba0d9ce13fcedf953b57ed",
+        "b52a868b1ad8c37fd598a86bcc70316650ad83332b9f0bdff6fe81686db90771",
+    ),
+    2: (
+        "d13d169a33448d9853f5d3e6924ce4c4d2056b86476b7551ca936c461b518a0b",
+        "f44027b24ba6338bacfaee249e5603793bae06c35f5590c304780d915601f45d",
+    ),
+    3: (
+        "f9868aa26bcd8085d20b6a7cba248f76e9046a18a08c74db000f7b639bdb0294",
+        "8fed57bf9fbbb6a013dda44d3ff4a5ec33aea39d23f98633173cc24376a35bfe",
+    ),
+    4: (
+        "7679314187db7fd1b345ab56edbaf7ba19a30acf39e2aa077f84cff4102b2f78",
+        "0c26b7dd144367e9139b5b85e04087671e4a63002a46e757bd7e04b86ab27699",
+    ),
+    5: (
+        "91d8b96b12b862b6c90b17279c4d1153771e4a0624ec869b266851c3e77646e8",
+        "743b6b6950ffbf1bae76d14aa9f5689501eb415e88291693b01729a04ed1b09d",
+    ),
+    6: (
+        "de8bd33e691ead98b1c726ba83b6c895c054b0cb048b0d866811e0f78caceb1a",
+        "00ac2a533f0a8c5a4df82f9056729a0401e12254feb6c20d60765ff6ada29883",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("fmt, column", [("lines", 0), ("json", 1)])
+def test_enumerate_output_bytes_pinned(capsys, n, fmt, column):
+    code, out, _ = invoke(capsys, "enumerate", "--size", str(n), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[n][column]
+
+
+def test_write_joins_pieces_in_batches(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": staticmethod(writes.append)})())
+    pieces = [f"{i}\n" for i in range(40_000)]
+    cli._write(pieces)
+    assert len(writes) == 3 and "".join(writes) == "".join(pieces)
+
+
 def test_verify_small(capsys):
     code, out, _ = invoke(capsys, "verify", "--max", "2")
     assert code == 0
@@ -235,24 +281,76 @@ def test_exit_usage(capsys):
 
 
 def test_parser_reused_across_calls(capsys, monkeypatch, tmp_path):
-    # one parser serves every call of a process: after a usage error, a
-    # domain error and a guard error, each call answers as a fresh one
+    # one parser per command serves every call of a process: after a
+    # usage error, a leftover argument, a domain error and a guard error,
+    # each call answers as a fresh one
     monkeypatch.delenv("ASMLAT_GUARD", raising=False)
     bad = tmp_path / "bad.txt"
     bad.write_text("1 -1\n0 1\n")
     calls = [
         (["count"], 1),
         (["genfun", "--size", "3", "--stat", "I"], 0),
+        (["genfun", "--size", "3", "--stat", "I", "--bogus"], 1),
         (["stats", "--matrix", str(bad)], 2),
         (["genfun", "--size", "15", "--stat", "I"], 3),
         (["genfun", "--size", "3", "--stat", "I"], 0),
     ]
     for argv, code in calls:
+        parser = cli._build_parser(argv[0])
         reused = invoke(capsys, *argv)
+        assert cli._build_parser(argv[0]) is parser
         cli._build_parser.cache_clear()
         fresh = invoke(capsys, *argv)
         assert reused == fresh and reused[0] == code
         assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    full = ["asmlat", *(f"asmlat {name}" for name in cli._COMMANDS)]
+    cli._build_parser.cache_clear()
+    assert run_pinned(capsys, ["genfun", "--size", "3", "--stat", "I"])[0] == 0
+    assert run_pinned(capsys, ["genfun", "--size", "4", "--stat", "I"])[0] == 0
+    assert built == ["asmlat genfun"]
+    # leftover arguments are reported by the full parser
+    assert run_pinned(capsys, ["genfun", "--size", "3", "--stat", "I", "--bogus"])[0] == 1
+    assert built[1:] == full
+    for argv in (["-h"], ["bogus"]):
+        built.clear()
+        cli._build_parser.cache_clear()
+        run_pinned(capsys, argv)
+        assert built == full
+
+
+CLI_TEXT = json.loads((ROOT / "tests" / "golden" / "cli_text.json").read_text())
+
+
+def run_pinned(capsys, argv):
+    """(exit code, raised SystemExit, stdout, stderr) of one command."""
+    try:
+        code, raised = run(list(argv)), False
+    except SystemExit as exc:
+        code, raised = exc.code, True
+    captured = capsys.readouterr()
+    return code, raised, captured.out, captured.err
+
+
+# stdout, stderr and exit code of usage errors, help and a few commands,
+# recorded when one full parser served every command; help wraps at the
+# terminal width, so the width is fixed
+@pytest.mark.parametrize("case", CLI_TEXT, ids=lambda case: " ".join(case["argv"]) or repr(case["argv"]))
+def test_cli_text_pinned(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ASMLAT_GUARD", raising=False)
+    want = (case["exit"], case["system_exit"], case["out"], case["err"])
+    assert run_pinned(capsys, case["argv"]) == want
 
 
 def test_genfun_needs_one_of_stat_and_bivariate(capsys):
@@ -399,6 +497,16 @@ def test_python_dash_m():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "7\n", "")
+
+
+@pytest.mark.parametrize("argv", [["genfun", "-h"], ["genfun", "--size", "3", "--stat", "I", "--bogus"]], ids=" ".join)
+def test_python_dash_m_text_pinned(argv):
+    case = next(case for case in CLI_TEXT if case["argv"] == argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-m", "asmlat", *argv], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (case["exit"], case["out"], case["err"])
 
 
 def test_output_determinism(capsys):

@@ -11,6 +11,19 @@ from asmlat.verify import SUITES, generic_covers
 verify_module = importlib.import_module("asmlat.verify")
 
 
+def test_asmlat_verify_stays_the_function():
+    # importing the submodule binds it as the package attribute; the
+    # function is bound after it, so a lazy module __getattr__ alone
+    # would lose it once anything imports asmlat.verify
+    import asmlat
+
+    module = importlib.import_module("asmlat.verify")
+    from asmlat import verify as imported
+
+    assert asmlat.verify is imported is module.verify
+    assert callable(imported)
+
+
 @pytest.mark.parametrize("n_max", [0, -2])
 def test_verify_rejects_max_below_one(n_max):
     # a run of zero checks must not report "all checks passed"
