@@ -12,9 +12,10 @@ and beta.  A state's rows come from one sweep over its columns.
 Also here: the closed-form count, walked from |A_k| to |A_(k+1)| by
 one ratio of binomials; generating polynomials of the
 statistics and the signed permutation identity, by a vertex DP that
-adds one position at a time, builds no table, lists no matrix and packs
-each state's polynomial into one integer, a fixed-width field per
-exponent; and the full cover graph.  The graph comes from one walk of
+adds one position at a time, updating each pair of states once and in
+place, builds no table, lists no matrix and packs each state's
+polynomial into one integer, a fixed-width field per exponent; and the
+full cover graph.  The graph comes from one walk of
 the row table that carries each matrix's I, N and beta, and from a second
 table, cached per size as well, that lists for each two-row path the
 covers exchanging a block inside those rows and how far each moves the
@@ -203,8 +204,9 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int) -> 
     :func:`stats._entry_shares`, and each row's :func:`stats._row_beta`
     from the new column state, once the row ends in a state with running
     sum 1.  Each state carries its paths' polynomial as one int, x^e's
-    coefficient in field e of ``width`` bytes; a move is a shift and an
-    add.
+    coefficient in field e of ``width`` bytes.  A position updates each
+    pair of states, both bits at 0 and both at 1, once and in place, by a
+    shift and an add; a state with one bit at 1 is not touched.
     """
     # no carry: a coefficient counts partial matrices into one state, and
     # where the state can be completed each extends to a distinct matrix,
@@ -229,28 +231,18 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int) -> 
     for i in range(1, n + 1):
         for k in range(n):
             flip = row_bit | 1 << k
-            nxt = {}
-            # a state with both bits at 0 and its flip with both at 1 reach
-            # each other by 1 and -1; a state with one bit at 1 only stays
-            for state, poly in layer.items():
-                both = state & flip
-                if not both:
-                    other = state ^ flip
-                    high = layer.get(other)
-                    if high is None:
-                        nxt[state] = nxt[other] = poly
-                    else:
-                        nxt[other] = (high << stay) + poly
-                        nxt[state] = poly + (high << down) if minus else poly
-                elif both == flip:
-                    other = state ^ flip
-                    if other not in layer:
-                        nxt[state] = poly << stay
-                        if minus:
-                            nxt[other] = poly << down
-                else:
-                    nxt[state] = poly
-            layer = nxt
+            # a state with both bits at 0 and its partner with both at 1
+            # reach each other by 1 and -1, and each keeps itself by 0; a
+            # state with one bit at 1 keeps its 0 and is not touched.  A
+            # state with both bits at 1 always has its partner in the layer,
+            # so each pair is updated once, in place: the partner has row
+            # bit 0 and column sum i - 1, rows 1..i-1 of a permutation leave
+            # any such column vector, and row i's 0s up to k keep it
+            for state in [s for s in layer if not s & flip]:
+                poly, high = layer[state], layer.get(state | flip, 0)
+                layer[state | flip] = poly + (high << stay)
+                if minus:
+                    layer[state] = poly + (high << down)
         ended = {}
         for state, poly in layer.items():
             if state & row_bit:

@@ -269,6 +269,12 @@ def test_from_corner_sum_rejects_bad_table():
         check_corner_sums([[0, 1], [2, 2]])
 
 
+@pytest.mark.parametrize("table", [[], [[1, 1], [1]]], ids=["empty", "ragged"])
+def test_check_corner_sums_rejects_non_square(table):
+    with pytest.raises(NotSquare):
+        check_corner_sums(table)
+
+
 def test_transpose(example_a):
     t = transpose(example_a)
     assert t.entries == tuple(zip(*EXAMPLE_A_ROWS))
@@ -301,6 +307,17 @@ def test_permutation_basics():
     assert w.descents() == [2]
     with pytest.raises(NotAPermutation):
         Permutation.from_images([1, 1, 2])
+
+
+def test_permutation_str_takes_commas_past_nine():
+    assert str(Permutation.from_images([3, 4, 1, 2])) == "3412"
+    assert str(Permutation.identity(10)) == "1,2,3,4,5,6,7,8,9,10"
+
+
+def test_asm_is_permutation(example_a):
+    assert from_permutation(Permutation.from_images([3, 4, 1, 2])).is_permutation()
+    assert identity(1).is_permutation()
+    assert not example_a.is_permutation()
 
 
 @pytest.mark.parametrize("images", [[2.7, 1.2], [True], [1, 2.0], ["1"], 5])

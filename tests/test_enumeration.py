@@ -140,6 +140,13 @@ def test_genfun_bad_stat():
         genfun_stat(3, "Q")
 
 
+def test_genfun_bad_universe_and_pair():
+    with pytest.raises(AsmError, match="unknown universe 'both'"):
+        genfun_stat(3, "I", over="both")
+    with pytest.raises(AsmError, match="unknown pair 'N:beta'"):
+        bivariate_genfun(3, "N:beta")
+
+
 def test_bivariate_trivial():
     for pair in ("I:beta", "H:beta"):
         p = bivariate_genfun(1, pair)
@@ -267,13 +274,65 @@ _BIG_DIGESTS = {
     (9, "perm", "H:beta"): "8b827c3fd370f870c7087751ed7617648a90bf036cdb8d7153c862e3c2d8ab1a",
 }
 
+# the same, recorded from the vertex DP that built a second dict per
+# position; nothing else checks whole polynomials past n = 9
+_WIDE_DIGESTS = {
+    (10, "asm", "I"): "4052ab5824ac49b0f157b87c09a3f3014b1cc100de80c0269ed4aa763197b35e",
+    (10, "asm", "H"): "e1fa4849282e83b6e651466025c4cd29235bab015fe773cb6c1a98d7b80e540d",
+    (10, "asm", "beta"): "6110540636296b7989be71056f55a77a8d786c3379902723099c2d936c41120b",
+    (10, "asm", "I:beta"): "18e193a0fdf351a35f815cf7f1d777b3d03c1669d8a74ef0b75e21f6720f08d2",
+    (11, "asm", "I"): "356061c7d14723bbfabf5e79aa4d4541697031da63582324d9d179b8a10c9574",
+    (11, "asm", "H"): "27f618d505021b5b60d8eec2912537cd3766565704913afcdf04f88068e2997d",
+    (11, "asm", "beta"): "1936d46d83a76d4908db2293aef988b251e08d701a4753864e0d996904fb5f84",
+    (11, "asm", "I:beta"): "27e5289309b36e1698d412e0e04ab3132637cd93bdb1a60a8a3d952c57251430",
+    (12, "asm", "I"): "d38c6e946f76d185a4023898902e084a0d4cb342026fd3bb80ce7385aeafb89d",
+    (12, "asm", "H"): "e0572b4b625c44e44e8b7e16adb4f7a3ea76defe5ff678fffadd3d0aa22a7d30",
+    (12, "asm", "beta"): "96740a4ba09e0ff392d9b31020509bfb0020641cf13829c8df9b7a3758a611cf",
+    (10, "perm", "I"): "0aa31e53da252e3245ca24335493a973d675dc9a0791103b21c110a7857d7ece",
+    (10, "perm", "H"): "0aa31e53da252e3245ca24335493a973d675dc9a0791103b21c110a7857d7ece",
+    (10, "perm", "beta"): "8f2ace1dab62849a260d0b98d841ed6db7f05bae8317ba86d1c1a0f92e2493fb",
+    (10, "perm", "I:beta"): "72dff7a13b4b3ece74bfe5a7ac2224b0d8aaae1c905de77258891134fbe1e955",
+    (11, "perm", "I"): "b6498aa791981aa87e6c25e65f9d6cf50745ae492e0d29dcbf8b3e232caee8fc",
+    (11, "perm", "H"): "b6498aa791981aa87e6c25e65f9d6cf50745ae492e0d29dcbf8b3e232caee8fc",
+    (11, "perm", "beta"): "f90f414c4f191bef76bcf5d58832f58ed0c1561fbcf1156018b2b63726fc4d35",
+    (11, "perm", "I:beta"): "033374ff66095b02a93a8d31897ba22bebc96c9978d37e66e327392f9555b059",
+}
+_PINNED = _BIG_DIGESTS | _WIDE_DIGESTS
 
-@pytest.mark.parametrize("n, over, what", sorted(_BIG_DIGESTS))
+
+@pytest.mark.parametrize("n, over, what", sorted(_PINNED))
 def test_genfun_output_pinned_past_seven(n, over, what):
     genfun = bivariate_genfun if ":" in what else genfun_stat
     poly = genfun(n, what, over, limit_guard=10**30)
     text = f"{poly}\n{json.dumps(poly.to_json_dict())}"
-    assert hashlib.sha256(text.encode()).hexdigest() == _BIG_DIGESTS[n, over, what]
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED[n, over, what]
+
+
+@pytest.mark.parametrize("minus", [True, False], ids=["asm", "perm"])
+def test_vertex_dp_pairs_both_bits_at_one(minus):
+    # the vertex DP's moves on key sets alone: at every position, a state
+    # with both bits at 1 has its partner with both at 0, which is why the
+    # DP updates each pair once and in place and never adds a state by -1
+    for n in range(1, 11):
+        row_bit = 1 << n
+        layer = {0}
+        for _ in range(n):
+            for k in range(n):
+                flip = row_bit | 1 << k
+                nxt = set()
+                for state in layer:
+                    if not state & flip:
+                        nxt |= {state, state | flip}  # entry 0 or 1
+                    elif state & flip == flip:
+                        assert state ^ flip in layer, (n, k, state)
+                        nxt.add(state)  # entry 0
+                        if minus:
+                            nxt.add(state ^ flip)  # entry -1
+                    else:
+                        nxt.add(state)  # entry 0
+                layer = nxt
+            layer = {state ^ row_bit for state in layer if state & row_bit}
+        assert layer == {row_bit - 1}
 
 
 def test_row_deltas_never_negative():

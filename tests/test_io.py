@@ -53,6 +53,12 @@ def test_parse_matrix_header_mismatch():
         parse_matrix_text("n 3\n" + text_of(EXAMPLE_A_ROWS))
 
 
+@pytest.mark.parametrize("header", ["n", "n 3 4", "n x"])
+def test_parse_matrix_bad_header(header):
+    with pytest.raises(ParseError, match="bad size header"):
+        parse_matrix_text(header + "\n" + text_of(EXAMPLE_A_ROWS))
+
+
 def test_parse_matrix_garbage():
     with pytest.raises(ParseError):
         parse_matrix_text("1 x\n0 1")

@@ -56,9 +56,10 @@ def test_compare_incomparable():
     assert compare(perm(1, 3, 4, 2), perm(1, 4, 2, 3)) is Ordering.INCOMPARABLE
 
 
-def test_compare_size_mismatch():
+@pytest.mark.parametrize("pair_function", [compare, leq, try_cover, join, meet], ids=lambda f: f.__name__)
+def test_compare_size_mismatch(pair_function):
     with pytest.raises(SizeMismatch):
-        compare(identity(3), identity(4))
+        pair_function(identity(3), identity(4))
 
 
 def test_try_cover_golden(example_a, example_b):

@@ -1,9 +1,10 @@
 import dataclasses
 import importlib
+import random
 
 import pytest
 
-from asmlat import Permutation, build_hasse, from_permutation, poset, verify
+from asmlat import Permutation, build_hasse, enumerate_asms, from_permutation, poset, verify
 from asmlat.core import AsmError
 from asmlat.verify import SUITES, generic_covers
 
@@ -92,6 +93,19 @@ def test_generic_covers_are_the_hasse_edges(n):
     graph = build_hasse(n)
     want = {(e.lower, e.upper) for e in graph.edges}
     assert generic_covers([node.matrix for node in graph.nodes]) == want
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("shuffle", ["reversed", "seeded"])
+def test_generic_covers_in_any_order(n, shuffle):
+    # in canonical order a matrix comes before every matrix below it, so
+    # only another order makes compare answer LESS for a pair (i < j)
+    canonical = enumerate_asms(n)
+    order = list(range(len(canonical)))[::-1]
+    if shuffle == "seeded":
+        random.Random(n).shuffle(order)
+    found = generic_covers([canonical[k] for k in order])
+    assert {(order[i], order[j]) for i, j in found} == generic_covers(canonical)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
