@@ -4,10 +4,10 @@ Generation runs row by row.  The search state is the vector of column
 prefix sums, each 0 or 1 (a row of the matrix's monotone triangle); a
 candidate row is any {-1, 0, 1} vector whose running prefix sums stay in
 {0, 1}, whose total is 1, and which keeps all column prefix sums in
-{0, 1}.  One row-transition table per size, cached, lists every state's
-legal rows in row-major lexicographic order (entry order -1 < 0 < 1),
-which is the package's canonical order, and what each row adds to I, N
-and beta.  A state's rows come from one sweep over its columns.
+{0, 1}.  One row-transition table per size, cached, lists each state
+(every 0/1 vector) with its legal rows in the canonical order, row-major
+lexicographic (entry order -1 < 0 < 1), and what each adds to I, N and
+beta; a state's rows come from one sweep over its columns.
 
 Also here: the closed-form count, walked from |A_k| to |A_(k+1)| by
 one ratio of binomials; generating polynomials of the
@@ -18,11 +18,12 @@ polynomial into one integer, a fixed-width field per exponent; and the
 full cover graph.  The graph comes from one walk of
 the row table that carries each matrix's I, N and beta, and from a second
 table, cached per size as well, that lists for each two-row path the
-covers exchanging a block inside those rows and how far each moves the
-canonical index.  Its nodes and edges are named tuples, and its DOT and
-JSON texts come as a stream of pieces, one per node or edge, built from
-the text of each distinct row and record, made once.  The table and the
-DP read their shares of I, N and beta off one rule in ``stats``.
+covers exchanging a block inside those rows, found by ``poset``'s
+exchange rule, and how far each moves the canonical index.  Its nodes
+and edges are named tuples, and its DOT and JSON texts come as a stream
+of pieces, one per node or edge, built from the text of each distinct
+row and record, made once.  The table and the DP read their shares of
+I, N and beta off one rule in ``stats``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import Asm, AsmError, _require_size
-from .poset import _TYPE_BY_LOWER_BLOCK, _exchange
+from .poset import _TYPE_BY_LOWER_BLOCK, _exchange_positions
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import StatRecord, _entry_shares, _record, _row_beta
 
@@ -120,17 +121,12 @@ def _row_table(n: int) -> dict[tuple[int, ...], tuple[_Step, ...]]:
     # one object per distinct row or state: all tables for n <= 10 then
     # take about 6 MiB, not 18
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    todo = [(0,) * n]
-    while todo:
-        col = todo.pop()
-        if col in table:
-            continue
-        i = 1 + sum(col)
+    for col in itertools.product((0, 1), repeat=n):
+        col, i = shared.setdefault(col, col), 1 + sum(col)
         steps = []
         for row, new in _next_rows(col):
             row, new = shared.setdefault(row, row), shared.setdefault(new, new)
             steps.append(_Step(row, new, *_entry_shares(0, col, row), _row_beta(i, new)))
-            todo.append(new)
         table[col] = tuple(steps)
     return table
 
@@ -140,42 +136,38 @@ def _cover_table(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, i
     """The up covers inside every two-row path through the row table.
 
     ``_cover_table(n)[p][k1][k2]`` is for the path that takes step k1
-    from state p and then step k2 from the state it reaches.  It lists
-    (rank delta, cover type) for each column s, ascending, where adding
-    [[-1, 1], [1, -1]] at columns s, s + 1 of the two rows gives two rows
-    that are again steps of the table; the state after them is unchanged.
-    A matrix's canonical index is the sum over its rows of
-    off[state][k], the number of paths that leave the state by an
-    earlier step, so the exchange moves the index by the change in those
-    two terms alone: the rank delta.
+    from state p to q, then step k2 to q2.  It lists (rank delta, cover
+    type) for each column s, ascending, that passes
+    :func:`poset._exchange_positions` on the corner sums of p, q and q2;
+    the exchanged rows are the steps p -> qx -> q2, qx being q with column
+    s's 1 moved to s + 1.  A matrix's canonical index is the sum over its
+    rows of off[state, next state], the number of paths that leave the
+    state by an earlier step, so the exchange moves the index by the
+    change in those two terms alone: the rank delta.
     """
     table = _row_table(n)
     paths = {(1,) * n: 1}  # paths from each state to the last
     for col in sorted(table, key=sum, reverse=True)[1:]:
         paths[col] = sum(paths[step.new] for step in table[col])
-    off = {
-        col: list(itertools.accumulate((paths[step.new] for step in steps), initial=0))
-        for col, steps in table.items()
-    }
-    at = {col: {step.row: k for k, step in enumerate(steps)} for col, steps in table.items()}
+    off = {}
+    for col, steps in table.items():
+        before = 0
+        for step in steps:
+            off[col, step.new] = before
+            before += paths[step.new]
+    corner = {col: (0, *itertools.accumulate(col)) for col in table}
     cover = {}
     for p, steps in table.items():
         from_p = []
-        for k1, first in enumerate(steps):
+        for first in steps:
             q = first.new
             from_q = []
-            for k2, second in enumerate(table[q]):
-                found = []
-                for j in range(n - 1):
-                    x1 = at[p].get(_exchange(first.row, j, -1))
-                    if x1 is None:
-                        continue
-                    qx = steps[x1].new
-                    x2 = at[qx].get(_exchange(second.row, j, 1))
-                    if x2 is None:
-                        continue
-                    delta = off[p][x1] + off[qx][x2] - off[p][k1] - off[q][k2]
-                    block = first.row[j : j + 2] + second.row[j : j + 2]
+            for second in table[q]:
+                q2, found = second.new, []
+                for _, s in _exchange_positions((corner[p], corner[q], corner[q2]), up=True):
+                    qx = q[: s - 1] + (0, 1) + q[s + 1 :]
+                    delta = off[p, qx] + off[qx, q2] - off[p, q] - off[q, q2]
+                    block = first.row[s - 1 : s + 1] + second.row[s - 1 : s + 1]
                     found.append((delta, _TYPE_BY_LOWER_BLOCK[block].index))
                 from_q.append(tuple(found))
             from_p.append(tuple(from_q))

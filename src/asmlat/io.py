@@ -17,6 +17,13 @@ class ParseError(AsmError):
     pass
 
 
+def _plain(text: str) -> str:
+    """``text``; ValueError if it holds "_", which int() skips: "0_1" is 1."""
+    if "_" in text:
+        raise ValueError(text)
+    return text
+
+
 def parse_matrix_text(text: str) -> Asm:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -26,7 +33,7 @@ def parse_matrix_text(text: str) -> Asm:
         if len(first) != 2:
             raise ParseError(f"bad size header: {lines[0]!r}")
         try:
-            n = int(first[1])
+            n = int(_plain(first[1]))
         except ValueError:
             raise ParseError(f"bad size header: {lines[0]!r}") from None
         lines = lines[1:]
@@ -35,7 +42,7 @@ def parse_matrix_text(text: str) -> Asm:
     rows = []
     for ln in lines:
         try:
-            rows.append(list(map(int, ln.split())))
+            rows.append(list(map(int, _plain(ln).split())))
         except ValueError:
             raise ParseError(f"bad matrix line: {ln!r}") from None
     return validate(rows)
@@ -48,7 +55,7 @@ def parse_permutation(token: str) -> Permutation:
         raise ParseError("empty permutation")
     if "," in body:
         try:
-            images = [int(x) for x in body.split(",")]
+            images = [int(x) for x in _plain(body).split(",")]
         except ValueError:
             raise ParseError(f"bad permutation {token!r}") from None
     elif body.isdecimal():  # not isdigit: int() rejects "²"

@@ -13,11 +13,11 @@ the distributive-lattice structure guarantees to be the code of an ASM.
 When that code is one operand's own, the operands are comparable and
 that operand is returned as it is; otherwise core decodes the entries
 straight from the code, unchecked, and the result keeps it as its order
-code.  The cover scan tests the corner sums around each position of the
-table; the covers build a matrix at each position that passes, while the
-join-irreducible test only counts the positions.  Bigrassmannian
-permutations are built directly as block swaps.  This module's
-brute-force oracles live in asmlat.verify.
+code.  One exchange rule tests the corner sums around a position: the
+covers build a matrix where it passes, the join-irreducible test counts
+the positions, and ``enumeration``'s cover table reads it on the column
+states of two rows.  Bigrassmannian permutations are built directly as
+block swaps.  This module's brute-force oracles live in asmlat.verify.
 """
 
 from __future__ import annotations
@@ -195,21 +195,25 @@ def _exchange(row: tuple[int, ...], j: int, d: int) -> tuple[int, ...]:
     return row[:j] + (row[j] + d, row[j + 1] - d) + row[j + 2 :]
 
 
-def _cover_positions(a: Asm, up: bool) -> Iterator[tuple[int, int]]:
-    """Each (r, s) of a cover at a, upward or downward, in order.
-
-    The exchange block at (r, s) moves only the corner sum c(r, s), by -1
-    going up and +1 going down, so the other matrix is an ASM iff the four
-    unit steps around c(r, s) stay in {0, 1}.
+def _exchange_positions(c: Sequence[Sequence[int]], up: bool) -> Iterator[tuple[int, int]]:
+    """Each (r, s), in order, where the exchange block at (r, s) gives an
+    ASM again, upward or downward, read off corner-sum rows ``c``, each led
+    by c(r, 0) = 0.  The block moves only c(r, s), by -1 going up and +1
+    going down, so the other matrix is an ASM iff the four unit steps
+    around c(r, s) stay in {0, 1}.
     """
-    n, d = a.n, int(up)
-    c = [(0,) * (n + 1)] + [(0,) + row for row in _sums(a)]
-    for r in range(1, n):
+    d, cols = int(up), range(1, len(c[0]) - 1)
+    for r in range(1, len(c) - 1):
         above, row, below = c[r - 1], c[r], c[r + 1]
-        for s in range(1, n):
+        for s in cols:
             x = row[s] - d
             if row[s - 1] == above[s] == x == row[s + 1] - 1 == below[s] - 1:
                 yield r, s
+
+
+def _cover_positions(a: Asm, up: bool) -> Iterator[tuple[int, int]]:
+    """Each (r, s) of a cover at a, upward or downward, in order."""
+    return _exchange_positions([(0,) * (a.n + 1)] + [(0,) + row for row in _sums(a)], up)
 
 
 def _covers(a: Asm, up: bool) -> list[CoverEdge]:

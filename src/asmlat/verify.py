@@ -62,7 +62,8 @@ def _asms(n: int) -> list[Asm]:
 def _covers_up(a: Asm) -> tuple[poset.CoverEdge, ...]:
     """``poset.covers_up(a)``, kept in ``_up`` from its first call, each
     edge's upper end swapped for the equal matrix of ``_asms(a.n)``, so
-    a matrix and its memos are held once however many edges end at it."""
+    a matrix and its memos are held once however many edges end at it;
+    an upper end outside A_n is kept, for the suites to report."""
     up = _up.get(a)
     if up is None:
         same = _same.get(a.n)
@@ -73,7 +74,7 @@ def _covers_up(a: Asm) -> tuple[poset.CoverEdge, ...]:
             # the edges are new and not yet shared, so the frozen field
             # is set in place, not by a rebuilt edge (nor through
             # e.__dict__, which would give each edge a dict of its own)
-            object.__setattr__(e, "upper", same[e.upper])
+            object.__setattr__(e, "upper", same.get(e.upper, e.upper))
     return up
 
 
@@ -715,7 +716,8 @@ class VerifyReport:
 
 
 def verify(n_max: int) -> VerifyReport:
-    """Run every suite for sizes 1..min(cap, n_max); n_max must be >= 1."""
+    """Run every suite for sizes 1..min(cap, n_max); n_max must be >= 1.
+    A suite that raises at size n counts one failed check there and stops."""
     core._require_size(n_max)
     lines = []
     all_failures = []
@@ -723,7 +725,12 @@ def verify(n_max: int) -> VerifyReport:
         checked = 0
         failures: list[str] = []
         for n in range(1, min(cap, n_max) + 1):
-            c, f = suite(n)
+            try:
+                c, f = suite(n)
+            except Exception as exc:
+                checked += 1
+                failures.append(f"n={n}: {type(exc).__name__}: {exc}")
+                break
             checked += c
             failures += f
         lines.append(f"{name}: {checked - len(failures)}/{checked}")

@@ -21,7 +21,14 @@ from asmlat import (
     validate,
 )
 from asmlat.core import AsmError, minus_count
-from asmlat.enumeration import HasseEdge, HasseNode, _asm_counts, _row_table, _vertex_sums
+from asmlat.enumeration import (
+    HasseEdge,
+    HasseNode,
+    _asm_counts,
+    _cover_table,
+    _row_table,
+    _vertex_sums,
+)
 from asmlat.polynomials import BivariatePolynomial, HalfIntPolynomial
 from asmlat.stats import _entry_shares, _row_beta, beta_corner, classical_beta, inversion_number
 
@@ -385,6 +392,22 @@ def test_row_table_matches_brute_force():
             assert [step.new for step in steps] == [
                 tuple(map(sum, zip(col, row))) for row in want
             ]
+
+
+# sha256 of the cover table's (state, covers) pairs, sorted by state,
+# recorded when the table still looked each exchanged row up among a
+# state's steps; the Hasse diagram is checked against the cover scan
+# only up to n = 6
+_COVER_TABLE_SHA256 = {
+    7: "482e0dbae6434c21c0a315e5ae5ab3cdc23770e1a13a97a47ca670a698ed3782",
+    8: "f44b0d228f97ab6f43578e0c3fa77545cffc87cbb3fcdf4fcf9369d4293901b2",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_COVER_TABLE_SHA256))
+def test_cover_table_pinned(n):
+    text = repr(sorted(_cover_table(n).items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == _COVER_TABLE_SHA256[n]
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -53,10 +53,18 @@ def test_parse_matrix_header_mismatch():
         parse_matrix_text("n 3\n" + text_of(EXAMPLE_A_ROWS))
 
 
-@pytest.mark.parametrize("header", ["n", "n 3 4", "n x"])
+@pytest.mark.parametrize("header", ["n", "n 3 4", "n x", "n 0_4"])
 def test_parse_matrix_bad_header(header):
     with pytest.raises(ParseError, match="bad size header"):
         parse_matrix_text(header + "\n" + text_of(EXAMPLE_A_ROWS))
+
+
+def test_parse_matrix_underscore():
+    # int() reads "0_1" as 1; a matrix entry may not
+    with pytest.raises(ParseError, match="bad matrix line"):
+        parse_matrix_text("0_1 0\n0 1")
+    with pytest.raises(ParseError, match="bad matrix line"):
+        parse_matrix_text("n 2\n0 1\n1 0_0")
 
 
 def test_parse_matrix_garbage():
@@ -80,6 +88,25 @@ def test_parse_permutation_bad():
         parse_permutation("perm:")
     with pytest.raises(ParseError):
         parse_permutation("perm:3x12")
+    for token in ("2,0_1", "perm:1_0,2,3,4,5,6,7,8,9,1", "1_2"):
+        with pytest.raises(ParseError, match="bad permutation"):
+            parse_permutation(token)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["stats", "--perm", "2,0_1"], ""),
+        (["stats", "--matrix", "-"], "0_1 0\n0 1\n"),
+        (["stats", "--matrix", "-"], "n 0_2\n0 1\n1 0\n"),
+    ],
+    ids=["perm", "entry", "header"],
+)
+def test_cli_refuses_underscore_numbers(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out and "bad" in err
 
 
 def test_parse_matrix_or_perm():
@@ -116,7 +143,7 @@ _json = st.recursive(
     | st.dictionaries(st.sampled_from(["n", "entries", "x"]), kids, max_size=3),
     max_leaves=20,
 )
-_tokens = st.text(max_size=12) | st.text("0123456789,-: perm", max_size=12)
+_tokens = st.text(max_size=12) | st.text("0123456789,-_: perm", max_size=12)
 
 
 def _valid_or_domain_error(parse, arg):
@@ -128,9 +155,11 @@ def _valid_or_domain_error(parse, arg):
 
 
 @settings(deadline=None)
-@given(st.text(max_size=40) | st.tuples(st.integers(-1, 5), _rows).map(
-    lambda t: f"n {t[0]}\n" + text_of(t[1])
-))
+@given(
+    st.text(max_size=40)
+    | st.text("01-_ \nn", max_size=40)
+    | st.tuples(st.integers(-1, 5), _rows).map(lambda t: f"n {t[0]}\n" + text_of(t[1]))
+)
 def test_fuzz_parse_matrix_text(text):
     _valid_or_domain_error(parse_matrix_text, text)
 

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from asmlat import Permutation, build_hasse, enumerate_asms, from_permutation, poset, verify
-from asmlat.core import AsmError
+from asmlat import Permutation, build_hasse, cli, enumerate_asms, from_permutation, poset, verify
+from asmlat.core import Asm, AsmError
 from asmlat.verify import SUITES, generic_covers
 
 # the module, not the function asmlat.verify that shadows it
@@ -73,6 +73,24 @@ def test_pass_counts_stay_in_range_when_covers_are_wrong(monkeypatch):
     assert not report.ok
     for name in ("cover-deltas-table", "cover-type-duality", "grading-and-reachability"):
         assert counts[name][0] < counts[name][1], name
+
+
+def test_a_suite_that_raises_is_reported_as_a_failure(monkeypatch, capsys):
+    # every up edge sent to the zero matrix, outside A_n: a suite that
+    # looks the upper end up raises, and that is one failed check in the
+    # report, not a traceback
+    covers_up = poset.covers_up
+    def outside(a):
+        zero = Asm(a.n, ((0,) * a.n,) * a.n)
+        return [dataclasses.replace(e, upper=zero) for e in covers_up(a)]
+    monkeypatch.setattr(poset, "covers_up", outside)
+    monkeypatch.setattr(verify_module, "_up", {})
+    assert cli.run(["verify", "--max", "3"]) == cli.EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert "hasse-vs-cover-scan: 1/2" in lines
+    block = lines[lines.index("FAILURES:") :]
+    assert lines[-2:] == ["", "verification FAILED"]
+    assert "  hasse-vs-cover-scan: n=2: KeyError: " + repr(Asm(2, ((0, 0), (0, 0)))) in block
 
 
 def test_verify_finds_each_matrix_up_covers_once(monkeypatch):
