@@ -60,16 +60,23 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return p
 
 
+def _int(text: str) -> int:
+    return io.read_int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+
+
 def _enumerate_args(sp) -> None:
-    sp.add_argument("--size", type=int, required=True)
+    sp.add_argument("--size", type=_int, required=True)
     sp.add_argument("--format", choices=["lines", "json"], default="lines")
-    sp.add_argument("--guard", type=int, default=None)
+    sp.add_argument("--guard", type=_int, default=None)
 
 
 def _count_args(sp) -> None:
-    sp.add_argument("--size", type=int, required=True)
+    sp.add_argument("--size", type=_int, required=True)
     sp.add_argument("--method", choices=["formula", "enumerate"], default="formula")
-    sp.add_argument("--guard", type=int, default=None)
+    sp.add_argument("--guard", type=_int, default=None)
 
 
 def _stats_args(sp) -> None:
@@ -86,24 +93,24 @@ def _covers_args(sp) -> None:
 
 
 def _hasse_args(sp) -> None:
-    sp.add_argument("--size", type=int, required=True)
+    sp.add_argument("--size", type=_int, required=True)
     sp.add_argument("--output", choices=["dot", "json"], required=True)
     sp.add_argument("--highlight-ji", action="store_true")
-    sp.add_argument("--guard", type=int, default=None)
+    sp.add_argument("--guard", type=_int, default=None)
 
 
 def _genfun_args(sp) -> None:
-    sp.add_argument("--size", type=int, required=True)
+    sp.add_argument("--size", type=_int, required=True)
     what = sp.add_mutually_exclusive_group(required=True)
     what.add_argument("--stat", choices=["I", "H", "beta"])
     what.add_argument("--bivariate", choices=["I:beta", "H:beta"])
     sp.add_argument("--over", choices=["asm", "perm"], default="asm")
     sp.add_argument("--format", choices=["human", "json"], default="human")
-    sp.add_argument("--guard", type=int, default=None)
+    sp.add_argument("--guard", type=_int, default=None)
 
 
 def _verify_args(sp) -> None:
-    sp.add_argument("--max", type=int, required=True, dest="n_max")
+    sp.add_argument("--max", type=_int, required=True, dest="n_max")
 
 
 def _add_matrix_args(sp) -> None:

@@ -196,13 +196,18 @@ class CornerSumMatrix:
     sums: tuple[tuple[int, ...], ...]
 
 
+_BITS = frozenset((0, 1))
+
+
 def validate(raw: Sequence[Sequence[int]]) -> Asm:
     """Check the alternating-sign conditions and build an :class:`Asm`.
 
     The first violated constraint in a row-major scan is reported, with
     1-based coordinates in the message, so errors are deterministic: each
     row's entries and running sums left to right, then its total, then
-    its column prefix sums.
+    its column prefix sums.  A row is checked by two C-level passes, its
+    running sums and the column prefix sums it leaves; only a row that
+    fails them is scanned entry by entry, for the message.
     """
     rows = _as_rows(raw)
     n = len(rows)
@@ -211,24 +216,34 @@ def validate(raw: Sequence[Sequence[int]]) -> Asm:
     for i, row in enumerate(rows, start=1):
         if len(row) != n:
             raise NotSquare(f"row {i} has {len(row)} entries, expected {n}")
-    col_sums = [0] * n
+    col = (0,) * n
     for i, row in enumerate(rows, start=1):
-        row_sum = 0
-        for j, v in enumerate(row, start=1):
-            if v not in (-1, 0, 1):
-                raise EntryOutOfRange(f"entry {v} at ({i}, {j}) not in {{-1, 0, 1}}")
-            row_sum += v
-            if row_sum not in (0, 1):
-                raise BadPartialSum(f"row prefix sum {row_sum} at ({i}, {j})")
-        if row_sum != 1:
-            raise BadTotalSum(f"row {i} sums to {row_sum}, expected 1")
-        for j, v in enumerate(row, start=1):
-            col_sums[j - 1] += v
-            if col_sums[j - 1] not in (0, 1):
-                raise BadPartialSum(f"column prefix sum {col_sums[j - 1]} at ({i}, {j})")
+        # running sums in {0, 1} put every entry in {-1, 0, 1}
+        acc = tuple(accumulate(row))
+        new = tuple(map(add, col, row))
+        if acc[-1] != 1 or not _BITS.issuperset(acc) or not _BITS.issuperset(new):
+            _raise_first_violation(i, row, col)
+        col = new
     # every row sums to 1 and every column ends in {0, 1}, so the n column
     # totals add up to n and each of them is 1
     return Asm(n, rows)
+
+
+def _raise_first_violation(i: int, row: tuple[int, ...], col: tuple[int, ...]) -> None:
+    """Raise the first violation of row i, which breaks one, given the
+    column prefix sums ``col`` of the rows above it."""
+    row_sum = 0
+    for j, v in enumerate(row, start=1):
+        if v not in (-1, 0, 1):
+            raise EntryOutOfRange(f"entry {v} at ({i}, {j}) not in {{-1, 0, 1}}")
+        row_sum += v
+        if row_sum not in (0, 1):
+            raise BadPartialSum(f"row prefix sum {row_sum} at ({i}, {j})")
+    if row_sum != 1:
+        raise BadTotalSum(f"row {i} sums to {row_sum}, expected 1")
+    for j, (c, v) in enumerate(zip(col, row), start=1):
+        if c + v not in (0, 1):
+            raise BadPartialSum(f"column prefix sum {c + v} at ({i}, {j})")
 
 
 def _require_position(n: int, i: int, j: int) -> None:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import Asm, AsmError, _require_size
+from .io import read_int
 from .poset import _TYPE_BY_LOWER_BLOCK, _exchange_positions
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import StatRecord, _entry_shares, _record, _row_beta
@@ -58,7 +59,7 @@ def resolve_guard(limit_guard: Optional[int] = None) -> int:
         if not env:
             return DEFAULT_GUARD
         try:
-            source, guard = "ASMLAT_GUARD=", int(env)
+            source, guard = "ASMLAT_GUARD=", read_int(env)
         except ValueError:
             raise AsmError(f"ASMLAT_GUARD={env!r} is not an integer") from None
     elif type(guard) is not int:

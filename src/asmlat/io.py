@@ -4,11 +4,16 @@ Matrix text format: an optional first line "n <size>", then n lines of n
 whitespace-separated integers.  Permutation shorthand: "perm:<images>"
 with comma-separated images, or a digits-only string when n <= 9
 (e.g. "perm:3412").  JSON: {"n": int, "entries": [[int]]}.
+
+Every integer in a text, whether an entry, a size or an image, is an
+ASCII token ``-?[0-9]+`` (:func:`read_int`): ``int()`` alone would also
+read "+1", "0_1" and non-ASCII digits such as "١".
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .core import Asm, AsmError, NotSquare, Permutation, from_permutation, validate
 
@@ -17,11 +22,20 @@ class ParseError(AsmError):
     pass
 
 
-def _plain(text: str) -> str:
-    """``text``; ValueError if it holds "_", which int() skips: "0_1" is 1."""
-    if "_" in text:
-        raise ValueError(text)
-    return text
+_INT = re.compile(r"-?[0-9]+")
+
+# The tokens of a well-formed matrix line; any other token sends the line
+# to read_int, which reads it or rejects it.
+_ENTRY = {"0": 0, "1": 1, "-1": -1}
+
+
+def read_int(token: str) -> int:
+    """``token``, surrounding whitespace aside, as an ASCII integer
+    ``-?[0-9]+``; ValueError for anything else."""
+    t = token.strip()
+    if not _INT.fullmatch(t):
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(t)  # ValueError too past sys.get_int_max_str_digits()
 
 
 def parse_matrix_text(text: str) -> Asm:
@@ -33,7 +47,7 @@ def parse_matrix_text(text: str) -> Asm:
         if len(first) != 2:
             raise ParseError(f"bad size header: {lines[0]!r}")
         try:
-            n = int(_plain(first[1]))
+            n = read_int(first[1])
         except ValueError:
             raise ParseError(f"bad size header: {lines[0]!r}") from None
         lines = lines[1:]
@@ -42,9 +56,12 @@ def parse_matrix_text(text: str) -> Asm:
     rows = []
     for ln in lines:
         try:
-            rows.append(list(map(int, _plain(ln).split())))
-        except ValueError:
-            raise ParseError(f"bad matrix line: {ln!r}") from None
+            rows.append(tuple(map(_ENTRY.__getitem__, ln.split())))
+        except KeyError:
+            try:
+                rows.append(tuple(map(read_int, ln.split())))
+            except ValueError:
+                raise ParseError(f"bad matrix line: {ln!r}") from None
     return validate(rows)
 
 
@@ -55,10 +72,10 @@ def parse_permutation(token: str) -> Permutation:
         raise ParseError("empty permutation")
     if "," in body:
         try:
-            images = [int(x) for x in _plain(body).split(",")]
+            images = [read_int(x) for x in body.split(",")]
         except ValueError:
             raise ParseError(f"bad permutation {token!r}") from None
-    elif body.isdecimal():  # not isdigit: int() rejects "²"
+    elif body.isascii() and body.isdigit():
         images = [int(ch) for ch in body]
     else:
         raise ParseError(f"bad permutation {token!r}")

@@ -85,6 +85,10 @@ def test_validate_not_square():
         ([[1, 0], [1, 1]], BadPartialSum, "row prefix sum 2 at (2, 2)"),
         # ragged and non-int: the type is checked before the shape
         ([[1], [0, "x"]], EntryOutOfRange, "entry 'x' at (2, 2) is not an integer"),
+        ([[1, 0], [0, 10**20]], EntryOutOfRange,
+         "entry 100000000000000000000 at (2, 2) not in {-1, 0, 1}"),
+        # row 3 keeps every row rule and breaks only its last column prefix
+        ([[0, 0, 1], [0, 1, 0], [0, 0, 1]], BadPartialSum, "column prefix sum 2 at (3, 3)"),
     ],
 )
 def test_validate_messages(rows, error, message):
@@ -137,7 +141,7 @@ def _outcome(check, raw):
 
 
 def test_validate_matches_entrywise_scan_on_malformed_input():
-    # the entry-by-entry scan against the corner-sum characterization
+    # validate's row checks against the corner-sum characterization
     # (Robbins-Rumsey): a square integer matrix is an ASM iff its corner
     # sums step by 0 or 1 and end in 1..n along the last row and column
     rng = random.Random(2019)

@@ -3,10 +3,10 @@ import io
 import json
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from asmlat import Permutation, from_permutation, validate
+from asmlat import Permutation, enumerate_asms, from_permutation, validate
 from asmlat.cli import run
 from asmlat.core import AsmError, EntryOutOfRange, NotSquare
 from asmlat.io import (
@@ -67,6 +67,19 @@ def test_parse_matrix_underscore():
         parse_matrix_text("n 2\n0 1\n1 0_0")
 
 
+@pytest.mark.parametrize("text", ["+1 0\n0 1", "\u0661 0\n0 1", "n 2\n0 1\n1 \uff10"])
+def test_parse_matrix_refuses_non_ascii_integers(text):
+    # int() reads "+1", the Arabic-Indic "\u0661" and the fullwidth "\uff10"
+    with pytest.raises(ParseError, match="bad matrix line"):
+        parse_matrix_text(text)
+
+
+@pytest.mark.parametrize("header", ["n +2", "n \u0662"])
+def test_parse_matrix_refuses_non_ascii_size(header):
+    with pytest.raises(ParseError, match="bad size header"):
+        parse_matrix_text(header + "\n0 1\n1 0")
+
+
 def test_parse_matrix_garbage():
     with pytest.raises(ParseError):
         parse_matrix_text("1 x\n0 1")
@@ -88,7 +101,8 @@ def test_parse_permutation_bad():
         parse_permutation("perm:")
     with pytest.raises(ParseError):
         parse_permutation("perm:3x12")
-    for token in ("2,0_1", "perm:1_0,2,3,4,5,6,7,8,9,1", "1_2"):
+    for token in ("2,0_1", "perm:1_0,2,3,4,5,6,7,8,9,1", "1_2",
+                  "\u0662\u0661", "+2,1", "2,+1", "\u0662,1", "perm:\uff12\uff11"):
         with pytest.raises(ParseError, match="bad permutation"):
             parse_permutation(token)
 
@@ -107,6 +121,39 @@ def test_cli_refuses_underscore_numbers(capsys, monkeypatch, argv, stdin):
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert not out and "bad" in err
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["stats", "--perm", "\u0662\u0661"], ""),
+        (["stats", "--perm", "+2,1"], ""),
+        (["stats", "--matrix", "-"], "\u0661 0\n0 1\n"),
+        (["stats", "--matrix", "-"], "+1 0\n0 1\n"),
+    ],
+    ids=["perm-digits", "perm-plus", "entry-digit", "entry-plus"],
+)
+def test_cli_refuses_non_ascii_integers(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out and "bad" in err
+
+
+@pytest.mark.parametrize("value", ["\u0665", "+5", "5_0", "\uff15"])
+def test_cli_int_options_are_ascii(capsys, value):
+    # argparse's usage error, with its own text
+    assert run(["count", "--size", value]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err.endswith(f"asmlat: argument --size: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["+9", "\u0669", "9_0"])
+def test_guard_variable_is_ascii(capsys, monkeypatch, value):
+    monkeypatch.setenv("ASMLAT_GUARD", value)
+    assert run(["enumerate", "--size", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"asmlat: ASMLAT_GUARD={value!r} is not an integer\n")
 
 
 def test_parse_matrix_or_perm():
@@ -143,7 +190,7 @@ _json = st.recursive(
     | st.dictionaries(st.sampled_from(["n", "entries", "x"]), kids, max_size=3),
     max_leaves=20,
 )
-_tokens = st.text(max_size=12) | st.text("0123456789,-_: perm", max_size=12)
+_tokens = st.text(max_size=12) | st.text("0123456789,-_+\u0661: perm", max_size=12)
 
 
 def _valid_or_domain_error(parse, arg):
@@ -157,7 +204,7 @@ def _valid_or_domain_error(parse, arg):
 @settings(deadline=None)
 @given(
     st.text(max_size=40)
-    | st.text("01-_ \nn", max_size=40)
+    | st.text("01-_+\u0661 \nn", max_size=40)
     | st.tuples(st.integers(-1, 5), _rows).map(lambda t: f"n {t[0]}\n" + text_of(t[1]))
 )
 def test_fuzz_parse_matrix_text(text):
@@ -185,3 +232,75 @@ def test_fuzz_parse_permutation(token):
 def test_fuzz_cli_perm(command, token):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert run([command, "--perm", token]) in (0, 1, 2)
+
+
+# The ASCII reader against the int() reader it replaced: on text made of
+# ASCII digits, "-", spaces, newlines and "n" headers, int() reads exactly
+# the tokens -?[0-9]+, so both give the same matrix or the same error.
+
+def int_reader(text):
+    """parse_matrix_text as it was with int() for every entry and size."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("empty matrix input")
+    first = lines[0].split()
+    if first and first[0] == "n":
+        if len(first) != 2:
+            raise ParseError(f"bad size header: {lines[0]!r}")
+        try:
+            n = int(first[1])
+        except ValueError:
+            raise ParseError(f"bad size header: {lines[0]!r}") from None
+        lines = lines[1:]
+        if len(lines) != n:
+            raise ParseError(f"header says {n} rows, got {len(lines)}")
+    rows = []
+    for ln in lines:
+        try:
+            rows.append(list(map(int, ln.split())))
+        except ValueError:
+            raise ParseError(f"bad matrix line: {ln!r}") from None
+    return validate(rows)
+
+
+_POOL = {n: enumerate_asms(n) for n in range(1, 5)}
+_SPELLINGS = {0: ["0", "00", "-0"], 1: ["1", "01"], -1: ["-1", "-01"]}
+_ascii_token = st.text("0123456789-", min_size=1, max_size=3)
+_replacement = st.sampled_from(["-1", "0", "1"]) | _ascii_token
+
+
+@st.composite
+def _ascii_matrix_texts(draw):
+    """An ASM of size <= 4 spelled in ASCII tokens, about one entry in ten
+    replaced by another entry or any token, under no header or a header of
+    any token."""
+    rows = draw(st.sampled_from(_POOL[draw(st.integers(1, 4))])).entries
+    lines = [
+        draw(st.sampled_from([" ", "  "])).join(
+            draw(st.sampled_from(_SPELLINGS[v]) if draw(st.integers(0, 9)) else _replacement)
+            for v in row
+        )
+        for row in rows
+    ]
+    header = draw(st.none() | st.integers(0, 5).map(str) | _ascii_token)
+    if header is not None:
+        lines.insert(0, f"n {header}")
+    return draw(st.sampled_from(["\n", "\n \n"])).join(lines)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except AsmError as exc:
+        return type(exc), str(exc)
+
+
+@seed(2019)
+@settings(deadline=None, max_examples=400)
+@given(
+    _ascii_matrix_texts()
+    | st.text("0123456789- \n", max_size=40)
+    | st.text("01- \n", max_size=40).map(lambda t: "n 2\n" + t)
+)
+def test_parse_matrix_text_matches_int_reader(text):
+    assert _parsed(parse_matrix_text, text) == _parsed(int_reader, text)
