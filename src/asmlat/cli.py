@@ -4,8 +4,8 @@ Subcommands: enumerate, count, stats, covers, hasse, genfun, verify.
 Exit codes: 0 success, 1 usage error, 2 domain error (invalid matrix or
 arguments out of domain), 3 enumeration guard exceeded, 4 verification
 failure.  Output is human-readable by default; --format json switches to
-the documented JSON schemas.  ``run`` builds only the parser of the
-command it runs, on that command's first call, and reuses it for the
+the JSON schemas listed in README.md.  ``run`` builds only the parser of
+the command it runs, on that command's first call, and reuses it for the
 rest of the process.  The full parser, with every command as a
 subparser, is built only when the arguments do not start with a
 command, or to report leftover arguments in its words.

@@ -309,8 +309,10 @@ def _check_dp(n: int, over: str, limit_guard: Optional[int]) -> bool:
 
 
 def iter_asms(n: int) -> Iterator[Asm]:
-    """Stream every ASM of size n, canonical order, no guard, by walking
-    the row table depth first."""
+    """Yield every ASM of size n, canonical order, no guard, by walking
+    the row table depth first, but only once the whole table is built:
+    (3^n - 1)/2 steps, so the first item takes 1.5 s and 43 MiB at
+    n = 12, 14 s and 260 MiB at n = 14 (2-vCPU VM)."""
     _require_size(n)
     table = _row_table(n)
 

@@ -7,9 +7,11 @@ tests, and b covers a iff b's code adds exactly one bit to a's, so the
 corner sums differ at one position (r, s) only, by one.  Covering pairs
 differ by a single 2x2 block exchange adding [[-1, 1], [1, -1]]; the
 sixteen possible block contents classify every cover and determine how
-I, N and H move along the edge.  Join and meet are the entrywise min and
-max of the corner sums, that is the OR and AND of the two codes, which
-the distributive-lattice structure guarantees to be the code of an ASM.
+I, N and H move along the edge; each cover is a ``CoverEdge``, a named
+tuple like ``CoverType`` and the Hasse records.  Join and meet are the
+entrywise min and max of the corner sums, that is the OR and AND of the
+two codes, which the distributive-lattice structure guarantees to be the
+code of an ASM.
 When that code is one operand's own, the operands are comparable and
 that operand is returned as it is; otherwise core decodes the entries
 straight from the code, unchecked, and the result keeps it as its order
@@ -23,7 +25,6 @@ block swaps.  This module's brute-force oracles live in asmlat.verify.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -86,8 +87,7 @@ _TYPE_BY_LOWER_BLOCK = {block: row for block, row in _TYPE_ROWS}
 COVER_TYPES = tuple(row for _, row in _TYPE_ROWS)
 
 
-@dataclass(frozen=True)
-class CoverEdge:
+class CoverEdge(NamedTuple):
     """A covering pair lower <| upper with its exchange data.
 
     The two matrices agree outside the 2x2 block at (r, s), (r, s+1),

@@ -3,7 +3,8 @@
 An inversion of A is a quadruple (i, j, k, l) with i < j, k < l and
 a_jk * a_il != 0: a nonzero entry with another nonzero entry strictly
 north-east of it.  The signed count I, its dual I*, the -1 count N, the
-weak inversion number H = I - N/2 and the lattice rank beta all live here.
+weak inversion number H = I - N/2 and the lattice rank beta all live here,
+with their records, the named tuples ``Inversion`` and ``StatRecord``.
 :func:`stat_record`, ``enumeration``'s row table and its generating
 polynomial DP read I, N and beta off one rule, checked against the pair
 sums: :func:`_entry_shares`, each position's share of I and N, and
@@ -16,17 +17,15 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import Asm, _require_position, _sums, minus_count
 
 
-@dataclass(frozen=True)
-class Inversion:
+class Inversion(NamedTuple):
     """One inversion quadruple with its sign and column weight."""
 
     i: int
@@ -37,8 +36,7 @@ class Inversion:
     weight: int  # l - k
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(NamedTuple):
     """The five statistics of one matrix, bundled.
 
     ``weak2`` stores 2*H so the record stays integer-valued.

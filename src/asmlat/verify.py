@@ -12,10 +12,10 @@ the Hasse diagram by the cover scan) and the lattice-law predicate live
 here too, each in one place.
 
 Like each A_n, each matrix's up covers are found once per process and
-kept (``_up``), with the matrix of A_n itself as each edge's upper end;
-the cover edges, the closure from the identity, the random cover walks
-and the scanned Hasse diagram all read them.  The generic cover relation
-is built once per universe, from one comparison per pair of matrices.
+kept (``_up``), each edge rebuilt by ``_replace`` with the matrix of A_n
+itself as its upper end; the cover edges, the closure from the identity,
+the random cover walks and the scanned Hasse diagram all read them.  The
+generic cover relation is built once per universe, one compare per pair.
 """
 
 from __future__ import annotations
@@ -69,12 +69,9 @@ def _covers_up(a: Asm) -> tuple[poset.CoverEdge, ...]:
         same = _same.get(a.n)
         if same is None:
             same = _same[a.n] = {b: b for b in _asms(a.n)}
-        up = _up[a] = tuple(poset.covers_up(a))
-        for e in up:
-            # the edges are new and not yet shared, so the frozen field
-            # is set in place, not by a rebuilt edge (nor through
-            # e.__dict__, which would give each edge a dict of its own)
-            object.__setattr__(e, "upper", same.get(e.upper, e.upper))
+        up = _up[a] = tuple(
+            e._replace(upper=same.get(e.upper, e.upper)) for e in poset.covers_up(a)
+        )
     return up
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import hashlib
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from asmlat import cli, enumeration
 from asmlat.cli import run
 from asmlat.enumeration import build_hasse, count_formula
 
-from conftest import EXAMPLE_A_ROWS
+from conftest import EXAMPLE_A_ROWS, MIDDLE_3_ROWS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC, DEMOS = ROOT / "src", ROOT / "demos"
@@ -351,6 +352,26 @@ def test_cli_text_pinned(capsys, monkeypatch, case):
     monkeypatch.delenv("ASMLAT_GUARD", raising=False)
     want = (case["exit"], case["system_exit"], case["out"], case["err"])
     assert run_pinned(capsys, case["argv"]) == want
+
+
+def test_readme_json_examples_are_real_output(capsys, tmp_path):
+    # each JSON example in README's JSON section is the output of the first
+    # command quoted between the example before it and this one
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## JSON output") :]
+    section = section[: section.index("\n## ", 1)]
+    m3 = tmp_path / "m3.txt"
+    m3.write_text("\n".join(" ".join(map(str, row)) for row in MIDDLE_3_ROWS) + "\n")
+    commands, start = set(), 0
+    for block in re.finditer(r"```json\n(.*?)\n```", section, re.S):
+        command = re.findall(
+            r"`((?:stats|covers|genfun|hasse|enumerate) --[^`]*)`", section[start : block.start()]
+        )[0]
+        start = block.end()
+        commands.add(command.split()[0])
+        argv = [str(m3) if word == "m3.txt" else word for word in command.split()]
+        assert invoke(capsys, *argv)[:2] == (0, block.group(1) + "\n"), command
+    assert commands == {"stats", "covers", "genfun", "hasse", "enumerate"}
 
 
 def test_genfun_needs_one_of_stat_and_bivariate(capsys):

@@ -30,7 +30,18 @@ from asmlat.enumeration import (
     _vertex_sums,
 )
 from asmlat.polynomials import BivariatePolynomial, HalfIntPolynomial
-from asmlat.stats import _entry_shares, _row_beta, beta_corner, classical_beta, inversion_number
+from asmlat.poset import CoverEdge, covers_up
+from asmlat.stats import (
+    Inversion,
+    StatRecord,
+    _entry_shares,
+    _row_beta,
+    beta_corner,
+    classical_beta,
+    inversion_list,
+    inversion_number,
+    stat_record,
+)
 
 from pathlib import Path
 
@@ -239,6 +250,58 @@ def test_hasse_nodes_and_edges_are_immutable_tuples():
     assert HasseNode(node.matrix, node.record, join_irreducible=node.join_irreducible) == node
     # the one difference from the dataclasses they replaced
     assert edge == (edge.lower, edge.upper, edge.cover_type)
+
+
+# repr, hash and JSON recorded when these records were frozen dataclasses,
+# whose repr and hash the named tuples reproduce field for field
+RECORD_PINS = [
+    (
+        StatRecord,
+        lambda a, m: stat_record(a),
+        ("inv", "dual_inv", "minus", "weak2", "beta"),
+        "StatRecord(inv=5, dual_inv=3, minus=2, weak2=8, beta=7)",
+        -2394432289143050590,
+        {"I": 5, "Istar": 3, "N": 2, "H2": 8, "beta": 7},
+    ),
+    (
+        CoverEdge,
+        lambda a, m: covers_up(m)[0],
+        ("lower", "upper", "r", "s", "cover_type", "d_inv", "d_minus", "d_weak2"),
+        "CoverEdge(lower=Asm(n=3, entries=((0, 1, 0), (1, -1, 1), (0, 1, 0))), "
+        "upper=Asm(n=3, entries=((0, 0, 1), (1, 0, 0), (0, 1, 0))), "
+        "r=1, s=2, cover_type=3, d_inv=0, d_minus=-1, d_weak2=1)",
+        2773844897846881604,
+        {"r": 1, "s": 2, "type": 3, "dI": 0, "dN2x": -1, "dH2x": 1},
+    ),
+    (
+        Inversion,
+        lambda a, m: inversion_list(a)[0],
+        ("i", "j", "k", "l", "sign", "weight"),
+        "Inversion(i=1, j=2, k=2, l=3, sign=1, weight=1)",
+        -563734695648125648,
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, build, fields, text, digest, json_dict",
+    RECORD_PINS,
+    ids=[pin[0].__name__ for pin in RECORD_PINS],
+)
+def test_records_are_immutable_tuples_with_the_dataclass_outputs(
+    example_a, middle3, cls, build, fields, text, digest, json_dict
+):
+    record = build(example_a, middle3)
+    assert type(record) is cls and isinstance(record, tuple)
+    assert cls._fields == fields
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert repr(record) == text
+    assert hash(record) == digest
+    if json_dict is not None:
+        assert record.to_json_dict() == json_dict
 
 
 def test_iter_asms_streams():

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import random
 
@@ -59,7 +58,7 @@ def test_pass_counts_stay_in_range_when_covers_are_wrong(monkeypatch):
     covers_up = poset.covers_up
     def broken(a):
         top = from_permutation(Permutation.longest(a.n))
-        return [dataclasses.replace(e, upper=top) for e in covers_up(a)]
+        return [e._replace(upper=top) for e in covers_up(a)]
     monkeypatch.setattr(poset, "covers_up", broken)
     # a fresh memo, so the suites find the broken covers, not kept ones
     monkeypatch.setattr(verify_module, "_up", {})
@@ -82,7 +81,7 @@ def test_a_suite_that_raises_is_reported_as_a_failure(monkeypatch, capsys):
     covers_up = poset.covers_up
     def outside(a):
         zero = Asm(a.n, ((0,) * a.n,) * a.n)
-        return [dataclasses.replace(e, upper=zero) for e in covers_up(a)]
+        return [e._replace(upper=zero) for e in covers_up(a)]
     monkeypatch.setattr(poset, "covers_up", outside)
     monkeypatch.setattr(verify_module, "_up", {})
     assert cli.run(["verify", "--max", "3"]) == cli.EXIT_VERIFY
