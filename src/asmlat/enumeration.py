@@ -109,7 +109,7 @@ class _Step(NamedTuple):
     d_beta: int
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _row_table(n: int) -> dict[tuple[int, ...], tuple[_Step, ...]]:
     """Every column prefix state of size n with its legal next rows, in
     canonical order.
@@ -132,7 +132,7 @@ def _row_table(n: int) -> dict[tuple[int, ...], tuple[_Step, ...]]:
     return table
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _cover_table(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
     """The up covers inside every two-row path through the row table.
 

@@ -11,11 +11,11 @@ beta, the greedy chain rank, the generating polynomials by enumeration,
 the Hasse diagram by the cover scan) and the lattice-law predicate live
 here too, each in one place.
 
-Like each A_n, each matrix's up covers are found once per process and
-kept (``_up``), each edge rebuilt by ``_replace`` with the matrix of A_n
-itself as its upper end; the cover edges, the closure from the identity,
-the random cover walks and the scanned Hasse diagram all read them.  The
-generic cover relation is built once per universe, one compare per pair.
+Each memo is a ``functools.cache`` function: A_n, its index, S_n's
+bigrassmannians and each matrix's up covers, whose edges end at the
+matrices of A_n themselves, read by the cover edges, the closure, the
+random cover walks and the scanned Hasse diagram.  The generic cover
+relation is built once per universe, one compare per pair.
 """
 
 from __future__ import annotations
@@ -45,34 +45,27 @@ from .core import (
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .poset import Ordering, compare, leq
 
-_cache: dict[int, list[Asm]] = {}
-# for each n, every matrix of A_n keyed by itself: the upper end of each
-# kept edge below is looked up here
-_same: dict[int, dict[Asm, Asm]] = {}
-# each matrix's up covers, found once per process like the A_n above
-_up: dict[Asm, tuple[poset.CoverEdge, ...]] = {}
-
-
+@functools.cache
 def _asms(n: int) -> list[Asm]:
-    if n not in _cache:
-        _cache[n] = enumeration.enumerate_asms(n)
-    return _cache[n]
+    return enumeration.enumerate_asms(n)
 
 
+@functools.cache
+def _index(n: int) -> dict[Asm, int]:
+    """Each matrix of A_n keyed to its position in ``_asms(n)``."""
+    return {a: i for i, a in enumerate(_asms(n))}
+
+
+@functools.cache
 def _covers_up(a: Asm) -> tuple[poset.CoverEdge, ...]:
-    """``poset.covers_up(a)``, kept in ``_up`` from its first call, each
-    edge's upper end swapped for the equal matrix of ``_asms(a.n)``, so
-    a matrix and its memos are held once however many edges end at it;
-    an upper end outside A_n is kept, for the suites to report."""
-    up = _up.get(a)
-    if up is None:
-        same = _same.get(a.n)
-        if same is None:
-            same = _same[a.n] = {b: b for b in _asms(a.n)}
-        up = _up[a] = tuple(
-            e._replace(upper=same.get(e.upper, e.upper)) for e in poset.covers_up(a)
-        )
-    return up
+    """``poset.covers_up(a)``, each upper end swapped for the equal matrix
+    of ``_asms(a.n)``, so a matrix is held once however many edges end at
+    it; an end outside A_n is kept, for the suites to report."""
+    matrices, index = _asms(a.n), _index(a.n)
+    return tuple(
+        e if (i := index.get(e.upper)) is None else e._replace(upper=matrices[i])
+        for e in poset.covers_up(a)
+    )
 
 
 @functools.cache
@@ -332,10 +325,9 @@ def bfs_cover_closure(n: int) -> list[Asm]:
 def scanned_hasse(n: int) -> enumeration.HasseGraph:
     """The Hasse diagram by the cover scan, the oracle for
     :func:`enumeration.build_hasse`: ``covers_up`` and ``stat_record`` on
-    every matrix of A_n, an index dict for the upper ends, and one global
-    sort of the edges."""
-    matrices = _asms(n)
-    index = {a: i for i, a in enumerate(matrices)}
+    every matrix of A_n, the kept index of A_n for the upper ends, and one
+    global sort of the edges."""
+    matrices, index = _asms(n), _index(n)
     # each edge is found once, from its lower end, so this counts lower covers
     lower_covers = [0] * len(matrices)
     edges = []
@@ -569,8 +561,8 @@ def check_bigrassmannian_construction(n: int):
 
 
 def check_count_formula(n: int):
-    # a size no other suite has cached is streamed, not kept
-    got = len(_cache[n]) if n in _cache else sum(1 for _ in enumeration.iter_asms(n))
+    # streamed, so a size past every other suite's cap is never kept
+    got = sum(1 for _ in enumeration.iter_asms(n))
     want = enumeration.count_formula(n)
     return 1, [] if got == want else [f"enumerated {got}, formula gives {want}"]
 
@@ -655,8 +647,9 @@ def check_signed_identity(n: int):
     return 1, [] if ok else [f"signed identity fails at n={n}: {lhs} != {rhs}"]
 
 
+Suite = Callable[[int], tuple[int, list[str]]]  # n -> (checked, failures)
 # (name, size cap, suite); caps keep the exhaustive sweeps tractable.
-SUITES: list[tuple[str, int, Callable[[int], tuple[int, list[str]]]]] = [
+SUITES: list[tuple[str, int, Suite]] = [
     ("corner-sum-round-trip", 5, check_corner_sum_round_trip),
     ("transpose-dual-involutions", 5, check_involutions),
     ("permutation-embedding-valid", 6, check_permutation_embedding),
@@ -712,24 +705,27 @@ class VerifyReport:
         return "\n".join(out)
 
 
+def run_suite(suite: Suite, top: int) -> tuple[int, list[str]]:
+    """Run ``suite`` for sizes 1..top and add up its checks and failures.
+    A suite that raises at size n counts one failed check there and
+    stops; one that checked nothing counts one failed check."""
+    checked, failures = 0, []
+    for n in range(1, top + 1):
+        try:
+            c, f = suite(n)
+        except Exception as exc:
+            return checked + 1, [*failures, f"n={n}: {type(exc).__name__}: {exc}"]
+        checked += c
+        failures += f
+    return (checked, failures) if checked else (1, [f"checked nothing for n <= {top}"])
+
+
 def verify(n_max: int) -> VerifyReport:
-    """Run every suite for sizes 1..min(cap, n_max); n_max must be >= 1.
-    A suite that raises at size n counts one failed check there and stops."""
+    """Run every suite for sizes 1..min(cap, n_max) by ``run_suite``, n_max >= 1."""
     core._require_size(n_max)
-    lines = []
-    all_failures = []
+    lines, all_failures = [], []
     for name, cap, suite in SUITES:
-        checked = 0
-        failures: list[str] = []
-        for n in range(1, min(cap, n_max) + 1):
-            try:
-                c, f = suite(n)
-            except Exception as exc:
-                checked += 1
-                failures.append(f"n={n}: {type(exc).__name__}: {exc}")
-                break
-            checked += c
-            failures += f
+        checked, failures = run_suite(suite, min(cap, n_max))
         lines.append(f"{name}: {checked - len(failures)}/{checked}")
         all_failures += [f"{name}: {msg}" for msg in failures]
     return VerifyReport(n_max, lines, all_failures)

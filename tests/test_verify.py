@@ -1,3 +1,4 @@
+import functools
 import importlib
 import random
 
@@ -9,6 +10,13 @@ from asmlat.verify import SUITES, generic_covers
 
 # the module, not the function asmlat.verify that shadows it
 verify_module = importlib.import_module("asmlat.verify")
+
+
+@pytest.fixture
+def fresh_covers(monkeypatch):
+    # a fresh memo, so a test finds its own covers, not ones kept before
+    fresh = functools.cache(verify_module._covers_up.__wrapped__)
+    monkeypatch.setattr(verify_module, "_covers_up", fresh)
 
 
 def test_asmlat_verify_stays_the_function():
@@ -48,10 +56,27 @@ def test_report_counts_format():
     report = verify(2)
     for line in report.lines:
         passed, checked = line.split(": ")[1].split("/")
-        assert int(passed) == int(checked)
+        assert int(passed) == int(checked) >= 1
 
 
-def test_pass_counts_stay_in_range_when_covers_are_wrong(monkeypatch):
+def test_a_suite_that_checks_nothing_fails(capsys):
+    # A_1 has no cover edge and no pair of distinct matrices
+    assert cli.run(["verify", "--max", "1"]) == cli.EXIT_VERIFY
+    empty = ("cover-deltas-table", "duality-anti-automorphism", "cover-type-duality",
+             "transpose-order-isomorphism")
+    block = "".join(f"  {name}: checked nothing for n <= 1\n" for name in empty)
+    assert capsys.readouterr().out.endswith(f"\nFAILURES:\n{block}\nverification FAILED\n")
+
+
+def test_count_formula_keeps_no_matrices(monkeypatch):
+    # the count suite streams A_n, so verify --max 7 never keeps A_7
+    fresh = functools.cache(verify_module._asms.__wrapped__)
+    monkeypatch.setattr(verify_module, "_asms", fresh)
+    assert verify_module.check_count_formula(7) == (1, [])
+    assert fresh.cache_info().currsize == 0
+
+
+def test_pass_counts_stay_in_range_when_covers_are_wrong(monkeypatch, fresh_covers):
     # every up edge sent to the reversal: an edge can break several claims
     # of one suite at once, but it is one checked item, so it adds at most
     # one failure and no line may report a negative or excess pass count
@@ -60,8 +85,6 @@ def test_pass_counts_stay_in_range_when_covers_are_wrong(monkeypatch):
         top = from_permutation(Permutation.longest(a.n))
         return [e._replace(upper=top) for e in covers_up(a)]
     monkeypatch.setattr(poset, "covers_up", broken)
-    # a fresh memo, so the suites find the broken covers, not kept ones
-    monkeypatch.setattr(verify_module, "_up", {})
     report = verify(4)
     counts = {}
     for line in report.lines:
@@ -74,7 +97,7 @@ def test_pass_counts_stay_in_range_when_covers_are_wrong(monkeypatch):
         assert counts[name][0] < counts[name][1], name
 
 
-def test_a_suite_that_raises_is_reported_as_a_failure(monkeypatch, capsys):
+def test_a_suite_that_raises_is_reported_as_a_failure(monkeypatch, fresh_covers, capsys):
     # every up edge sent to the zero matrix, outside A_n: a suite that
     # looks the upper end up raises, and that is one failed check in the
     # report, not a traceback
@@ -83,7 +106,6 @@ def test_a_suite_that_raises_is_reported_as_a_failure(monkeypatch, capsys):
         zero = Asm(a.n, ((0,) * a.n,) * a.n)
         return [e._replace(upper=zero) for e in covers_up(a)]
     monkeypatch.setattr(poset, "covers_up", outside)
-    monkeypatch.setattr(verify_module, "_up", {})
     assert cli.run(["verify", "--max", "3"]) == cli.EXIT_VERIFY
     lines = capsys.readouterr().out.splitlines()
     assert "hasse-vs-cover-scan: 1/2" in lines
@@ -92,14 +114,13 @@ def test_a_suite_that_raises_is_reported_as_a_failure(monkeypatch, capsys):
     assert "  hasse-vs-cover-scan: n=2: KeyError: " + repr(Asm(2, ((0, 0), (0, 0)))) in block
 
 
-def test_verify_finds_each_matrix_up_covers_once(monkeypatch):
+def test_verify_finds_each_matrix_up_covers_once(monkeypatch, fresh_covers):
     calls = []
     covers_up = poset.covers_up
     def counted(a):
         calls.append(a)
         return covers_up(a)
     monkeypatch.setattr(poset, "covers_up", counted)
-    monkeypatch.setattr(verify_module, "_up", {})
     assert verify(5).ok
     # once per matrix of A_1 ... A_5: 1 + 2 + 7 + 42 + 429
     assert len(calls) == len(set(calls)) == 481
@@ -133,10 +154,9 @@ def test_hasse_vs_cover_scan_on_tuple_nodes_and_edges(n):
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_kept_up_covers_end_at_the_matrices_of_a_n(n, monkeypatch):
+def test_kept_up_covers_end_at_the_matrices_of_a_n(n, fresh_covers):
     # each kept edge equals poset's, and its upper end is the matrix of
     # A_n itself, not a fresh equal one
-    monkeypatch.setattr(verify_module, "_up", {})
     universe = verify_module._asms(n)
     ids = {id(a) for a in universe}
     for a in universe:
