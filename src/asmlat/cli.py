@@ -210,11 +210,14 @@ def _cmd_covers(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    graph = enumeration.build_hasse(args.size, args.guard)
+    # written from the walk's plain rows and edge tuples: no Asm, node or
+    # edge object is made; a node with one lower cover is join-irreducible
+    entries, records, lower_covers, edges = enumeration._walk_hasse(args.size, args.guard)
+    nodes = zip(entries, records, map((1).__eq__, lower_covers))
     if args.output == "dot":
-        pieces = graph._dot_lines(args.highlight_ji)
+        pieces = enumeration._dot_lines(args.size, nodes, edges, args.highlight_ji)
     else:
-        pieces = chain(graph._json_chunks(), ("\n",))
+        pieces = chain(enumeration._json_chunks(args.size, nodes, edges), ("\n",))
     _write(pieces)
     return EXIT_OK
 

@@ -68,17 +68,27 @@ class IndexOutOfRange(AsmError):
     pass
 
 
+_INT = frozenset((int,))
+
+
 def _as_rows(raw: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """The rows as tuples; every entry must be an int (a bool is not)."""
     try:
         rows = tuple(map(tuple, raw))
     except TypeError:
         raise NotSquare("a matrix must be a sequence of rows") from None
+    # one C-level pass; only a matrix that fails it is scanned for the message
+    if not _INT.issuperset(map(type, chain.from_iterable(rows))):
+        _raise_first_non_int(rows)
+    return rows
+
+
+def _raise_first_non_int(rows: tuple[tuple[object, ...], ...]) -> None:
+    """Raise on the first entry, row-major, that is not an int."""
     for i, row in enumerate(rows, start=1):
         for j, x in enumerate(row, start=1):
             if type(x) is not int:
                 raise EntryOutOfRange(f"entry {x!r} at ({i}, {j}) is not an integer")
-    return rows
 
 
 @dataclass(frozen=True, init=False)

@@ -19,11 +19,15 @@ full cover graph.  The graph comes from one walk of
 the row table that carries each matrix's I, N and beta, and from a second
 table, cached per size as well, that lists for each two-row path the
 covers exchanging a block inside those rows, found by ``poset``'s
-exchange rule, and how far each moves the canonical index.  Its nodes
-and edges are named tuples, and its DOT and JSON texts come as a stream
-of pieces, one per node or edge, built from the text of each distinct
-row and record, made once.  The table and the DP read their shares of
-I, N and beta off one rule in ``stats``.
+exchange rule, and how far each moves the canonical index.  The walk
+gives plain data: each matrix's rows, its shared record, its number of
+lower covers, and each edge as an exact tuple of ints, which the cyclic
+collector stops scanning.  ``build_hasse`` wraps that in named tuples
+and ``Asm`` objects; the ``hasse`` command writes from it directly.
+Both take the DOT and JSON texts from one writer per format, as a
+stream of pieces, one per node or edge, built from the text of each
+distinct row and record, made once.  The table and the DP read their
+shares of I, N and beta off one rule in ``stats``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -73,6 +78,9 @@ def count_formula(n: int) -> int:
     """|A_n| by the closed-form product, exact: the n-th value of
     :func:`_asm_counts`, the walk that :func:`_check_size` reads too."""
     _require_size(n)
+    if n > sys.maxsize:
+        # |A_n| >= n! has more digits than any int can hold
+        raise AsmError(f"|A_{n}| has more than {sys.maxsize} digits, too many to compute")
     return next(itertools.islice(_asm_counts(), n - 1, None))
 
 
@@ -287,7 +295,9 @@ def _check_size(n: int, limit_guard: Optional[int]) -> None:
     :func:`resolve_guard`: the bound for listing A_n.  |A_k| rises with
     k, so the walk to |A_n| stops early for a large n."""
     _require_size(n)
-    _raise_over_guard(f"|A_{n}|", itertools.islice(_asm_counts(), n), limit_guard)
+    # zip, not islice: islice refuses a stop past sys.maxsize
+    counts = (count for _, count in zip(range(n), _asm_counts()))
+    _raise_over_guard(f"|A_{n}|", counts, limit_guard)
 
 
 def _check_dp(n: int, over: str, limit_guard: Optional[int]) -> bool:
@@ -418,6 +428,53 @@ def _listed(items: Iterator[str]) -> Iterator[str]:
         yield from map(", ".__add__, items)
 
 
+# a matrix's rows, and a node and an edge as the writers take them
+_Rows = tuple[tuple[int, ...], ...]
+_Node = tuple[_Rows, StatRecord, bool]  # rows, record, join_irreducible
+_Edge = tuple[int, int, int]  # lower, upper, cover type
+
+
+def _dot_lines(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge], highlight_ji: bool) -> Iterator[str]:
+    """The DOT text of a size-n cover graph line by line, each with its
+    newline, so a writer need not hold the whole text.  ``nodes`` are
+    (rows, record, join_irreducible) in index order, ``edges`` are
+    (lower, upper, cover type).  A node's label is a permutation in
+    one-line notation, as ``core.Permutation`` prints it, or any other
+    matrix row by row."""
+    yield f"digraph asm_lattice_{n} {{\n  rankdir=BT;\n  node [shape=box];\n"
+    digit = _Texts(lambda row: str(row.index(1) + 1)).__getitem__
+    entries = _Texts(lambda row: " ".join(map(str, row))).__getitem__
+    comma = "," if n > 9 else ""
+    filled = ", style=filled" if highlight_ji else ""
+    for idx, (rows, record, join_irreducible) in enumerate(nodes):
+        if record.minus:
+            label = "|".join(map(entries, rows))
+        else:
+            label = comma.join(map(digit, rows))
+        yield '  a%d [label="%s"%s];\n' % (idx, label, filled if join_irreducible else "")
+    yield from map('  a%d -> a%d [label="t%d"];\n'.__mod__, edges)
+    yield "}\n"
+
+
+def _json_chunks(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge]) -> Iterator[str]:
+    """The text of ``json.dumps(HasseGraph.to_json_dict())`` for the same
+    nodes and edges as :func:`_dot_lines` takes, in pieces, one per node
+    and one per edge, so a writer need not hold it whole; each distinct
+    row's and record's text is made once."""
+    rows_text = _Texts(lambda row: json.dumps(list(row))).__getitem__
+    stats = _Texts(lambda record: json.dumps(record.to_json_dict())).__getitem__
+    matrix = '{"matrix": {"n": %d, "entries": [' % n
+    yield '{"n": %d, "nodes": [' % n
+    yield from _listed(
+        f'{matrix}{", ".join(map(rows_text, rows))}]}}, "stats": {stats(record)}, '
+        f'"join_irreducible": {"true" if join_irreducible else "false"}}}'
+        for rows, record, join_irreducible in nodes
+    )
+    yield '], "edges": ['
+    yield from _listed(map('{"lower": %d, "upper": %d, "type": %d}'.__mod__, edges))
+    yield "]}"
+
+
 @dataclass(frozen=True)
 class HasseGraph:
     """The full cover graph of A_n, graded by beta."""
@@ -430,23 +487,8 @@ class HasseGraph:
         return "".join(self._dot_lines(highlight_ji))
 
     def _dot_lines(self, highlight_ji: bool) -> Iterator[str]:
-        """The DOT text line by line, each with its newline, so a writer
-        need not hold the whole text.  A node's label is a permutation in
-        one-line notation, as ``core.Permutation`` prints it, or any other
-        matrix row by row."""
-        yield f"digraph asm_lattice_{self.n} {{\n  rankdir=BT;\n  node [shape=box];\n"
-        digit = _Texts(lambda row: str(row.index(1) + 1)).__getitem__
-        entries = _Texts(lambda row: " ".join(map(str, row))).__getitem__
-        comma = "," if self.n > 9 else ""
-        filled = ", style=filled" if highlight_ji else ""
-        for idx, (matrix, record, join_irreducible) in enumerate(self.nodes):
-            if record.minus:
-                label = "|".join(map(entries, matrix.entries))
-            else:
-                label = comma.join(map(digit, matrix.entries))
-            yield '  a%d [label="%s"%s];\n' % (idx, label, filled if join_irreducible else "")
-        yield from map('  a%d -> a%d [label="t%d"];\n'.__mod__, self.edges)
-        yield "}\n"
+        nodes = ((a.entries, record, ji) for a, record, ji in self.nodes)
+        return _dot_lines(self.n, nodes, self.edges, highlight_ji)
 
     def to_json_dict(self) -> dict:
         return {
@@ -466,26 +508,15 @@ class HasseGraph:
         }
 
     def _json_chunks(self) -> Iterator[str]:
-        """The text of ``json.dumps(self.to_json_dict())`` in pieces, one
-        per node and one per edge, so a writer need not hold it whole;
-        each distinct row's and record's text is made once."""
-        rows = _Texts(lambda row: json.dumps(list(row))).__getitem__
-        stats = _Texts(lambda record: json.dumps(record.to_json_dict())).__getitem__
-        matrix = '{"matrix": {"n": %d, "entries": [' % self.n
-        yield '{"n": %d, "nodes": [' % self.n
-        yield from _listed(
-            f'{matrix}{", ".join(map(rows, a.entries))}]}}, "stats": {stats(record)}, '
-            f'"join_irreducible": {"true" if join_irreducible else "false"}}}'
-            for a, record, join_irreducible in self.nodes
-        )
-        yield '], "edges": ['
-        yield from _listed(map('{"lower": %d, "upper": %d, "type": %d}'.__mod__, self.edges))
-        yield "]}"
+        nodes = ((a.entries, record, ji) for a, record, ji in self.nodes)
+        return _json_chunks(self.n, nodes, self.edges)
 
 
-def build_hasse(n: int, limit_guard: Optional[int] = None) -> HasseGraph:
-    """Enumerate A_n with its statistics and wire up every cover edge, in
-    one depth-first walk of the row table.
+def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[list[_Rows], list[StatRecord], list[int], list[_Edge]]:
+    """The cover graph of A_n as plain data, from one depth-first walk of
+    the row table: each matrix's rows in canonical order, its
+    ``StatRecord`` (equal statistics share one), its number of lower
+    covers, and every edge as an exact (lower, upper, cover type) tuple.
 
     The walk carries the sums of I, N and beta along each path and, for
     each pair of adjacent rows, the :func:`_cover_table` entry of their
@@ -494,17 +525,20 @@ def build_hasse(n: int, limit_guard: Optional[int] = None) -> HasseGraph:
     called (``verify.scanned_hasse``, which calls them, is the oracle).
     An exchange at rows r, r + 1 keeps rows 1..r - 1 and makes row r
     lexicographically smaller, so read in (r, s) order the upper ends
-    come out ascending and the edges need no sort.
+    come out ascending and the edges need no sort.  Nothing made per
+    node or edge is an object the cyclic collector keeps scanning: a
+    tuple of ints, or of such tuples, drops out of its scans at the
+    first collection, which an ``Asm`` or a named tuple never does.
     """
     _check_size(n, limit_guard)
     table, cover = _row_table(n), _cover_table(n)
     # every upper end is an object of this list, not a fresh int per edge
     ids = list(range(count_formula(n)))
     lower_covers = [0] * len(ids)
-    matrices: list[Asm] = []
+    matrices: list[_Rows] = []
     records: list[StatRecord] = []
     known: dict[tuple[int, int, int], StatRecord] = {}
-    edges: list[HasseEdge] = []
+    edges: list[_Edge] = []
     rows: list[tuple[int, ...]] = [()] * n
     # exchanges[r]: (delta, type) of the covers exchanging rows r - 1 and
     # r (0-based) on the current path; exchanges[0] stays empty
@@ -520,7 +554,7 @@ def build_hasse(n: int, limit_guard: Optional[int] = None) -> HasseGraph:
                 walk(r + 1, step.new, cover[col][k], *sums)
                 continue
             i = len(matrices)
-            matrices.append(Asm(n, tuple(rows)))
+            matrices.append(tuple(rows))
             # equal statistics share one record
             record = known.get(sums)
             if record is None:
@@ -531,11 +565,32 @@ def build_hasse(n: int, limit_guard: Optional[int] = None) -> HasseGraph:
                 for delta, cover_type in found:
                     upper = ids[i + delta]
                     lower_covers[upper] += 1
-                    edges.append(HasseEdge(lower, upper, cover_type))
+                    edges.append((lower, upper, cover_type))
 
     walk(0, (0,) * n, None, 0, 0, 0)
+    # walk reaches itself through its closure: without this the cycle keeps
+    # every list here alive until a full collection
+    del walk
+    return matrices, records, lower_covers, edges
+
+
+def build_hasse(n: int, limit_guard: Optional[int] = None) -> HasseGraph:
+    """Enumerate A_n with its statistics and wire up every cover edge, in
+    one depth-first walk of the row table (:func:`_walk_hasse`, which the
+    ``hasse`` command writes from directly), with each matrix as an
+    ``Asm``, each node as a ``HasseNode`` and each edge as a
+    ``HasseEdge``.  A node is join-irreducible when it has exactly one
+    lower cover."""
+    entries, records, lower_covers, edges = _walk_hasse(n, limit_guard)
     nodes = tuple(
-        HasseNode(a, record, join_irreducible=k == 1)
-        for a, record, k in zip(matrices, records, lower_covers)
+        HasseNode(Asm(n, rows), record, join_irreducible=k == 1)
+        for rows, record, k in zip(entries, records, lower_covers)
     )
+    # the walk's node lists go before the edges are copied, which is the peak
+    del entries, records, lower_covers
+    # in place, so the plain and the named edges are never both held whole;
+    # tuple.__new__ skips the named tuple's constructor written in Python
+    named = functools.partial(tuple.__new__, HasseEdge)
+    for k, edge in enumerate(edges):
+        edges[k] = named(edge)
     return HasseGraph(n, nodes, tuple(edges))

@@ -433,6 +433,10 @@ def test_exit_guard_message(capsys):
         ["enumerate", "--size", "20000"],
         ["count", "--method", "enumerate", "--size", "3000"],
         ["genfun", "--size", "1000000", "--stat", "I"],
+        # past sys.maxsize, which itertools.islice refuses as a stop
+        ["hasse", "--size", "9223372036854775808", "--output", "dot"],
+        ["enumerate", "--size", "9223372036854775808"],
+        ["count", "--method", "enumerate", "--size", "9223372036854775808"],
     ],
 )
 def test_guard_refuses_a_huge_size_at_once(capsys, monkeypatch, argv):
@@ -444,6 +448,13 @@ def test_guard_refuses_a_huge_size_at_once(capsys, monkeypatch, argv):
     assert time.perf_counter() - start < 2
     assert (code, out) == (3, "")
     assert ">= 10^10000 exceeds guard 10000000; raise it with --guard N or ASMLAT_GUARD" in err
+
+
+def test_count_formula_refuses_a_size_past_maxsize(capsys):
+    # |A_n| of a size past sys.maxsize has more digits than an int holds
+    code, out, err = invoke(capsys, "count", "--size", "9223372036854775809")
+    assert (code, out) == (2, "")
+    assert err == "asmlat: |A_9223372036854775809| has more than 9223372036854775807 digits, too many to compute\n"
 
 
 def test_genfun_guard_bounds_dp_steps(capsys, monkeypatch):

@@ -28,6 +28,7 @@ from asmlat.enumeration import (
     _cover_table,
     _row_table,
     _vertex_sums,
+    _walk_hasse,
 )
 from asmlat.polynomials import BivariatePolynomial, HalfIntPolynomial
 from asmlat.poset import CoverEdge, covers_up
@@ -122,6 +123,10 @@ def test_guard_message_bounds_a_size_too_long_to_print():
     # a guard too long for str() prints in full too
     with pytest.raises(TooLarge, match=r"\|A_300\| >= 10\^10000 exceeds guard 10{5000}; "):
         enumerate_asms(300, limit_guard=10**5000)
+    # a size past sys.maxsize is refused the same way
+    for make in (enumerate_asms, build_hasse):
+        with pytest.raises(TooLarge, match=r"^\|A_9223372036854775808\| >= 10\^10000 exceeds guard 10000000; "):
+            make(2**63)
 
 
 def test_guard_rejects_bad_values(monkeypatch):
@@ -237,6 +242,20 @@ def test_hasse_json_shape():
 def test_hasse_json_chunks_are_the_json_text(n):
     graph = build_hasse(n)
     assert "".join(graph._json_chunks()) == json.dumps(graph.to_json_dict())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hasse_walk_is_the_graph_as_plain_data(n):
+    # the command writes from the walk, the library wraps it
+    entries, records, lower_covers, edges = _walk_hasse(n, None)
+    graph = build_hasse(n)
+    assert list(zip(entries, records, [k == 1 for k in lower_covers])) == [
+        (node.matrix.entries, node.record, node.join_irreducible) for node in graph.nodes
+    ]
+    assert edges == [tuple(edge) for edge in graph.edges]
+    # exact tuples of ints, which the cyclic collector stops scanning
+    assert all(type(edge) is tuple for edge in edges)
+    assert all(type(rows) is tuple for rows in entries)
 
 
 def test_hasse_nodes_and_edges_are_immutable_tuples():
