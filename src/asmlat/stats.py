@@ -18,6 +18,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from operator import add, mul
 from typing import Iterator, NamedTuple, Sequence
@@ -138,7 +139,10 @@ def weak_inversion(a: Asm) -> Fraction:
     return Fraction(weak_inversion_twice(a), 2)
 
 
-_ZERO = Fraction(0)
+@cache
+def _quarter(k: int) -> Fraction:
+    """k/4, one shared Fraction per value of k."""
+    return Fraction(k, 4)
 
 
 def local_weak_contribution(a: Asm, p: int, q: int) -> Fraction:
@@ -154,7 +158,7 @@ def local_weak_contribution(a: Asm, p: int, q: int) -> Fraction:
     _require_position(a.n, p, q)
     apq = a.entries[p - 1][q - 1]
     if apq == 0:
-        return _ZERO
+        return _quarter(0)
     sums = _sums(a)
     row = sums[p - 1]
     up = sums[p - 2] if p > 1 else (0,) * a.n
@@ -163,7 +167,7 @@ def local_weak_contribution(a: Asm, p: int, q: int) -> Fraction:
     sw_ne = (q - 1) - left + (p - 1) - up[q - 1]
     above = up[q - 1] - up_left
     right = 1 - row[q - 1] + up[q - 1]
-    return Fraction(apq * (2 * sw_ne + above + right), 4)
+    return _quarter(apq * (2 * sw_ne + above + right))
 
 
 def _entry_shares(left: int, aboves: Sequence[int], entries: Sequence[int]) -> tuple[int, int]:

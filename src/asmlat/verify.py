@@ -12,10 +12,12 @@ the Hasse diagram by the cover scan) and the lattice-law predicate live
 here too, each in one place.
 
 Each memo is a ``functools.cache`` function: A_n, its index, S_n's
-bigrassmannians and each matrix's up covers, whose edges end at the
+bigrassmannians, each matrix's up covers, whose edges end at the
 matrices of A_n themselves, read by the cover edges, the closure, the
-random cover walks and the scanned Hasse diagram.  The generic cover
-relation is built once per universe, one compare per pair.
+random cover walks and the scanned Hasse diagram, and each matrix's
+statistics by their definitions (``_definitions``), read by every suite
+that checks I, I*, N or beta on A_n.  The generic cover relation is
+built once per universe, one compare per pair.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import core, enumeration, poset, stats
 from .core import (
@@ -72,6 +73,31 @@ def _covers_up(a: Asm) -> tuple[poset.CoverEdge, ...]:
 def _bigrassmannians(n: int) -> list[tuple[Permutation, Asm]]:
     """Each bigrassmannian w of S_n with its matrix, built once per n."""
     return [(w, from_permutation(w)) for w in poset.enumerate_bigrassmannians(n)]
+
+
+class _Definitions(NamedTuple):
+    """One matrix's statistics, each by its definitional function."""
+
+    inv: int
+    dual_inv: int
+    minus: int
+    beta_weighted: int
+    beta_row_weighted: int
+    beta_corner: int
+
+
+@functools.cache
+def _definitions(a: Asm) -> _Definitions:
+    """I, I*, N and the three beta formulas of ``a``, each measured once
+    per process by the function that defines it, looked up at call time."""
+    return _Definitions(
+        stats.inversion_number(a),
+        stats.dual_inversion_number(a),
+        core.minus_count(a),
+        stats.beta_weighted(a),
+        stats.beta_row_weighted(a),
+        stats.beta_corner(a),
+    )
 
 
 def _edges(n: int) -> Iterable[poset.CoverEdge]:
@@ -128,8 +154,8 @@ def check_corner_sum_invariants(n: int):
 
 def check_beta_three_way(n: int):
     def pred(a: Asm):
-        w = stats.beta_weighted(a)
-        if w != stats.beta_row_weighted(a) or w != stats.beta_corner(a):
+        d = _definitions(a)
+        if d.beta_weighted != d.beta_row_weighted or d.beta_weighted != d.beta_corner:
             return f"beta formulas disagree on\n{a}"
         return None
     return _check_all(_asms(n), pred)
@@ -138,20 +164,21 @@ def check_beta_three_way(n: int):
 def check_duality_identity(n: int):
     target = n * (n - 1) // 2
     def pred(a: Asm):
-        got = stats.inversion_number(a) + stats.dual_inversion_number(a) - minus_count(a)
+        d = _definitions(a)
+        got = d.inv + d.dual_inv - d.minus
         return None if got == target else f"I + I* - N = {got} != {target} on\n{a}"
     return _check_all(_asms(n), pred)
 
 
 def check_stat_record_vs_definitions(n: int):
     def pred(a: Asm):
-        got = stats.stat_record(a)
+        got, d = stats.stat_record(a), _definitions(a)
         want = stats.StatRecord(
-            inv=stats.inversion_number(a),
-            dual_inv=stats.dual_inversion_number(a),
-            minus=minus_count(a),
-            weak2=stats.weak_inversion_twice(a),
-            beta=stats.beta_corner(a),
+            inv=d.inv,
+            dual_inv=d.dual_inv,
+            minus=d.minus,
+            weak2=2 * d.inv - d.minus,
+            beta=d.beta_corner,
         )
         return None if got == want else f"stat_record {got} != definitions {want} on\n{a}"
     return _check_all(_asms(n), pred)
@@ -161,7 +188,7 @@ def check_inversion_le_beta(n: int):
     return _check_all(
         _asms(n),
         lambda a: None
-        if stats.inversion_number(a) <= stats.beta_corner(a)
+        if (d := _definitions(a)).inv <= d.beta_corner
         else f"I > beta on\n{a}",
     )
 
@@ -170,20 +197,23 @@ def check_dual_inversion_via_dual(n: int):
     return _check_all(
         _asms(n),
         lambda a: None
-        if stats.dual_inversion_number(a) == stats.inversion_number(dual(a))
+        if _definitions(a).dual_inv == _definitions(dual(a)).inv
         else f"I* mismatch on\n{a}",
     )
 
 
 def check_local_weak_sum(n: int):
+    positions = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)]
     def pred(a: Asm):
-        # H_pq is 0 wherever a_pq is; only the nonzero shares are added
-        total = sum(filter(None, (
-            stats.local_weak_contribution(a, p, q)
-            for p in range(1, n + 1)
-            for q in range(1, n + 1)
-        )))
-        return None if total == stats.weak_inversion(a) else f"local H sum mismatch on\n{a}"
+        # each H_pq is a quarter-integer, so 4H is their sum as ints
+        quarters = 0
+        for p, q in positions:
+            h = stats.local_weak_contribution(a, p, q)
+            if 4 % h.denominator:
+                return f"H_{p}{q} = {h} is not a quarter-integer on\n{a}"
+            quarters += h.numerator * (4 // h.denominator)
+        d = _definitions(a)
+        return None if quarters == 2 * (2 * d.inv - d.minus) else f"local H sum mismatch on\n{a}"
     return _check_all(_asms(n), pred)
 
 
@@ -199,7 +229,8 @@ def check_max_weak_inversion(n: int):
     top = n * (n - 1)  # 2H, an int, so no Fraction is built or compared
     w0 = from_permutation(core.Permutation.longest(n))
     def pred(a: Asm):
-        h = stats.weak_inversion_twice(a)
+        d = _definitions(a)
+        h = 2 * d.inv - d.minus
         if not 0 <= h <= top:
             return f"2H = {h} outside 0..n(n-1) on\n{a}"
         if h == top and a != w0:
@@ -371,11 +402,10 @@ def check_cover_local_vs_generic(n: int):
 
 
 def check_grading_and_reachability(n: int):
-    beta = functools.cache(stats.beta_corner)  # once per matrix, not per edge end
     checked, failures = _check_all(
         _edges(n),
         lambda e: None
-        if beta(e.upper) - beta(e.lower) == 1
+        if _definitions(e.upper).beta_corner - _definitions(e.lower).beta_corner == 1
         else f"cover with beta step != 1 at ({e.r}, {e.s}) on\n{e.lower}",
     )
     if bfs_cover_closure(n) != sorted(_asms(n), key=lambda a: a.entries):
@@ -384,11 +414,10 @@ def check_grading_and_reachability(n: int):
 
 
 def check_cover_deltas(n: int):
-    # I and N by the definitions, once per matrix, not per edge end; 2H = 2I - N
-    measured = functools.cache(lambda a: (stats.inversion_number(a), minus_count(a)))
     def pred(e: poset.CoverEdge):
-        d_inv, d_minus = map(sub, measured(e.upper), measured(e.lower))
-        d_weak2 = 2 * d_inv - d_minus
+        up, low = _definitions(e.upper), _definitions(e.lower)
+        d_inv, d_minus = up.inv - low.inv, up.minus - low.minus
+        d_weak2 = 2 * d_inv - d_minus  # 2H = 2I - N
         reasons = []
         if d_inv not in (-1, 0, 1):
             reasons.append(f"dI = {d_inv} outside -1..1")
@@ -449,7 +478,7 @@ def check_beta_code_popcount(n: int):
         by_sums = sum(
             m - c for ms, cs in zip(mins, core.corner_sum(a).sums) for m, c in zip(ms, cs)
         )
-        beta = stats.beta_weighted(a)
+        beta = _definitions(a).beta_weighted
         if by_code == by_sums == beta:
             return None
         return f"popcount - K_n = {by_code}, corner sums {by_sums}, beta {beta} on\n{a}"
@@ -500,7 +529,7 @@ def check_beta_oracle(n: int):
     return _check_all(
         _asms(n),
         lambda a: None
-        if beta_poset_oracle(a) == stats.beta_corner(a) == stats.beta_weighted(a)
+        if beta_poset_oracle(a) == (d := _definitions(a)).beta_corner == d.beta_weighted
         else f"join-irreducible count disagrees with formulas on\n{a}",
     )
 
@@ -602,7 +631,7 @@ def enumerated_genfuns(
     """The generating polynomials by enumeration, the reference for the
     vertex DP: each statistic ("I", "H", "beta") and pair ("I:beta",
     "H:beta") summed matrix by matrix, and "signed", the sum of
-    (-1)^I q^beta.  I, N and beta are computed once per matrix."""
+    (-1)^I q^beta.  I, N and beta are read from ``_definitions``."""
     polys: dict[str, Union[HalfIntPolynomial, BivariatePolynomial]] = {
         "I": HalfIntPolynomial.zero(),
         "H": HalfIntPolynomial.zero(),
@@ -612,8 +641,9 @@ def enumerated_genfuns(
         "signed": HalfIntPolynomial.zero(var="q"),
     }
     for a in universe:
-        inv, beta = stats.inversion_number(a), stats.beta_corner(a)
-        weak = inv - Fraction(minus_count(a), 2)
+        d = _definitions(a)
+        inv, beta = d.inv, d.beta_corner
+        weak = inv - Fraction(d.minus, 2)
         polys["I"].add_term(1, inv)
         polys["H"].add_term(1, weak)
         polys["beta"].add_term(1, beta)

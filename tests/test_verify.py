@@ -1,10 +1,21 @@
 import functools
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from asmlat import Permutation, build_hasse, cli, enumerate_asms, from_permutation, poset, verify
+from asmlat import (
+    Permutation,
+    build_hasse,
+    cli,
+    enumerate_asms,
+    from_permutation,
+    minus_count,
+    poset,
+    stats,
+    verify,
+)
 from asmlat.core import Asm, AsmError
 from asmlat.verify import SUITES, generic_covers
 
@@ -17,6 +28,13 @@ def fresh_covers(monkeypatch):
     # a fresh memo, so a test finds its own covers, not ones kept before
     fresh = functools.cache(verify_module._covers_up.__wrapped__)
     monkeypatch.setattr(verify_module, "_covers_up", fresh)
+
+
+@pytest.fixture
+def fresh_definitions(monkeypatch):
+    # a fresh memo, so a test measures its own statistics, not ones kept before
+    fresh = functools.cache(verify_module._definitions.__wrapped__)
+    monkeypatch.setattr(verify_module, "_definitions", fresh)
 
 
 def test_asmlat_verify_stays_the_function():
@@ -124,6 +142,53 @@ def test_verify_finds_each_matrix_up_covers_once(monkeypatch, fresh_covers):
     assert verify(5).ok
     # once per matrix of A_1 ... A_5: 1 + 2 + 7 + 42 + 429
     assert len(calls) == len(set(calls)) == 481
+
+
+def test_verify_measures_each_matrix_once(monkeypatch, fresh_definitions):
+    names = ("inversion_number", "dual_inversion_number", "beta_weighted",
+             "beta_row_weighted", "beta_corner")
+    calls = {name: [] for name in names}
+    def counted(name):
+        measure = getattr(stats, name)
+        def call(a):
+            calls[name].append(a)
+            return measure(a)
+        return call
+    for name in names:
+        monkeypatch.setattr(stats, name, counted(name))
+    assert verify(5).ok
+    universe = {a for n in range(1, 6) for a in verify_module._asms(n)}
+    for name, seen in calls.items():
+        assert set(seen) == universe, name
+        # permutation-beta-formula measures each permutation of S_1 ... S_5
+        # (1 + 2 + 6 + 24 + 120) by beta_weighted itself, not through the memo
+        assert len(seen) == 481 + (153 if name == "beta_weighted" else 0), name
+
+
+def test_a_broken_dual_inversion_number_fails_its_suites(monkeypatch, fresh_definitions):
+    # off by one on the one matrix of A_3 with a -1
+    dual_inversion_number = stats.dual_inversion_number
+    monkeypatch.setattr(
+        stats, "dual_inversion_number", lambda a: dual_inversion_number(a) + (minus_count(a) > 0)
+    )
+    suites = {name: suite for name, _, suite in SUITES}
+    for name in ("duality-identity", "dual-inversion-via-dual", "stat-record-vs-definitions"):
+        checked, failures = suites[name](3)
+        assert (checked, len(failures)) == (7, 1), name
+
+
+def test_a_share_that_is_not_a_quarter_fails_local_weak_sum(monkeypatch, fresh_definitions):
+    share = stats.local_weak_contribution
+    monkeypatch.setattr(
+        stats,
+        "local_weak_contribution",
+        lambda a, p, q: Fraction(1, 3) if (p, q) == (1, 1) else share(a, p, q),
+    )
+    checked, failures = verify_module.check_local_weak_sum(3)
+    assert checked == 7
+    assert failures == [
+        f"H_11 = 1/3 is not a quarter-integer on\n{a}" for a in verify_module._asms(3)
+    ]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
