@@ -3,12 +3,12 @@
 Subcommands: enumerate, count, stats, covers, hasse, genfun, verify.
 Exit codes: 0 success, 1 usage error, 2 domain error (invalid matrix or
 arguments out of domain), 3 enumeration guard exceeded, 4 verification
-failure.  Output is human-readable by default; --format json switches to
-the JSON schemas listed in README.md.  ``run`` builds only the parser of
-the command it runs, on that command's first call, and reuses it for the
-rest of the process.  The full parser, with every command as a
-subparser, is built only when the arguments do not start with a
-command, or to report leftover arguments in its words.
+failure, 141 stdout closed by its reader.  Output is human-readable by
+default; --format json switches to the JSON schemas listed in README.md.
+``run`` builds only the parser of the command it runs, on that command's
+first call, and reuses it for the rest of the process.  The full parser,
+with every command as a subparser, is built only when the arguments do
+not start with a command, or to report leftover arguments in its words.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import argparse
 import decimal
 import functools
 import json
+import os
 import sys
-from itertools import chain, islice
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import enumeration, io, poset
 from .verify import verify as run_verify
@@ -32,6 +32,7 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_GUARD = 3
 EXIT_VERIFY = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a pipe closed early
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,25 +145,12 @@ def _read_utf8(path: str) -> str:
 def _load_matrix(args) -> Asm:
     if args.perm is not None:
         return from_permutation(io.parse_permutation(args.perm))
-    text = _read_utf8(args.matrix)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return io.matrix_from_json(text)
-    return io.parse_matrix_text(text)
+    return io.parse_matrix(_read_utf8(args.matrix))
 
 
 def _cmd_enumerate(args) -> int:
     enumeration._check_size(args.size, args.guard)
-    matrices = enumeration.iter_asms(args.size)
-    # each distinct row's text is made once; the matrices stream
-    if args.format == "json":
-        rows = enumeration._Texts(lambda row: json.dumps(list(row))).__getitem__
-        item = '{"n": %d, "entries": [%%s]}' % args.size
-        items = (item % ", ".join(map(rows, a.entries)) for a in matrices)
-        _write(chain(("[",), enumeration._listed(items), ("]\n",)))
-    else:
-        rows = enumeration._Texts(lambda row: " ".join(map(str, row)) + "\n").__getitem__
-        _write("".join(map(rows, a.entries)) + "\n" for a in matrices)
+    io._write_matrices(args.size, enumeration.iter_asms(args.size), args.format)
     return EXIT_OK
 
 
@@ -204,8 +192,7 @@ def _cmd_covers(args) -> int:
             other = e.upper if direction == "up" else e.lower
             print(f"{direction} ({e.r},{e.s}) type={e.cover_type} "
                   f"dI={e.d_inv} dN={e.d_minus} dH2={e.d_weak2}")
-            print(other)
-            print()
+            print(io.matrix_to_text(other))
     return EXIT_OK
 
 
@@ -214,21 +201,8 @@ def _cmd_hasse(args) -> int:
     # edge object is made; a node with one lower cover is join-irreducible
     entries, records, lower_covers, edges = enumeration._walk_hasse(args.size, args.guard)
     nodes = zip(entries, records, map((1).__eq__, lower_covers))
-    if args.output == "dot":
-        pieces = enumeration._dot_lines(args.size, nodes, edges, args.highlight_ji)
-    else:
-        pieces = chain(enumeration._json_chunks(args.size, nodes, edges), ("\n",))
-    _write(pieces)
+    io._write_hasse(args.size, nodes, edges, args.output, args.highlight_ji)
     return EXIT_OK
-
-
-def _write(pieces: Iterable[str]) -> None:
-    """Write the pieces to stdout in batches: the whole text of a large
-    output outweighs what it is made from, and one write per piece is
-    slower than one per batch."""
-    pieces = iter(pieces)
-    while chunk := "".join(islice(pieces, 16384)):
-        sys.stdout.write(chunk)
 
 
 def _cmd_genfun(args) -> int:
@@ -280,6 +254,8 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"asmlat: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        return EXIT_PIPE
     except TooLarge as exc:
         print(f"asmlat: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -289,7 +265,13 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # else the exit-time flush fails too and prints "Exception ignored"
+        code = EXIT_PIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -23,10 +23,8 @@ exchange rule, and how far each moves the canonical index.  The walk
 gives plain data: each matrix's rows, its shared record, its number of
 lower covers, and each edge as an exact tuple of ints, which the cyclic
 collector stops scanning.  ``build_hasse`` wraps that in named tuples
-and ``Asm`` objects; the ``hasse`` command writes from it directly.
-Both take the DOT and JSON texts from one writer per format, as a
-stream of pieces, one per node or edge, built from the text of each
-distinct row and record, made once.  The table and the DP read their
+and ``Asm`` objects; the ``hasse`` command writes from it directly,
+through ``io``'s writers.  The table and the DP read their
 shares of I, N and beta off one rule in ``stats``.
 """
 
@@ -35,7 +33,6 @@ from __future__ import annotations
 import decimal
 import functools
 import itertools
-import json
 import math
 import os
 import sys
@@ -43,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import Asm, AsmError, _require_size
-from .io import read_int
+from .io import _Edge, _Rows, _dot_lines, read_int
 from .poset import _TYPE_BY_LOWER_BLOCK, _exchange_positions
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import StatRecord, _entry_shares, _record, _row_beta
@@ -406,75 +403,6 @@ class HasseEdge(NamedTuple):
     cover_type: int
 
 
-class _Texts(dict):
-    """Each key's text, made by ``make`` on first use and kept: a graph's
-    nodes share a few distinct rows and records."""
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key) -> str:
-        text = self[key] = self.make(key)
-        return text
-
-
-def _listed(items: Iterator[str]) -> Iterator[str]:
-    """The items of a JSON list as pieces, each after the first behind
-    its ", "."""
-    for first in items:
-        yield first
-        # the rest: the loop ends with them
-        yield from map(", ".__add__, items)
-
-
-# a matrix's rows, and a node and an edge as the writers take them
-_Rows = tuple[tuple[int, ...], ...]
-_Node = tuple[_Rows, StatRecord, bool]  # rows, record, join_irreducible
-_Edge = tuple[int, int, int]  # lower, upper, cover type
-
-
-def _dot_lines(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge], highlight_ji: bool) -> Iterator[str]:
-    """The DOT text of a size-n cover graph line by line, each with its
-    newline, so a writer need not hold the whole text.  ``nodes`` are
-    (rows, record, join_irreducible) in index order, ``edges`` are
-    (lower, upper, cover type).  A node's label is a permutation in
-    one-line notation, as ``core.Permutation`` prints it, or any other
-    matrix row by row."""
-    yield f"digraph asm_lattice_{n} {{\n  rankdir=BT;\n  node [shape=box];\n"
-    digit = _Texts(lambda row: str(row.index(1) + 1)).__getitem__
-    entries = _Texts(lambda row: " ".join(map(str, row))).__getitem__
-    comma = "," if n > 9 else ""
-    filled = ", style=filled" if highlight_ji else ""
-    for idx, (rows, record, join_irreducible) in enumerate(nodes):
-        if record.minus:
-            label = "|".join(map(entries, rows))
-        else:
-            label = comma.join(map(digit, rows))
-        yield '  a%d [label="%s"%s];\n' % (idx, label, filled if join_irreducible else "")
-    yield from map('  a%d -> a%d [label="t%d"];\n'.__mod__, edges)
-    yield "}\n"
-
-
-def _json_chunks(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge]) -> Iterator[str]:
-    """The text of ``json.dumps(HasseGraph.to_json_dict())`` for the same
-    nodes and edges as :func:`_dot_lines` takes, in pieces, one per node
-    and one per edge, so a writer need not hold it whole; each distinct
-    row's and record's text is made once."""
-    rows_text = _Texts(lambda row: json.dumps(list(row))).__getitem__
-    stats = _Texts(lambda record: json.dumps(record.to_json_dict())).__getitem__
-    matrix = '{"matrix": {"n": %d, "entries": [' % n
-    yield '{"n": %d, "nodes": [' % n
-    yield from _listed(
-        f'{matrix}{", ".join(map(rows_text, rows))}]}}, "stats": {stats(record)}, '
-        f'"join_irreducible": {"true" if join_irreducible else "false"}}}'
-        for rows, record, join_irreducible in nodes
-    )
-    yield '], "edges": ['
-    yield from _listed(map('{"lower": %d, "upper": %d, "type": %d}'.__mod__, edges))
-    yield "]}"
-
-
 @dataclass(frozen=True)
 class HasseGraph:
     """The full cover graph of A_n, graded by beta."""
@@ -484,32 +412,18 @@ class HasseGraph:
     edges: tuple[HasseEdge, ...]
 
     def to_dot(self, highlight_ji: bool = True) -> str:
-        return "".join(self._dot_lines(highlight_ji))
-
-    def _dot_lines(self, highlight_ji: bool) -> Iterator[str]:
         nodes = ((a.entries, record, ji) for a, record, ji in self.nodes)
-        return _dot_lines(self.n, nodes, self.edges, highlight_ji)
+        return "".join(_dot_lines(self.n, nodes, self.edges, highlight_ji))
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "nodes": [
-                {
-                    "matrix": node.matrix.to_json_dict(),
-                    "stats": node.record.to_json_dict(),
-                    "join_irreducible": node.join_irreducible,
-                }
-                for node in self.nodes
+                {"matrix": a.to_json_dict(), "stats": record.to_json_dict(), "join_irreducible": ji}
+                for a, record, ji in self.nodes
             ],
-            "edges": [
-                {"lower": e.lower, "upper": e.upper, "type": e.cover_type}
-                for e in self.edges
-            ],
+            "edges": [{"lower": lower, "upper": upper, "type": t} for lower, upper, t in self.edges],
         }
-
-    def _json_chunks(self) -> Iterator[str]:
-        nodes = ((a.entries, record, ji) for a, record, ji in self.nodes)
-        return _json_chunks(self.n, nodes, self.edges)
 
 
 def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[list[_Rows], list[StatRecord], list[int], list[_Edge]]:

@@ -1,4 +1,4 @@
-"""Text and JSON formats for matrices and permutations.
+"""Text and JSON formats for matrices, permutations and cover graphs.
 
 Matrix text format: an optional first line "n <size>", then n lines of n
 whitespace-separated integers.  Permutation shorthand: "perm:<images>"
@@ -8,14 +8,23 @@ with comma-separated images, or a digits-only string when n <= 9
 Every integer in a text, whether an entry, a size or an image, is an
 ASCII token ``-?[0-9]+`` (:func:`read_int`): ``int()`` alone would also
 read "+1", "0_1" and non-ASCII digits such as "١".
+
+Every writer spells a row one way, as text and as JSON, and the commands'
+writers stream: one piece per matrix, node or edge, written in batches.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .core import Asm, AsmError, NotSquare, Permutation, from_permutation, validate
+from .core import Asm, AsmError, NotSquare, Permutation, validate
+
+if TYPE_CHECKING:  # for _Node alone: io needs nothing of stats at run time
+    from .stats import StatRecord
 
 
 class ParseError(AsmError):
@@ -36,6 +45,13 @@ def read_int(token: str) -> int:
     if not _INT.fullmatch(t):
         raise ValueError(f"not an ASCII integer: {token!r}")
     return int(t)  # ValueError too past sys.get_int_max_str_digits()
+
+
+def parse_matrix(text: str) -> Asm:
+    """A matrix in JSON if its first non-space character is "{", else in the text format."""
+    if text.lstrip().startswith("{"):
+        return matrix_from_json(text)
+    return parse_matrix_text(text)
 
 
 def parse_matrix_text(text: str) -> Asm:
@@ -82,22 +98,6 @@ def parse_permutation(token: str) -> Permutation:
     return Permutation.from_images(images)
 
 
-def parse_matrix_or_perm(token: str) -> Asm:
-    if token.startswith("perm:"):
-        return from_permutation(parse_permutation(token))
-    return parse_matrix_text(token)
-
-
-def matrix_to_text(a: Asm, header: bool = False) -> str:
-    lines = [f"n {a.n}"] if header else []
-    lines += [" ".join(str(v) for v in row) for row in a.entries]
-    return "\n".join(lines) + "\n"
-
-
-def matrix_to_json(a: Asm) -> str:
-    return json.dumps(a.to_json_dict())
-
-
 def matrix_from_json(text: str) -> Asm:
     try:
         obj = json.loads(text)
@@ -109,3 +109,116 @@ def matrix_from_json(text: str) -> Asm:
     if "n" in obj and (type(obj["n"]) is not int or obj["n"] != a.n):
         raise NotSquare(f'JSON "n" = {obj["n"]} but matrix has size {a.n}')
     return a
+
+
+_JSON_HEAD = '{"n": %d, "entries": ['  # a matrix's JSON: this, its _json_rows joined by ", ", "]}"
+
+
+def _json_row(row: tuple[int, ...]) -> str:
+    return json.dumps(list(row))
+
+
+def _row_text(row: tuple[int, ...]) -> str:  # as str(Asm) prints it
+    return " ".join(map(str, row))
+
+
+def matrix_to_text(a: Asm, header: bool = False) -> str:
+    return (f"n {a.n}\n" if header else "") + f"{a}\n"
+
+
+def matrix_to_json(a: Asm) -> str:
+    return _JSON_HEAD % a.n + ", ".join(map(_json_row, a.entries)) + "]}"
+
+
+class _Texts(dict):
+    """Each key's text, made by ``make`` on first use and kept: a graph's
+    nodes share a few distinct rows and records."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self.make(key)
+        return text
+
+
+def _listed(items: Iterator[str]) -> Iterator[str]:
+    """The items of a JSON list as pieces, each after the first behind
+    its ", "."""
+    for first in items:
+        yield first
+        # the rest: the loop ends with them
+        yield from map(", ".__add__, items)
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout in batches: the whole text of a large
+    output outweighs what it is made from, and one write per piece is
+    slower than one per batch."""
+    pieces = iter(pieces)
+    while chunk := "".join(islice(pieces, 16384)):
+        sys.stdout.write(chunk)
+
+
+def _write_matrices(n: int, matrices: Iterable[Asm], fmt: str) -> None:
+    """``enumerate``'s output: a JSON list of matrix_to_json texts, or matrix_to_text blocks."""
+    if fmt == "json":
+        rows, item = _Texts(_json_row).__getitem__, _JSON_HEAD % n + "%s]}"
+        items = (item % ", ".join(map(rows, a.entries)) for a in matrices)
+        _write(chain(("[",), _listed(items), ("]\n",)))
+    else:
+        rows = _Texts(lambda row: _row_text(row) + "\n").__getitem__
+        _write("".join(map(rows, a.entries)) + "\n" for a in matrices)
+
+
+# a matrix's rows, and a node and an edge as the graph writers take them
+_Rows = tuple[tuple[int, ...], ...]
+_Node = tuple[_Rows, "StatRecord", bool]  # rows, record, join_irreducible
+_Edge = tuple[int, int, int]  # lower, upper, cover type
+
+
+def _write_hasse(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge], fmt: str, highlight_ji: bool) -> None:
+    """``hasse``'s output, DOT or JSON."""
+    _write(_dot_lines(n, nodes, edges, highlight_ji) if fmt == "dot" else _json_chunks(n, nodes, edges))
+
+
+def _dot_lines(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge], highlight_ji: bool) -> Iterator[str]:
+    """The DOT text of a size-n cover graph line by line, each with its
+    newline, so a writer need not hold the whole text.  ``nodes`` are
+    (rows, record, join_irreducible) in index order, ``edges`` are
+    (lower, upper, cover type).  A node's label is a permutation in
+    one-line notation, as ``core.Permutation`` prints it, or any other
+    matrix row by row."""
+    yield f"digraph asm_lattice_{n} {{\n  rankdir=BT;\n  node [shape=box];\n"
+    digit = _Texts(lambda row: str(row.index(1) + 1)).__getitem__
+    entries = _Texts(_row_text).__getitem__
+    comma = "," if n > 9 else ""
+    filled = ", style=filled" if highlight_ji else ""
+    for idx, (rows, record, join_irreducible) in enumerate(nodes):
+        if record.minus:
+            label = "|".join(map(entries, rows))
+        else:
+            label = comma.join(map(digit, rows))
+        yield '  a%d [label="%s"%s];\n' % (idx, label, filled if join_irreducible else "")
+    yield from map('  a%d -> a%d [label="t%d"];\n'.__mod__, edges)
+    yield "}\n"
+
+
+def _json_chunks(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge]) -> Iterator[str]:
+    """The text of ``json.dumps(HasseGraph.to_json_dict())`` and a newline
+    for the same nodes and edges as :func:`_dot_lines` takes, in pieces,
+    one per node and one per edge, so a writer need not hold it whole;
+    each distinct row's and record's text is made once."""
+    rows_text = _Texts(_json_row).__getitem__
+    stats = _Texts(lambda record: json.dumps(record.to_json_dict())).__getitem__
+    matrix = '{"matrix": ' + _JSON_HEAD % n
+    yield '{"n": %d, "nodes": [' % n
+    yield from _listed(
+        f'{matrix}{", ".join(map(rows_text, rows))}]}}, "stats": {stats(record)}, '
+        f'"join_irreducible": {"true" if join_irreducible else "false"}}}'
+        for rows, record, join_irreducible in nodes
+    )
+    yield '], "edges": ['
+    yield from _listed(map('{"lower": %d, "upper": %d, "type": %d}'.__mod__, edges))
+    yield "]}\n"

@@ -30,6 +30,7 @@ from asmlat.enumeration import (
     _vertex_sums,
     _walk_hasse,
 )
+from asmlat.io import _json_chunks
 from asmlat.polynomials import BivariatePolynomial, HalfIntPolynomial
 from asmlat.poset import CoverEdge, covers_up
 from asmlat.stats import (
@@ -241,7 +242,8 @@ def test_hasse_json_shape():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hasse_json_chunks_are_the_json_text(n):
     graph = build_hasse(n)
-    assert "".join(graph._json_chunks()) == json.dumps(graph.to_json_dict())
+    nodes = ((a.entries, record, ji) for a, record, ji in graph.nodes)
+    assert "".join(_json_chunks(n, nodes, graph.edges)) == json.dumps(graph.to_json_dict()) + "\n"
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -14,7 +14,7 @@ from asmlat.io import (
     matrix_from_json,
     matrix_to_json,
     matrix_to_text,
-    parse_matrix_or_perm,
+    parse_matrix,
     parse_matrix_text,
     parse_permutation,
 )
@@ -156,22 +156,20 @@ def test_guard_variable_is_ascii(capsys, monkeypatch, value):
     assert (out, err) == ("", f"asmlat: ASMLAT_GUARD={value!r} is not an integer\n")
 
 
-def test_parse_matrix_or_perm():
-    assert parse_matrix_or_perm("perm:3412") == from_permutation(
-        Permutation.from_images([3, 4, 1, 2])
-    )
-    assert parse_matrix_or_perm(text_of(EXAMPLE_A_ROWS)) == validate(EXAMPLE_A_ROWS)
+def test_matrix_text_round_trip(capsys, pools):
+    # enumerate writes each matrix of A_1..A_5 as matrix_to_text does
+    for n, pool in pools.items():
+        assert run(["enumerate", "--size", str(n)]) == 0
+        assert capsys.readouterr().out == "".join(matrix_to_text(a) + "\n" for a in pool)
+        assert all(parse_matrix(matrix_to_text(a)) == a == parse_matrix(matrix_to_text(a, header=True)) for a in pool)
 
 
-def test_matrix_text_round_trip():
-    a = validate(EXAMPLE_A_ROWS)
-    assert parse_matrix_text(matrix_to_text(a)) == a
-    assert parse_matrix_text(matrix_to_text(a, header=True)) == a
-
-
-def test_matrix_json_round_trip():
-    a = validate(EXAMPLE_A_ROWS)
-    assert matrix_from_json(matrix_to_json(a)) == a
+def test_matrix_json_round_trip(capsys, pools):
+    # enumerate lists each matrix of A_1..A_5 as matrix_to_json writes it
+    for n, pool in pools.items():
+        assert run(["enumerate", "--size", str(n), "--format", "json"]) == 0
+        assert capsys.readouterr().out == "[" + ", ".join(map(matrix_to_json, pool)) + "]\n"
+        assert all(parse_matrix(matrix_to_json(a)) == a for a in pool)
 
 
 def test_matrix_json_bad():
