@@ -197,10 +197,9 @@ def _cmd_covers(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    # written from the walk's plain rows and edge tuples: no Asm, node or
-    # edge object is made; a node with one lower cover is join-irreducible
-    entries, records, lower_covers, edges = enumeration._walk_hasse(args.size, args.guard)
-    nodes = zip(entries, records, map((1).__eq__, lower_covers))
+    # written from the walk's plain node and edge tuples: no Asm, HasseNode
+    # or HasseEdge is made
+    nodes, edges = enumeration._walk_hasse(args.size, args.guard)
     io._write_hasse(args.size, nodes, edges, args.output, args.highlight_ji)
     return EXIT_OK
 

@@ -20,12 +20,13 @@ the row table that carries each matrix's I, N and beta, and from a second
 table, cached per size as well, that lists for each two-row path the
 covers exchanging a block inside those rows, found by ``poset``'s
 exchange rule, and how far each moves the canonical index.  The walk
-gives plain data: each matrix's rows, its shared record, its number of
-lower covers, and each edge as an exact tuple of ints, which the cyclic
-collector stops scanning.  ``build_hasse`` wraps that in named tuples
-and ``Asm`` objects; the ``hasse`` command writes from it directly,
-through ``io``'s writers.  The table and the DP read their
-shares of I, N and beta off one rule in ``stats``.
+gives the graph in the one plain form ``io``'s writers take: each node
+as its rows, its shared record and its join-irreducible flag, and each
+edge as an exact tuple of ints, which the cyclic collector stops
+scanning.  The ``hasse`` command writes from it directly;
+``build_hasse`` wraps it in named tuples and ``Asm`` objects.  The
+table and the DP read their shares of I, N and beta off one rule in
+``stats``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import Asm, AsmError, _require_size
-from .io import _Edge, _Rows, _dot_lines, read_int
+from .io import _Edge, _Node, _Rows, _dot_lines, read_int
 from .poset import _TYPE_BY_LOWER_BLOCK, _exchange_positions
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import StatRecord, _entry_shares, _record, _row_beta
@@ -426,11 +427,13 @@ class HasseGraph:
         }
 
 
-def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[list[_Rows], list[StatRecord], list[int], list[_Edge]]:
+def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[Iterator[_Node], list[_Edge]]:
     """The cover graph of A_n as plain data, from one depth-first walk of
-    the row table: each matrix's rows in canonical order, its
-    ``StatRecord`` (equal statistics share one), its number of lower
-    covers, and every edge as an exact (lower, upper, cover type) tuple.
+    the row table: an iterator, to be read once, of the nodes in
+    canonical order as ``io``'s writers take them, each (rows,
+    ``StatRecord``, join-irreducible) with equal statistics sharing one
+    record; and every edge as an exact (lower, upper, cover type) tuple.
+    A node is join-irreducible when it has exactly one lower cover.
 
     The walk carries the sums of I, N and beta along each path and, for
     each pair of adjacent rows, the :func:`_cover_table` entry of their
@@ -439,10 +442,11 @@ def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[list[_Rows], list[S
     called (``verify.scanned_hasse``, which calls them, is the oracle).
     An exchange at rows r, r + 1 keeps rows 1..r - 1 and makes row r
     lexicographically smaller, so read in (r, s) order the upper ends
-    come out ascending and the edges need no sort.  Nothing made per
+    come out ascending and the edges need no sort.  Nothing kept per
     node or edge is an object the cyclic collector keeps scanning: a
     tuple of ints, or of such tuples, drops out of its scans at the
-    first collection, which an ``Asm`` or a named tuple never does.
+    first collection, which an ``Asm`` or a named tuple never does, and
+    each node's tuple is made only as it is read.
     """
     _check_size(n, limit_guard)
     table, cover = _row_table(n), _cover_table(n)
@@ -485,23 +489,18 @@ def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[list[_Rows], list[S
     # walk reaches itself through its closure: without this the cycle keeps
     # every list here alive until a full collection
     del walk
-    return matrices, records, lower_covers, edges
+    return zip(matrices, records, map((1).__eq__, lower_covers)), edges
 
 
 def build_hasse(n: int, limit_guard: Optional[int] = None) -> HasseGraph:
-    """Enumerate A_n with its statistics and wire up every cover edge, in
-    one depth-first walk of the row table (:func:`_walk_hasse`, which the
-    ``hasse`` command writes from directly), with each matrix as an
-    ``Asm``, each node as a ``HasseNode`` and each edge as a
-    ``HasseEdge``.  A node is join-irreducible when it has exactly one
-    lower cover."""
-    entries, records, lower_covers, edges = _walk_hasse(n, limit_guard)
-    nodes = tuple(
-        HasseNode(Asm(n, rows), record, join_irreducible=k == 1)
-        for rows, record, k in zip(entries, records, lower_covers)
-    )
-    # the walk's node lists go before the edges are copied, which is the peak
-    del entries, records, lower_covers
+    """Enumerate A_n with its statistics and wire up every cover edge: the
+    nodes and edges of :func:`_walk_hasse`, which the ``hasse`` command
+    writes from directly, with each matrix as an ``Asm``, each node as a
+    ``HasseNode`` and each edge as a ``HasseEdge``."""
+    nodes, edges = _walk_hasse(n, limit_guard)
+    # the rebinding drops the walk's node lists before the edges are
+    # converted, which is the peak
+    nodes = tuple(HasseNode(Asm(n, rows), record, ji) for rows, record, ji in nodes)
     # in place, so the plain and the named edges are never both held whole;
     # tuple.__new__ skips the named tuple's constructor written in Python
     named = functools.partial(tuple.__new__, HasseEdge)

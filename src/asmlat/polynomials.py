@@ -45,8 +45,8 @@ def _power(var: str, e: int, half: bool) -> str:
 
 class _Polynomial:
     """What both classes share: the nonzero int coefficients by key,
-    equality that also compares the variables, and the printed form.
-    A class names its variables with ``_vars()`` and splits a key into
+    equality that also compares the variables, the printed form and the
+    repr.  A class names its variables with ``_vars()`` and splits a key into
     (variable, exponent, in half-units?) factors with ``_factors(key)``."""
 
     __slots__ = ("coeffs",)
@@ -81,6 +81,9 @@ class _Polynomial:
             terms.append(("- " if c < 0 else "+ ") + "*".join(factors))
         text = " ".join(terms)
         return text[2:] if text[0] == "+" else "-" + text[2:]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
 
 
 class HalfIntPolynomial(_Polynomial):
@@ -160,21 +163,14 @@ class HalfIntPolynomial(_Polynomial):
 
     def is_palindromic(self) -> bool:
         """Coefficients read the same from both ends of the exponent range."""
-        if not self.coeffs:
-            return True
-        top = max(self.coeffs)
-        return all(
-            self.coeffs.get(top - h, 0) == c for h, c in self.coeffs.items()
-        )
+        mirror = min(self.coeffs, default=0) + max(self.coeffs, default=0)
+        return all(self.coeffs.get(mirror - h, 0) == c for h, c in self.coeffs.items())
 
     def _vars(self) -> tuple[str, ...]:
         return (self.var,)
 
     def _factors(self, h: int) -> tuple[tuple[str, int, bool], ...]:
         return ((self.var, h, True),)
-
-    def __repr__(self) -> str:
-        return f"HalfIntPolynomial({self})"
 
     def to_json_dict(self) -> dict:
         return {

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from . import core, enumeration, poset, stats
+from . import core, enumeration, io, poset, stats
 from .core import (
     Asm,
     Permutation,
@@ -353,11 +353,11 @@ def bfs_cover_closure(n: int) -> list[Asm]:
     return sorted(seen, key=lambda a: a.entries)
 
 
-def scanned_hasse(n: int) -> enumeration.HasseGraph:
-    """The Hasse diagram by the cover scan, the oracle for
-    :func:`enumeration.build_hasse`: ``covers_up`` and ``stat_record`` on
-    every matrix of A_n, the kept index of A_n for the upper ends, and one
-    global sort of the edges."""
+def scanned_hasse(n: int) -> tuple[list[io._Node], list[io._Edge]]:
+    """The Hasse diagram by the cover scan, in the plain form of
+    :func:`enumeration._walk_hasse`, its oracle: ``covers_up`` and
+    ``stat_record`` on every matrix of A_n, the kept index of A_n for the
+    upper ends, and one global sort of the edges."""
     matrices, index = _asms(n), _index(n)
     # each edge is found once, from its lower end, so this counts lower covers
     lower_covers = [0] * len(matrices)
@@ -366,23 +366,19 @@ def scanned_hasse(n: int) -> enumeration.HasseGraph:
         for e in _covers_up(a):
             j = index[e.upper]
             lower_covers[j] += 1
-            edges.append(enumeration.HasseEdge(i, j, e.cover_type))
-    edges.sort(key=lambda e: (e.lower, e.upper))
-    nodes = tuple(
-        enumeration.HasseNode(a, stats.stat_record(a), join_irreducible=k == 1)
-        for a, k in zip(matrices, lower_covers)
-    )
-    return enumeration.HasseGraph(n, nodes, tuple(edges))
+            edges.append((i, j, e.cover_type))
+    edges.sort()
+    nodes = [(a.entries, stats.stat_record(a), k == 1) for a, k in zip(matrices, lower_covers)]
+    return nodes, edges
 
 
 def check_hasse_vs_cover_scan(n: int):
-    # one check per node (matrix, record, join-irreducible flag) and per
-    # edge (ends and type, in order); a missing one compares with None
-    got, want = enumeration.build_hasse(n), scanned_hasse(n)
-    pairs = itertools.chain(
-        itertools.zip_longest(got.nodes, want.nodes),
-        itertools.zip_longest(got.edges, want.edges),
-    )
+    # one check per node (rows, record, join-irreducible flag) and per edge
+    # (ends and type, in order) of the walk the hasse command writes from,
+    # nodes against nodes, then edges against edges; a missing one compares
+    # with None
+    got, want = enumeration._walk_hasse(n, None), scanned_hasse(n)
+    pairs = itertools.chain(*map(itertools.zip_longest, got, want))
     return _check_all(
         pairs, lambda p: None if p[0] == p[1] else f"walk {p[0]} != scan {p[1]} at n={n}"
     )

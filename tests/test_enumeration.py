@@ -249,15 +249,16 @@ def test_hasse_json_chunks_are_the_json_text(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hasse_walk_is_the_graph_as_plain_data(n):
     # the command writes from the walk, the library wraps it
-    entries, records, lower_covers, edges = _walk_hasse(n, None)
+    nodes, edges = _walk_hasse(n, None)
+    nodes = list(nodes)
     graph = build_hasse(n)
-    assert list(zip(entries, records, [k == 1 for k in lower_covers])) == [
-        (node.matrix.entries, node.record, node.join_irreducible) for node in graph.nodes
-    ]
+    assert nodes == [(node.matrix.entries, node.record, node.join_irreducible) for node in graph.nodes]
     assert edges == [tuple(edge) for edge in graph.edges]
-    # exact tuples of ints, which the cyclic collector stops scanning
+    # exact tuples of ints, which the cyclic collector stops scanning, and
+    # nodes as io's writers take them: exact (rows, record, bool) tuples
     assert all(type(edge) is tuple for edge in edges)
-    assert all(type(rows) is tuple for rows in entries)
+    for node in nodes:
+        assert type(node) is tuple and type(node[0]) is tuple and type(node[2]) is bool
 
 
 def test_hasse_nodes_and_edges_are_immutable_tuples():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from asmlat.enumeration import signed_identity_check
+from asmlat.enumeration import bivariate_genfun, signed_identity_check
 from asmlat.polynomials import BivariatePolynomial, HalfIntPolynomial
 
 
@@ -97,12 +97,23 @@ def test_str_golden():
     assert str(HalfIntPolynomial({2: -1})) == "-λ"
 
 
+def test_repr_golden():
+    # one repr for both classes: the class name around the printed form
+    assert repr(HalfIntPolynomial({0: 1, 2: 2, 3: 1})) == "HalfIntPolynomial(1 + 2*λ + λ^3/2)"
+    assert repr(HalfIntPolynomial.zero("q")) == "HalfIntPolynomial(0)"
+    assert repr(bivariate_genfun(2, "I:beta")) == "BivariatePolynomial(1 + λ*q)"
+
+
 def test_palindromic_and_monic():
     p = HalfIntPolynomial({0: 1, 2: 2, 3: 1, 4: 2, 6: 1})
     assert p.is_palindromic() and p.is_monic()
     assert not HalfIntPolynomial({0: 1, 2: 2, 4: 3, 6: 1}).is_palindromic()
     assert not HalfIntPolynomial({0: 2, 2: 2}).is_monic()
     assert HalfIntPolynomial.zero().is_palindromic()
+    # mirrored about the lowest and the highest exponent, not about 0
+    assert HalfIntPolynomial({2: 1, 4: 1}).is_palindromic()
+    assert HalfIntPolynomial({-2: 1, 2: 1}).is_palindromic()
+    assert HalfIntPolynomial({4: 1}).is_palindromic()
 
 
 def test_evaluate_and_coefficient():

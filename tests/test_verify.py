@@ -17,6 +17,7 @@ from asmlat import (
     verify,
 )
 from asmlat.core import Asm, AsmError
+from asmlat.enumeration import _walk_hasse
 from asmlat.verify import SUITES, generic_covers
 
 # the module, not the function asmlat.verify that shadows it
@@ -214,8 +215,8 @@ def test_generic_covers_in_any_order(n, shuffle):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hasse_vs_cover_scan_on_tuple_nodes_and_edges(n):
     checked, failures = verify_module.check_hasse_vs_cover_scan(n)
-    graph = build_hasse(n)
-    assert failures == [] and checked == len(graph.nodes) + len(graph.edges)
+    nodes, edges = _walk_hasse(n, None)
+    assert failures == [] and checked == len(list(nodes)) + len(edges)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
