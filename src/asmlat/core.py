@@ -17,10 +17,18 @@ codes, and the popcount is beta(A) plus a constant of n.  Only this
 module knows the code's layout: the encoder (:func:`_code`), the decoder
 (:func:`_from_code`, which rebuilds the entries from a code with a few
 byte translations and big-integer shifts, so join and meet never build a
-table) and the field of a given bit (:func:`_field_position`).  Both
-memos are caches, not fields; they take no part in equality, hashing,
-``repr`` or ``to_json_dict``.  Each is a function of the entries, so two
-threads that fill one at once store the same value.
+table) and the field of a given bit (:func:`_field_position`).  The
+third memo is the hash, ``hash((n, entries))``, computed on the first
+call, so a matrix used again as a dict or cache key is not rehashed;
+``==`` answers at once for the same object and otherwise compares ``n``
+and ``entries``.  The three memos are caches, not fields; they take no
+part in equality, ``repr`` or ``to_json_dict``.  Each is a function of
+the entries, so two threads that fill one at once store the same value.
+
+:func:`validate` is :func:`_as_rows`, which turns any sequence of rows
+into tuples of ints, then :func:`_checked`, which checks the
+alternating-sign conditions on rows that are already tuples of ints; a
+reader that builds such rows itself calls :func:`_checked` alone.
 """
 
 from __future__ import annotations
@@ -98,9 +106,10 @@ class Asm:
     Entries are in {-1, 0, 1}; every row- and column-prefix sum is 0 or 1
     and every full row/column sum is 1.  Construct via :func:`validate`
     (checked) or the classmethods below; the raw constructor trusts its
-    input.  The corner-sum table and the order code, once computed, are
-    kept in the instance ``__dict__`` (see the module docstring); only
-    ``n`` and ``entries`` take part in ``==``, ``hash`` and ``repr``.
+    input.  The corner-sum table, the order code and the hash, once
+    computed, are kept in the instance ``__dict__`` (see the module
+    docstring); only ``n`` and ``entries`` take part in ``==``, ``hash``
+    and ``repr``.
     """
 
     n: int
@@ -112,6 +121,23 @@ class Asm:
         d = self.__dict__
         d["n"] = n
         d["entries"] = entries
+
+    # The generated dataclass semantics, hash((n, entries)) and equal
+    # fields, written out so that the hash is kept in its memo and an
+    # object equals itself without building two tuples: join and meet
+    # mostly return an operand itself.
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get(_HASH)
+        if h is None:
+            h = self.__dict__[_HASH] = hash((self.n, self.entries))
+        return h
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based position (i, j)."""
@@ -219,7 +245,11 @@ def validate(raw: Sequence[Sequence[int]]) -> Asm:
     running sums and the column prefix sums it leaves; only a row that
     fails them is scanned entry by entry, for the message.
     """
-    rows = _as_rows(raw)
+    return _checked(_as_rows(raw))
+
+
+def _checked(rows: tuple[tuple[int, ...], ...]) -> Asm:
+    """:func:`validate` for rows that are already tuples of ints."""
     n = len(rows)
     if n == 0:
         raise NotSquare("empty matrix")
@@ -298,10 +328,11 @@ def to_permutation(a: Asm) -> Permutation:
     return Permutation(a.n, images)
 
 
-# The instance attributes that hold an Asm's corner-sum table and its
-# order code once computed.
+# The instance attributes that hold an Asm's corner-sum table, its order
+# code and its hash once computed.
 _MEMO = "_corner_sums"
 _CODE = "_order_code"
+_HASH = "_hash"
 
 
 def _prefix_sums(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -21,7 +21,7 @@ import sys
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .core import Asm, AsmError, NotSquare, Permutation, validate
+from .core import Asm, AsmError, NotSquare, Permutation, _checked, validate
 
 if TYPE_CHECKING:  # for _Node alone: io needs nothing of stats at run time
     from .stats import StatRecord
@@ -55,30 +55,33 @@ def parse_matrix(text: str) -> Asm:
 
 
 def parse_matrix_text(text: str) -> Asm:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """A matrix in the text format.  Each line is split once; a line
+    with no tokens is skipped, and the messages quote a line as given."""
+    lines = [(ln, tokens) for ln in text.splitlines() if (tokens := ln.split())]
     if not lines:
         raise ParseError("empty matrix input")
-    first = lines[0].split()
-    if first and first[0] == "n":
+    head, first = lines[0]
+    if first[0] == "n":
         if len(first) != 2:
-            raise ParseError(f"bad size header: {lines[0]!r}")
+            raise ParseError(f"bad size header: {head!r}")
         try:
             n = read_int(first[1])
         except ValueError:
-            raise ParseError(f"bad size header: {lines[0]!r}") from None
+            raise ParseError(f"bad size header: {head!r}") from None
         lines = lines[1:]
         if len(lines) != n:
             raise ParseError(f"header says {n} rows, got {len(lines)}")
     rows = []
-    for ln in lines:
+    for ln, tokens in lines:
         try:
-            rows.append(tuple(map(_ENTRY.__getitem__, ln.split())))
+            rows.append(tuple(map(_ENTRY.__getitem__, tokens)))
         except KeyError:
             try:
-                rows.append(tuple(map(read_int, ln.split())))
+                rows.append(tuple(map(read_int, tokens)))
             except ValueError:
                 raise ParseError(f"bad matrix line: {ln!r}") from None
-    return validate(rows)
+    # the rows are tuples of ints already: only the matrix checks are left
+    return _checked(tuple(rows))
 
 
 def parse_permutation(token: str) -> Permutation:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import add, mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -65,9 +65,14 @@ class StatRecord(NamedTuple):
 
 def _inversions(a: Asm) -> Iterator[tuple[int, int, int, int, int]]:
     """(i, j, k, l, a_jk * a_il) for each nonzero a_jk and each nonzero
-    a_il strictly north-east of it (i < j, k < l), unsorted."""
-    nz = a.nonzeros()
-    return ((i, j, k, l, v1 * v2) for (j, k, v1) in nz for (i, l, v2) in nz if i < j and k < l)
+    a_il strictly north-east of it (i < j, k < l), unsorted.  Each pair
+    of nonzero entries is visited once, in row-major order, which puts
+    the north-east one first."""
+    return (
+        (i, j, k, l, v1 * v2)
+        for (i, l, v2), (j, k, v1) in combinations(a.nonzeros(), 2)
+        if i < j and k < l
+    )
 
 
 def inversion_list(a: Asm) -> list[Inversion]:
@@ -88,13 +93,13 @@ def inversion_number(a: Asm) -> int:
 def dual_inversion_number(a: Asm) -> int:
     """I*(A): the signed sum of a_ik * a_jl over i<j, k<l.
 
-    Equals the inversion number of the row-reversed matrix.
+    Equals the inversion number of the row-reversed matrix.  Each pair
+    of nonzero entries is visited once, in row-major order, which puts
+    the north-west one first.
     """
-    nz = a.nonzeros()
     return sum(
         v1 * v2
-        for (i, k, v1) in nz
-        for (j, l, v2) in nz
+        for (i, k, v1), (j, l, v2) in combinations(a.nonzeros(), 2)
         if i < j and k < l
     )
 

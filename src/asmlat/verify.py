@@ -61,10 +61,11 @@ def _index(n: int) -> dict[Asm, int]:
 def _covers_up(a: Asm) -> tuple[poset.CoverEdge, ...]:
     """``poset.covers_up(a)``, each upper end swapped for the equal matrix
     of ``_asms(a.n)``, so a matrix is held once however many edges end at
-    it; an end outside A_n is kept, for the suites to report."""
+    it; an end outside A_n is kept, for the suites to report.  A kept
+    edge is rebuilt by the constructor, which is quicker than ``_replace``."""
     matrices, index = _asms(a.n), _index(a.n)
     return tuple(
-        e if (i := index.get(e.upper)) is None else e._replace(upper=matrices[i])
+        e if (i := index.get(e.upper)) is None else poset.CoverEdge(e.lower, matrices[i], *e[2:])
         for e in poset.covers_up(a)
     )
 
@@ -734,11 +735,16 @@ class VerifyReport:
 def run_suite(suite: Suite, top: int) -> tuple[int, list[str]]:
     """Run ``suite`` for sizes 1..top and add up its checks and failures.
     A suite that raises at size n counts one failed check there and
-    stops; one that checked nothing counts one failed check."""
+    stops; one that checked nothing counts one failed check.  A
+    :class:`~asmlat.enumeration.TooLarge` is not a failure: a size above
+    the guard (ASMLAT_GUARD, as ``verify`` has no ``--guard``) is refused,
+    so it propagates."""
     checked, failures = 0, []
     for n in range(1, top + 1):
         try:
             c, f = suite(n)
+        except enumeration.TooLarge:
+            raise
         except Exception as exc:
             return checked + 1, [*failures, f"n={n}: {type(exc).__name__}: {exc}"]
         checked += c

@@ -415,6 +415,15 @@ def test_exit_guard_message(capsys):
         assert "--guard N" in err and "ASMLAT_GUARD" in err
 
 
+def test_verify_refused_by_the_guard_exits_3(capsys, monkeypatch):
+    # verify has no --guard but obeys ASMLAT_GUARD: a refused size is the
+    # one guard line and exit 3, not a failed check of every suite
+    monkeypatch.setenv("ASMLAT_GUARD", "5")
+    code, out, err = invoke(capsys, "verify", "--max", "3")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "exceeds guard 5" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -339,12 +339,14 @@ def test_asm_hashable_and_immutable(example_a):
 
 def test_asm_constructor_keeps_the_dataclass_contract(example_a):
     # the hand-written __init__ stores the two fields and nothing else;
-    # equality, hashing, repr, fields and immutability are the dataclass's
+    # repr, fields and immutability are the dataclass's, and the
+    # hand-written equality and hashing keep its semantics
     a = Asm(example_a.n, example_a.entries)
     assert vars(a) == {"n": 4, "entries": example_a.entries}
     assert [f.name for f in dataclasses.fields(Asm)] == ["n", "entries"]
     assert a == example_a and hash(a) == hash((4, example_a.entries)) == hash(example_a)
     assert a != Asm(4, identity(4).entries) and a != (4, example_a.entries)
+    assert Asm.__eq__(a, a) is True and Asm.__eq__(a, (4, example_a.entries)) is NotImplemented
     assert repr(a) == f"Asm(n=4, entries={example_a.entries!r})"
     assert Asm(n=4, entries=a.entries) == dataclasses.replace(a) == a
     for field in ("n", "entries", "other"):
@@ -352,3 +354,41 @@ def test_asm_constructor_keeps_the_dataclass_contract(example_a):
             setattr(a, field, 5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         del a.n
+
+
+def test_asm_hash_is_kept_after_the_first_call(example_a):
+    a = Asm(example_a.n, example_a.entries)
+    assert vars(a) == {"n": 4, "entries": example_a.entries}
+    # comparing computes no hash
+    assert a == example_a and vars(a) == {"n": 4, "entries": example_a.entries}
+    h = hash(a)
+    assert h == hash((4, example_a.entries)) == vars(a)[core._HASH]
+    assert set(vars(a)) == {"n", "entries", core._HASH}
+    # a later call reads the memo, not the fields
+    vars(a)[core._HASH] = 7
+    assert hash(a) == 7
+    vars(a)[core._HASH] = h
+    # the memo takes no part in equality, repr or JSON
+    assert a == example_a and repr(a) == repr(Asm(4, a.entries))
+    assert a.to_json_dict() == {"n": 4, "entries": [list(row) for row in example_a.entries]}
+
+
+def test_asm_hash_is_the_hash_of_its_fields():
+    for n in range(1, 7):
+        for a in enumerate_asms(n):
+            assert hash(a) == hash((a.n, a.entries))
+
+
+def test_equal_matrices_from_every_constructor_hash_and_compare_equal(middle3):
+    # the join of the two simple transpositions of S_3 is the one matrix of
+    # A_3 with a -1, decoded from the joined order code
+    s1, s2 = (from_permutation(Permutation.from_images(w)) for w in ([2, 1, 3], [1, 3, 2]))
+    joined = asmlat.join(s1, s2)
+    decoded = core._from_code(3, core._code(middle3))
+    built = [middle3, validate(middle3.entries), joined, decoded]
+    assert len({id(a) for a in built}) == 4
+    for a in built:
+        for b in built:
+            assert a == b and hash(a) == hash(b)
+    assert len(set(built)) == 1
+    assert joined != s1 and joined != s2

@@ -80,6 +80,36 @@ def test_parse_matrix_refuses_non_ascii_size(header):
         parse_matrix_text(header + "\n0 1\n1 0")
 
 
+@pytest.mark.parametrize("blank", ["", " ", "\t", " \t \x0b\x0c", "\u3000"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_parse_matrix_skips_blank_lines(blank, end):
+    # a line of whitespace alone is skipped, under a header too, and is
+    # not a row the header counts
+    rows = [" ".join(map(str, row)) for row in EXAMPLE_A_ROWS]
+    lines = [blank, "n 4", blank, rows[0] + " \t", blank, *rows[1:], blank]
+    assert parse_matrix_text(end.join(lines)) == validate(EXAMPLE_A_ROWS)
+    assert parse_matrix_text(end.join(lines[3:])) == validate(EXAMPLE_A_ROWS)
+    with pytest.raises(ParseError, match="header says 4 rows, got 3"):
+        parse_matrix_text(end.join(lines[:-2]))
+    with pytest.raises(ParseError, match="empty matrix input"):
+        parse_matrix_text(end.join([blank, blank]))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("  n 3 4\t\r\n0 1\n1 0", "bad size header: '  n 3 4\\t'"),
+        ("\tn x \n0 1\n1 0", "bad size header: '\\tn x '"),
+        (" 0 1\n\t1  0_0 \r\n", "bad matrix line: '\\t1  0_0 '"),
+        ("n 2\n 0\t+1\n1 0", "bad matrix line: ' 0\\t+1'"),
+    ],
+)
+def test_parse_matrix_messages_quote_the_line_as_given(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_matrix_text(text)
+    assert str(info.value) == message
+
+
 def test_parse_matrix_garbage():
     with pytest.raises(ParseError):
         parse_matrix_text("1 x\n0 1")

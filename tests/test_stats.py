@@ -106,6 +106,26 @@ def test_inversion_list_example_a(example_a):
         assert t.weight == t.l - t.k
 
 
+def brute_inversion_quadruples(a):
+    n = a.n
+    return [
+        (i, j, k, l, a.entry(j, k) * a.entry(i, l), l - k)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        for k in range(1, n + 1)
+        for l in range(k + 1, n + 1)
+        if a.entry(j, k) * a.entry(i, l)
+    ]
+
+
+def test_pair_scans_match_four_index_loops(pools):
+    # each scan visits an unordered pair of nonzero entries once
+    for n in range(1, 6):
+        for a in pools[n]:
+            assert inversion_list(a) == brute_inversion_quadruples(a)
+            assert dual_inversion_number(a) == brute_dual_inversions(a)
+
+
 def test_dual_inversion_number(example_a):
     assert dual_inversion_number(example_a) == 3
     assert brute_dual_inversions(example_a) == 3

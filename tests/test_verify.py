@@ -10,6 +10,7 @@ from asmlat import (
     build_hasse,
     cli,
     enumerate_asms,
+    enumeration,
     from_permutation,
     minus_count,
     poset,
@@ -18,7 +19,7 @@ from asmlat import (
 )
 from asmlat.core import Asm, AsmError
 from asmlat.enumeration import _walk_hasse
-from asmlat.verify import SUITES, generic_covers
+from asmlat.verify import SUITES, generic_covers, run_suite
 
 # the module, not the function asmlat.verify that shadows it
 verify_module = importlib.import_module("asmlat.verify")
@@ -131,6 +132,18 @@ def test_a_suite_that_raises_is_reported_as_a_failure(monkeypatch, fresh_covers,
     block = lines[lines.index("FAILURES:") :]
     assert lines[-2:] == ["", "verification FAILED"]
     assert "  hasse-vs-cover-scan: n=2: KeyError: " + repr(Asm(2, ((0, 0), (0, 0)))) in block
+
+
+def test_run_suite_lets_the_guard_refusal_through(monkeypatch):
+    # a size above the guard is refused, not counted as a failed check
+    def refused(n):
+        enumeration.enumerate_asms(n, limit_guard=1)
+        return 1, []
+    with pytest.raises(enumeration.TooLarge, match="exceeds guard 1"):
+        run_suite(refused, 3)
+    monkeypatch.setenv("ASMLAT_GUARD", "5")
+    with pytest.raises(enumeration.TooLarge, match="exceeds guard 5"):
+        verify(3)
 
 
 def test_verify_finds_each_matrix_up_covers_once(monkeypatch, fresh_covers):
