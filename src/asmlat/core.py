@@ -14,7 +14,8 @@ field), so a smaller sum sets more bits.  The order tests of
 :mod:`asmlat.poset` read the code: A <= B iff A's bits are a subset of
 B's, the entrywise min and max of two tables are the OR and AND of their
 codes, and the popcount is beta(A) plus a constant of n.  Only this
-module knows the code's layout: the encoder (:func:`_code`), the decoder
+module knows the code's layout: the encoder (:func:`_code`), which builds
+it a row of fields at a time and reads no table, the decoder
 (:func:`_from_code`, which rebuilds the entries from a code with a few
 byte translations and big-integer shifts, so join and meet never build a
 table) and the field of a given bit (:func:`_field_position`).  The
@@ -25,6 +26,14 @@ and ``entries``.  The three memos are caches, not fields; they take no
 part in equality, ``repr`` or ``to_json_dict``.  Each is a function of
 the entries, so two threads that fill one at once store the same value.
 
+An ASM row of size n takes only 2^(n-1) forms, so the work on each entry
+of a row is paid once per distinct row, in two module-level row memos
+(:class:`_RowMemo`, each bounded by the entries of the rows it holds and
+cleared when full): ``_ROWS`` keeps a row that passed its own checks
+with its +1 and -1 columns as bitmasks, and ``_FIELDS`` keeps a row of
+a matrix whose code was built with the code's fields where its running
+sums are 1.
+
 :func:`validate` is :func:`_as_rows`, which turns any sequence of rows
 into tuples of ints, then :func:`_checked`, which checks the
 alternating-sign conditions on rows that are already tuples of ints; a
@@ -34,6 +43,7 @@ reader that builds such rows itself calls :func:`_checked` alone.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from itertools import accumulate, chain, permutations
 from operator import add, sub
@@ -232,7 +242,67 @@ class CornerSumMatrix:
     sums: tuple[tuple[int, ...], ...]
 
 
-_BITS = frozenset((0, 1))
+# Each row memo (``_ROWS`` and ``_FIELDS`` here, the line memo of
+# asmlat.io) holds rows of at most this many entries in all, so its memory
+# is bounded whatever the size of the rows it sees: 1,638 rows of size 10.
+_HELD = 1 << 14
+
+
+class _RowMemo(dict):
+    """A memo keyed by matrix rows, or by their text lines, that holds
+    rows of at most ``_HELD`` entries in all: it is cleared before a row
+    that would pass the bound is stored, and a row longer than the bound
+    is not stored.  Reads are plain ``dict.get`` calls; a store, made
+    only on a miss, holds a lock, so the count stays exact when threads
+    store at once."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.held = 0  # the entries of the rows stored
+        self._lock = threading.Lock()
+
+    def keep(self, key, value, size: int):
+        """Store value under key, for a row of ``size`` entries; value."""
+        with self._lock:
+            if key not in self and size <= _HELD:
+                if self.held + size > _HELD:
+                    super().clear()
+                    self.held = 0
+                self[key] = value
+                self.held += size
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            super().clear()
+            self.held = 0
+
+
+# Each row of ints that passed its own checks, keyed to its column masks
+# (see _row_masks); a row that fails them is never stored.
+_ROWS = _RowMemo()
+# Each row of a matrix whose order code was built, keyed to its running
+# sums in the code's field layout (see _row_fields).
+_FIELDS = _RowMemo()
+
+
+def _row_masks(row: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """A row's column masks, computed once per distinct row and kept in
+    ``_ROWS``: its +1 columns, its -1 columns and their union, bit 0 of
+    byte j - 1 for column j.  None, not stored, for a row whose running
+    sums leave {0, 1} or that does not sum to 1.  No step loops over the
+    row in Python: a nonzero entry is a change of the running sum, and a
+    +1 is a change to 1."""
+    try:
+        sums = bytes(accumulate(row))
+    except ValueError:  # a running sum below 0 or past 255
+        return None
+    if sums[-1] != 1 or max(sums) > 1:
+        return None
+    run = int.from_bytes(sums, "little")
+    nonzero = run ^ run << 8 ^ 1 << 8 * len(row)  # the last sum, 1, shifted past column n
+    plus = nonzero & run
+    return _ROWS.keep(row, (plus, nonzero ^ plus, nonzero), len(row))
 
 
 def validate(raw: Sequence[Sequence[int]]) -> Asm:
@@ -241,37 +311,39 @@ def validate(raw: Sequence[Sequence[int]]) -> Asm:
     The first violated constraint in a row-major scan is reported, with
     1-based coordinates in the message, so errors are deterministic: each
     row's entries and running sums left to right, then its total, then
-    its column prefix sums.  A row is checked by two C-level passes, its
-    running sums and the column prefix sums it leaves; only a row that
-    fails them is scanned entry by entry, for the message.
+    its column prefix sums.  A row's own checks are made once per distinct
+    row (:func:`_row_masks`); the column checks are two mask tests against
+    the column prefix sums, one byte per column.  Only a row that fails is
+    scanned entry by entry, for the message.
     """
     return _checked(_as_rows(raw))
 
 
 def _checked(rows: tuple[tuple[int, ...], ...]) -> Asm:
-    """:func:`validate` for rows that are already tuples of ints."""
+    """:func:`validate` for rows that are already tuples of ints.  Only
+    such rows may be looked up in ``_ROWS``: ``(True,) == (1,)``."""
     n = len(rows)
     if n == 0:
         raise NotSquare("empty matrix")
     for i, row in enumerate(rows, start=1):
         if len(row) != n:
             raise NotSquare(f"row {i} has {len(row)} entries, expected {n}")
-    col = (0,) * n
+    known = _ROWS.get
+    col = 0  # the column prefix sums of the rows so far, byte j - 1 for column j
     for i, row in enumerate(rows, start=1):
-        # running sums in {0, 1} put every entry in {-1, 0, 1}
-        acc = tuple(accumulate(row))
-        new = tuple(map(add, col, row))
-        if acc[-1] != 1 or not _BITS.issuperset(acc) or not _BITS.issuperset(new):
+        m = known(row) or _row_masks(row)
+        # a +1 under a column that is 1 already, or a -1 under one that is 0
+        if m is None or m[0] & col or m[1] & ~col:
             _raise_first_violation(i, row, col)
-        col = new
+        col ^= m[2]
     # every row sums to 1 and every column ends in {0, 1}, so the n column
     # totals add up to n and each of them is 1
     return Asm(n, rows)
 
 
-def _raise_first_violation(i: int, row: tuple[int, ...], col: tuple[int, ...]) -> None:
+def _raise_first_violation(i: int, row: tuple[int, ...], col: int) -> None:
     """Raise the first violation of row i, which breaks one, given the
-    column prefix sums ``col`` of the rows above it."""
+    column prefix sums ``col`` of the rows above it (byte j - 1 for column j)."""
     row_sum = 0
     for j, v in enumerate(row, start=1):
         if v not in (-1, 0, 1):
@@ -281,9 +353,10 @@ def _raise_first_violation(i: int, row: tuple[int, ...], col: tuple[int, ...]) -
             raise BadPartialSum(f"row prefix sum {row_sum} at ({i}, {j})")
     if row_sum != 1:
         raise BadTotalSum(f"row {i} sums to {row_sum}, expected 1")
-    for j, (c, v) in enumerate(zip(col, row), start=1):
-        if c + v not in (0, 1):
-            raise BadPartialSum(f"column prefix sum {c + v} at ({i}, {j})")
+    for j, v in enumerate(row, start=1):
+        c = (col >> 8 * (j - 1) & 1) + v
+        if c not in (0, 1):
+            raise BadPartialSum(f"column prefix sum {c} at ({i}, {j})")
 
 
 def _require_position(n: int, i: int, j: int) -> None:
@@ -364,13 +437,6 @@ def _field_bits(n: int) -> int:
     return 8 * _width(n)
 
 
-@functools.cache
-def _field_codes(n: int) -> tuple[bytes, ...]:
-    """For each corner sum c in 0..n, its field: bits c .. 8 * width - 1 set."""
-    w = _width(n)
-    return tuple(((1 << 8 * w) - (1 << c)).to_bytes(w, "big") for c in range(n + 1))
-
-
 # For each byte value, the zeros below its lowest set bit, and 8 for a zero
 # byte: summed over a field's bytes, the corner sum the field holds.
 _ZEROS_BELOW = bytes(8 if b == 0 else (b & -b).bit_length() - 1 for b in range(256))
@@ -388,19 +454,44 @@ def _decode_masks(n: int) -> tuple[int, int, int]:
     return ones, 0xFF * ones, inner
 
 
+@functools.cache
+def _code_masks(n: int) -> tuple[int, int]:
+    """One row of the code's fields: every bit, and every bit but each
+    field's lowest."""
+    full = (1 << n * _field_bits(n)) - 1
+    return full, full ^ int.from_bytes((bytes(_width(n) - 1) + b"\x01") * n, "big")
+
+
+def _row_fields(row: tuple[int, ...]) -> int:
+    """The fields of one row of the order code where the running sums
+    of an ASM row are 1, every bit of each, computed once per distinct
+    row and kept in ``_FIELDS``; never 0, as the last sum is 1."""
+    n, w = len(row), _width(len(row))
+    fields = bytearray(n * w)
+    fields[w - 1 :: w] = bytes(accumulate(row))  # each sum in its field's low byte
+    ones = int.from_bytes(fields, "big")
+    return _FIELDS.keep(row, (ones << 8 * w) - ones, n)
+
+
 def _code(a: Asm) -> int:
     """a's order code, built on first use and then kept on a.
 
     The fields run row-major from the most significant end; field
     (i, j) holds c(i, j) as a thermometer code, so min(c1, c2) is
-    code1 | code2 and A <= B iff ``code(A) & ~code(B) == 0``.
+    code1 | code2 and A <= B iff ``code(A) & ~code(B) == 0``.  The code
+    is built a row of fields at a time, with no corner-sum table: row i
+    is row i - 1 plus row i's running sums, each 0 or 1, and adding 1 to
+    a field clears its lowest set bit, a shift by one within the field.
     """
     k = a.__dict__.get(_CODE)
     if k is None:
-        codes = _field_codes(a.n)
-        k = a.__dict__[_CODE] = int.from_bytes(
-            b"".join(map(codes.__getitem__, chain.from_iterable(_sums(a)))), "big"
-        )
+        n = a.n
+        full, no_low = _code_masks(n)
+        t, size, known, rows = full, n * _width(n), _FIELDS.get, []  # row 0: every sum 0
+        for row in a.entries:
+            t &= (t << 1 & no_low) | (full ^ (known(row) or _row_fields(row)))
+            rows.append(t.to_bytes(size, "big"))
+        k = a.__dict__[_CODE] = int.from_bytes(b"".join(rows), "big")
     return k
 
 

@@ -260,6 +260,9 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int) -> 
 # bound past it, and neither made nor printed in full: printing takes time
 # quadratic in the digits
 _SHOWN = 10**10000
+# the end of every refusal: how to raise the guard; verify, which takes
+# no --guard, names the variable alone
+_RAISE_WITH = "; raise it with --guard N or ASMLAT_GUARD"
 
 
 def _raise_over_guard(what: str, sizes: Iterable[int], limit_guard: Optional[int]) -> None:
@@ -272,10 +275,7 @@ def _raise_over_guard(what: str, sizes: Iterable[int], limit_guard: Optional[int
             break
     if size > guard:
         shown = f"= {decimal.Decimal(size)}" if size < _SHOWN else ">= 10^10000"
-        raise TooLarge(
-            f"{what} {shown} exceeds guard {decimal.Decimal(guard)}; "
-            "raise it with --guard N or ASMLAT_GUARD"
-        )
+        raise TooLarge(f"{what} {shown} exceeds guard {decimal.Decimal(guard)}{_RAISE_WITH}")
 
 
 def _asm_counts() -> Iterator[int]:

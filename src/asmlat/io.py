@@ -7,7 +7,10 @@ with comma-separated images, or a digits-only string when n <= 9
 
 Every integer in a text, whether an entry, a size or an image, is an
 ASCII token ``-?[0-9]+`` (:func:`read_int`): ``int()`` alone would also
-read "+1", "0_1" and non-ASCII digits such as "١".
+read "+1", "0_1" and non-ASCII digits such as "١".  A matrix line whose
+tokens are all ``0``, ``1`` or ``-1`` is kept with its row in a bounded
+memo (``_LINES``, a ``core._RowMemo``), so the reader does not split a
+line it has seen; any other line is split and read each time.
 
 Every writer spells a row one way, as text and as JSON, and the commands'
 writers stream: one piece per matrix, node or edge, written in batches.
@@ -21,7 +24,7 @@ import sys
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .core import Asm, AsmError, NotSquare, Permutation, _checked, validate
+from .core import Asm, AsmError, NotSquare, Permutation, _checked, _RowMemo, validate
 
 if TYPE_CHECKING:  # for _Node alone: io needs nothing of stats at run time
     from .stats import StatRecord
@@ -36,6 +39,9 @@ _INT = re.compile(r"-?[0-9]+")
 # The tokens of a well-formed matrix line; any other token sends the line
 # to read_int, which reads it or rejects it.
 _ENTRY = {"0": 0, "1": 1, "-1": -1}
+# Each matrix line of entry tokens alone, as given, keyed to its row;
+# bounded like core's row memo.
+_LINES = _RowMemo()
 
 
 def read_int(token: str) -> int:
@@ -55,33 +61,57 @@ def parse_matrix(text: str) -> Asm:
 
 
 def parse_matrix_text(text: str) -> Asm:
-    """A matrix in the text format.  Each line is split once; a line
-    with no tokens is skipped, and the messages quote a line as given."""
-    lines = [(ln, tokens) for ln in text.splitlines() if (tokens := ln.split())]
-    if not lines:
+    """A matrix in the text format.  A line with no tokens is skipped,
+    and the messages quote a line as given: a bad header is reported
+    first, then a row count other than the header's, then the first bad
+    line.  A line seen before whose tokens are all entries is read from
+    ``_LINES`` unsplit; any other line is split once, and its tokens go
+    through ``_ENTRY``, else through :func:`read_int`."""
+    rows, n, bad = [], None, None
+    known = _LINES.get
+    for ln in text.splitlines():
+        row = known(ln)
+        if row is None:
+            tokens = ln.split()
+            if not tokens:
+                continue
+            if tokens[0] == "n" and n is None and not rows:  # the first line with tokens
+                n = _size(ln, tokens)
+                continue
+            row = _row(ln, tokens)
+            if row is None and bad is None:
+                bad = ln
+        rows.append(row)
+    if n is None and not rows:
         raise ParseError("empty matrix input")
-    head, first = lines[0]
-    if first[0] == "n":
-        if len(first) != 2:
-            raise ParseError(f"bad size header: {head!r}")
-        try:
-            n = read_int(first[1])
-        except ValueError:
-            raise ParseError(f"bad size header: {head!r}") from None
-        lines = lines[1:]
-        if len(lines) != n:
-            raise ParseError(f"header says {n} rows, got {len(lines)}")
-    rows = []
-    for ln, tokens in lines:
-        try:
-            rows.append(tuple(map(_ENTRY.__getitem__, tokens)))
-        except KeyError:
-            try:
-                rows.append(tuple(map(read_int, tokens)))
-            except ValueError:
-                raise ParseError(f"bad matrix line: {ln!r}") from None
+    if n is not None and len(rows) != n:
+        raise ParseError(f"header says {n} rows, got {len(rows)}")
+    if bad is not None:
+        raise ParseError(f"bad matrix line: {bad!r}")
     # the rows are tuples of ints already: only the matrix checks are left
     return _checked(tuple(rows))
+
+
+def _size(line: str, tokens: list[str]) -> int:
+    """The size a header line ``n <size>`` gives."""
+    if len(tokens) != 2:
+        raise ParseError(f"bad size header: {line!r}")
+    try:
+        return read_int(tokens[1])
+    except ValueError:
+        raise ParseError(f"bad size header: {line!r}") from None
+
+
+def _row(line: str, tokens: list[str]) -> tuple[int, ...] | None:
+    """A matrix line's row, kept in ``_LINES`` when every token is an
+    entry; None for a line with a token that is not an integer."""
+    try:
+        return _LINES.keep(line, tuple(map(_ENTRY.__getitem__, tokens)), len(tokens))
+    except KeyError:
+        try:
+            return tuple(map(read_int, tokens))
+        except ValueError:
+            return None
 
 
 def parse_permutation(token: str) -> Permutation:

@@ -11,7 +11,8 @@ beta, the greedy chain rank, the generating polynomials by enumeration,
 the Hasse diagram by the cover scan) and the lattice-law predicate live
 here too, each in one place.
 
-Each memo is a ``functools.cache`` function: A_n, its index, S_n's
+Each memo is a ``functools.cache`` function: A_n (read through
+``_asms``, which checks the guard on every call), its index, S_n's
 bigrassmannians, each matrix's up covers, whose edges end at the
 matrices of A_n themselves, read by the cover edges, the closure, the
 random cover walks and the scanned Hasse diagram, and each matrix's
@@ -47,14 +48,23 @@ from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .poset import Ordering, compare, leq
 
 @functools.cache
+def _listed(n: int) -> list[Asm]:
+    """A_n, listed once per process; read it through ``_asms``."""
+    return list(enumeration.iter_asms(n))
+
+
 def _asms(n: int) -> list[Asm]:
-    return enumeration.enumerate_asms(n)
+    """A_n, refused on every call when the guard is below |A_n|, so what
+    the guard refuses does not depend on what ran before."""
+    enumeration._check_size(n, None)
+    return _listed(n)
 
 
 @functools.cache
 def _index(n: int) -> dict[Asm, int]:
-    """Each matrix of A_n keyed to its position in ``_asms(n)``."""
-    return {a: i for i, a in enumerate(_asms(n))}
+    """Each matrix of A_n keyed to its position in ``_asms(n)``; read
+    after ``_asms(n)``."""
+    return {a: i for i, a in enumerate(_listed(n))}
 
 
 @functools.cache
@@ -63,7 +73,7 @@ def _covers_up(a: Asm) -> tuple[poset.CoverEdge, ...]:
     of ``_asms(a.n)``, so a matrix is held once however many edges end at
     it; an end outside A_n is kept, for the suites to report.  A kept
     edge is rebuilt by the constructor, which is quicker than ``_replace``."""
-    matrices, index = _asms(a.n), _index(a.n)
+    matrices, index = _listed(a.n), _index(a.n)
     return tuple(
         e if (i := index.get(e.upper)) is None else poset.CoverEdge(e.lower, matrices[i], *e[2:])
         for e in poset.covers_up(a)
@@ -753,11 +763,19 @@ def run_suite(suite: Suite, top: int) -> tuple[int, list[str]]:
 
 
 def verify(n_max: int) -> VerifyReport:
-    """Run every suite for sizes 1..min(cap, n_max) by ``run_suite``, n_max >= 1."""
+    """Run every suite for sizes 1..min(cap, n_max) by ``run_suite``, n_max >= 1.
+    A size above the guard is refused by a TooLarge that names
+    ASMLAT_GUARD alone as the way to raise it."""
     core._require_size(n_max)
     lines, all_failures = [], []
     for name, cap, suite in SUITES:
-        checked, failures = run_suite(suite, min(cap, n_max))
+        try:
+            checked, failures = run_suite(suite, min(cap, n_max))
+        except enumeration.TooLarge as exc:
+            # verify takes no --guard: only the variable raises its guard
+            raise enumeration.TooLarge(
+                str(exc).replace(enumeration._RAISE_WITH, "; raise it with ASMLAT_GUARD")
+            ) from None
         lines.append(f"{name}: {checked - len(failures)}/{checked}")
         all_failures += [f"{name}: {msg}" for msg in failures]
     return VerifyReport(n_max, lines, all_failures)

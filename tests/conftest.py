@@ -1,6 +1,6 @@
 import pytest
 
-from asmlat import Permutation, enumerate_asms, from_permutation, validate
+from asmlat import Permutation, core, enumerate_asms, from_permutation, io, validate
 
 # The running 4x4 example with two -1 entries: I=5, I*=3, N=2, H=4, beta=7.
 EXAMPLE_A_ROWS = [
@@ -37,3 +37,9 @@ def middle3():
 def pools():
     """All matrices of sizes 1..5, enumerated once per test session."""
     return {n: enumerate_asms(n) for n in range(1, 6)}
+
+
+def clear_row_memos():
+    """Empty the row memos of core and io, as in a fresh process."""
+    for memo in (core._ROWS, core._FIELDS, io._LINES):
+        memo.clear()

@@ -425,6 +425,24 @@ def test_verify_refused_by_the_guard_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        # verify takes no --guard: its refusal names the variable alone
+        (["verify", "--max", "3"], "asmlat: |A_3| = 7 exceeds guard 5; raise it with ASMLAT_GUARD\n"),
+        (["enumerate", "--size", "3"],
+         "asmlat: |A_3| = 7 exceeds guard 5; raise it with --guard N or ASMLAT_GUARD\n"),
+        (["hasse", "--size", "3", "--output", "json"],
+         "asmlat: |A_3| = 7 exceeds guard 5; raise it with --guard N or ASMLAT_GUARD\n"),
+        (["genfun", "--size", "2", "--stat", "I"],
+         "asmlat: 2^2 * 2^3 DP steps = 32 exceeds guard 5; raise it with --guard N or ASMLAT_GUARD\n"),
+    ],
+)
+def test_guard_refusal_text_pinned(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("ASMLAT_GUARD", "5")
+    assert invoke(capsys, *argv) == (3, "", err)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["enumerate", "--size", "20000"],

@@ -1,6 +1,9 @@
 import dataclasses
 import functools
+import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -29,7 +32,7 @@ from asmlat import core
 from asmlat.core import IndexOutOfRange, check_corner_sums, iter_permutations
 from asmlat.enumeration import enumerate_asms
 
-from conftest import EXAMPLE_A_ROWS
+from conftest import EXAMPLE_A_ROWS, clear_row_memos
 
 
 def test_validate_example_a(example_a):
@@ -163,6 +166,123 @@ def test_validate_matches_entrywise_scan_on_malformed_input():
     assert malformed >= 10_000
 
 
+def _scanned(raw):
+    """validate as a plain row-major scan, the form the row memo replaced:
+    the int check, the shape, then row by row its entries and running sums,
+    its total and its column prefix sums."""
+    rows = [list(row) for row in raw]
+    for i, row in enumerate(rows, start=1):
+        for j, x in enumerate(row, start=1):
+            if type(x) is not int:
+                raise EntryOutOfRange(f"entry {x!r} at ({i}, {j}) is not an integer")
+    n = len(rows)
+    if n == 0:
+        raise NotSquare("empty matrix")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != n:
+            raise NotSquare(f"row {i} has {len(row)} entries, expected {n}")
+    col = [0] * n
+    for i, row in enumerate(rows, start=1):
+        total = 0
+        for j, v in enumerate(row, start=1):
+            if v not in (-1, 0, 1):
+                raise EntryOutOfRange(f"entry {v} at ({i}, {j}) not in {{-1, 0, 1}}")
+            total += v
+            if total not in (0, 1):
+                raise BadPartialSum(f"row prefix sum {total} at ({i}, {j})")
+        if total != 1:
+            raise BadTotalSum(f"row {i} sums to {total}, expected 1")
+        for j, v in enumerate(row, start=1):
+            col[j - 1] += v
+            if col[j - 1] not in (0, 1):
+                raise BadPartialSum(f"column prefix sum {col[j - 1]} at ({i}, {j})")
+    return Asm(n, tuple(map(tuple, rows)))
+
+
+def _is_asm_row(row):
+    sums = list(itertools.accumulate(row))
+    return all(type(x) is int for x in row) and set(sums) <= {0, 1} and sums[-1] == 1
+
+
+def test_validate_answers_alike_with_a_cold_or_warm_row_memo():
+    # the plain scan's matrix or its exact error, whether the row memo is
+    # emptied before each call, holds the rows of the call before, or holds
+    # every row of A_1 ... A_6 and of all the inputs before
+    rng = random.Random(30)
+    pools = {n: enumerate_asms(n) for n in range(1, 7)}
+    cases = []
+    for _ in range(3000):
+        rows = [list(row) for row in rng.choice(pools[rng.randint(1, 6)]).entries]
+        for _ in range(rng.randint(0, 2)):
+            _mutate(rng, rows)
+        cases.append(rows)
+    want = [_outcome(_scanned, rows) for rows in cases]
+    assert sum(isinstance(w, tuple) for w in want) > 1500
+    for rows, w in zip(cases, want):
+        clear_row_memos()
+        assert _outcome(validate, rows) == w, rows
+        assert _outcome(validate, rows) == w, rows
+    for pool in pools.values():
+        for a in pool:
+            validate(a.entries)
+    for rows, w in zip(cases, want):
+        assert _outcome(validate, rows) == w, rows
+    # only rows of ints that pass their own checks were stored
+    assert core._ROWS and all(map(_is_asm_row, core._ROWS))
+
+
+def test_the_row_memo_is_read_only_after_the_int_check():
+    # (True,) == (1,) == (1.0,) with equal hashes: a bool or float entry
+    # must be refused before any row is looked up
+    validate([[1]])
+    validate([[0, 1], [1, 0]])
+    assert (1,) in core._ROWS and (0, 1) in core._ROWS
+    for bad in (True, 1.0):
+        with pytest.raises(EntryOutOfRange, match=r"^entry .* at \(1, 1\) is not an integer$"):
+            validate([[bad]])
+    with pytest.raises(EntryOutOfRange, match=r"\(1, 1\) is not an integer"):
+        validate([[False, True], [1, 0]])
+    assert all(type(x) is int for row in core._ROWS for x in row)
+
+
+def _asm_rows(n):
+    """Every row of an ASM of size n: nonzero entries +1, -1, ..., +1."""
+    for k in range(1, n + 1, 2):
+        for cols in itertools.combinations(range(n), k):
+            row = [0] * n
+            for t, j in enumerate(cols):
+                row[j] = -1 if t % 2 else 1
+            yield tuple(row)
+
+
+def test_row_memos_stay_within_their_bound():
+    # 2^13 distinct rows of size 14, more entries than the bound: each memo
+    # is cleared when full and never holds more than _HELD entries
+    clear_row_memos()
+    rows = list(_asm_rows(14))
+    assert len(rows) == 2**13 and len(set(rows)) == 2**13
+    assert 14 * len(rows) > 4 * core._HELD
+    sizes = [(core._ROWS, []), (core._FIELDS, [])]
+    for row in rows:
+        assert core._row_masks(row) is not None
+        core._row_fields(row)
+        for memo, seen in sizes:
+            seen.append(len(memo))
+            assert memo.held <= core._HELD
+    per_fill = core._HELD // 14
+    for memo, seen in sizes:
+        assert memo.held == 14 * len(memo) == sum(map(len, memo))
+        assert max(seen) == per_fill
+        # filled from empty once, then once after each clear
+        assert seen.count(1) == -(-len(rows) // per_fill)
+    # a failing row is not stored; a row longer than the bound is not either
+    assert core._row_masks((1, 1, -1)) is None and (1, 1, -1) not in core._ROWS
+    memo = core._RowMemo()
+    memo.keep("short", 1, 3)
+    assert memo.keep("long", 2, core._HELD + 1) == 2
+    assert memo == {"short": 1} and memo.held == 3
+
+
 def test_identity_sizes():
     assert identity(1) == Asm(1, ((1,),))
     assert identity(3).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -264,6 +384,73 @@ def test_decoding_inverts_encoding(n):
         x = core._from_code(n, k)
         assert x == a
         assert vars(x)[core._CODE] == k
+
+
+def test_row_memos_keep_their_count_under_threads():
+    # four threads on two cores store overlapping rows while the memos
+    # fill and clear: a lost update of the count would show
+    clear_row_memos()
+    rows = list(_asm_rows(14))
+
+    def store(part):
+        for row in part:
+            core._row_masks(row)
+            core._row_fields(row)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=store, args=(rows[k::3] + rows[:500],)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for memo in (core._ROWS, core._FIELDS):
+        assert memo.held == sum(map(len, memo)) <= core._HELD
+
+
+def _thermometer_code(a):
+    """The order code by its definition, as it was encoded from the corner
+    sums: each c(i, j) of ``corner_sum(a)``, row-major, as a field of
+    8 * (n // 8 + 1) bits with bits c and up set, the fields joined as
+    bytes."""
+    w = a.n // 8 + 1
+    fields = [((1 << 8 * w) - (1 << c)).to_bytes(w, "big") for c in range(a.n + 1)]
+    return int.from_bytes(b"".join(fields[c] for row in corner_sum(a).sums for c in row), "big")
+
+
+def _random_asm(n, rng):
+    """A random permutation's corner sums moved by 2n^2 random steps of
+    one inner sum, each kept when the table stays a corner-sum table."""
+    w = Permutation.from_images(rng.sample(range(1, n + 1), n))
+    c = [list(row) for row in corner_sum(from_permutation(w)).sums]
+
+    def at(i, j):
+        return c[i][j] if i >= 0 and j >= 0 else 0
+
+    for _ in range(2 * n * n):
+        i, j = rng.randrange(n - 1), rng.randrange(n - 1)
+        v = c[i][j] + rng.choice((-1, 1))
+        if all(step in (0, 1) for step in (v - at(i, j - 1), c[i][j + 1] - v, v - at(i - 1, j), c[i + 1][j] - v)):
+            c[i][j] = v
+    return from_corner_sum(c)
+
+
+def test_code_is_the_thermometer_code_of_the_corner_sums():
+    # the row-by-row build against the definition, on all of A_n for n <= 6
+    # and on random matrices with one-, two- and three-byte fields, with a
+    # cold row memo and then a warm one
+    rng = random.Random(30)
+    matrices = [a for n in range(1, 7) for a in enumerate_asms(n)]
+    matrices += [_random_asm(n, rng) for n in (7, 8, 9, 15, 16, 17) for _ in range(10)]
+    assert sum(minus_count(a) >= 3 for a in matrices if a.n >= 15) >= 25
+    want = [_thermometer_code(a) for a in matrices]
+    clear_row_memos()
+    for _ in range(2):
+        assert [core._code(Asm(a.n, a.entries)) for a in matrices] == want
 
 
 def test_from_corner_sum_rejects_bad_table():

@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from asmlat import Permutation, enumerate_asms, from_permutation, validate
+from asmlat import io as asmlat_io
 from asmlat.cli import run
+from asmlat import core
 from asmlat.core import AsmError, EntryOutOfRange, NotSquare
 from asmlat.io import (
     ParseError,
@@ -19,7 +22,7 @@ from asmlat.io import (
     parse_permutation,
 )
 
-from conftest import EXAMPLE_A_ROWS
+from conftest import EXAMPLE_A_ROWS, clear_row_memos
 
 
 def text_of(rows):
@@ -332,3 +335,68 @@ def _parsed(parse, text):
 )
 def test_parse_matrix_text_matches_int_reader(text):
     assert _parsed(parse_matrix_text, text) == _parsed(int_reader, text)
+
+
+def _malformed_texts(rng, count):
+    """Texts of ASMs of size <= 4 in ASCII: about one token in eight
+    replaced, a line sometimes dropped or doubled, under no header, a true
+    one or a false one, with blank lines and spacing that vary."""
+    tokens = ["0", "1", "-1", "2", "-2", "01", "-0", "00", "1-", "-", "n"]
+    for _ in range(count):
+        rows = rng.choice(_POOL[rng.randint(1, 4)]).entries
+        lines = [
+            rng.choice([" ", "  ", "\t"]).join(
+                rng.choice(tokens) if rng.random() < 0.125 else str(v) for v in row
+            )
+            for row in rows
+        ]
+        if rng.random() < 0.2:
+            i = rng.randrange(len(lines))
+            lines[i:i + 1] = rng.choice([[], [lines[i]] * 2])
+        header = rng.choice([None, None, str(len(rows)), str(len(rows) + 1), "x", "2 2"])
+        if header is not None:
+            lines.insert(0, f"n {header}")
+        if rng.random() < 0.2:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", " ", "\t"]))
+        yield "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def test_parse_matrix_text_answers_alike_with_a_cold_or_warm_memo():
+    # the int() reader's matrix or its exact error, whether the line and
+    # row memos are emptied before each text, hold the lines of the same
+    # text, or hold those of every text before
+    texts = list(_malformed_texts(random.Random(30), 3000))
+    want = [_parsed(int_reader, text) for text in texts]
+    assert sum(isinstance(w, tuple) for w in want) > 1000
+    assert sum(not isinstance(w, tuple) for w in want) > 500
+    for text, w in zip(texts, want):
+        clear_row_memos()
+        assert _parsed(parse_matrix_text, text) == w, text
+        assert _parsed(parse_matrix_text, text) == w, text
+    for text, w in zip(texts, want):
+        assert _parsed(parse_matrix_text, text) == w, text
+    # only lines of entry tokens were stored, each with its own row
+    assert asmlat_io._LINES
+    for line, row in asmlat_io._LINES.items():
+        assert set(line.split()) <= {"0", "1", "-1"} and row == tuple(map(int, line.split()))
+
+
+def test_line_memo_stays_within_its_bound():
+    # 2^13 distinct lines of 14 tokens, more entries than the bound
+    clear_row_memos()
+    seen = []
+    for k in range(1 << 13):
+        tokens = ["1" if k >> j & 1 else "0" for j in range(14)]
+        asmlat_io._row(" ".join(tokens), tokens)
+        seen.append(len(asmlat_io._LINES))
+        assert asmlat_io._LINES.held <= core._HELD
+    assert max(seen) == core._HELD // 14
+    # a header, a blank line and a line with a token that is not an entry
+    # are never stored
+    clear_row_memos()
+    parse_matrix_text("n 2\n1 0\n \n0 1\n")
+    with pytest.raises(EntryOutOfRange):
+        parse_matrix_text("1 02\n0 1\n")
+    with pytest.raises(ParseError):
+        parse_matrix_text("1 0\n0 x\n")
+    assert set(asmlat_io._LINES) == {"1 0", "0 1"}

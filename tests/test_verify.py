@@ -90,8 +90,8 @@ def test_a_suite_that_checks_nothing_fails(capsys):
 
 def test_count_formula_keeps_no_matrices(monkeypatch):
     # the count suite streams A_n, so verify --max 7 never keeps A_7
-    fresh = functools.cache(verify_module._asms.__wrapped__)
-    monkeypatch.setattr(verify_module, "_asms", fresh)
+    fresh = functools.cache(verify_module._listed.__wrapped__)
+    monkeypatch.setattr(verify_module, "_listed", fresh)
     assert verify_module.check_count_formula(7) == (1, [])
     assert fresh.cache_info().currsize == 0
 
@@ -144,6 +144,17 @@ def test_run_suite_lets_the_guard_refusal_through(monkeypatch):
     monkeypatch.setenv("ASMLAT_GUARD", "5")
     with pytest.raises(enumeration.TooLarge, match="exceeds guard 5"):
         verify(3)
+
+
+def test_verify_applies_the_guard_on_every_call(monkeypatch):
+    # A_3 kept from the first call is still refused once the guard is
+    # below |A_3|, with the text a fresh process prints
+    monkeypatch.delenv("ASMLAT_GUARD", raising=False)
+    assert verify(3).ok
+    monkeypatch.setenv("ASMLAT_GUARD", "5")
+    with pytest.raises(enumeration.TooLarge) as info:
+        verify(3)
+    assert str(info.value) == "|A_3| = 7 exceeds guard 5; raise it with ASMLAT_GUARD"
 
 
 def test_verify_finds_each_matrix_up_covers_once(monkeypatch, fresh_covers):
