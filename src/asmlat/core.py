@@ -7,7 +7,7 @@ freely across threads and used as dict keys.
 
 Corner sums are the one internal representation of the order.
 :func:`corner_sum` computes an :class:`Asm`'s table on first use and keeps
-it in a memo on the instance, so a matrix compared again reuses it.
+it in a memo on the instance, so a matrix read again reuses it.
 Beside it sits a second memo, the order code: one integer holding every
 corner sum as a thermometer field (value c sets bits c and up of its
 field), so a smaller sum sets more bits.  The order tests of
@@ -22,17 +22,24 @@ table) and the field of a given bit (:func:`_field_position`).  The
 third memo is the hash, ``hash((n, entries))``, computed on the first
 call, so a matrix used again as a dict or cache key is not rehashed;
 ``==`` answers at once for the same object and otherwise compares ``n``
-and ``entries``.  The three memos are caches, not fields; they take no
-part in equality, ``repr`` or ``to_json_dict``.  Each is a function of
-the entries, so two threads that fill one at once store the same value.
+and ``entries``.  The fourth is the list of the matrix's row records
+(:func:`_records`, below).  The four memos are caches, not fields; they
+take no part in equality, ``repr`` or ``to_json_dict``.  Each is a
+function of the entries, so two threads that fill one at once store
+the same value.
 
 An ASM row of size n takes only 2^(n-1) forms, so the work on each entry
-of a row is paid once per distinct row, in two module-level row memos
-(:class:`_RowMemo`, each bounded by the entries of the rows it holds and
-cleared when full): ``_ROWS`` keeps a row that passed its own checks
-with its +1 and -1 columns as bitmasks, and ``_FIELDS`` keeps a row of
-a matrix whose code was built with the code's fields where its running
-sums are 1.
+of a row is paid once per distinct row, in one module-level row memo,
+``_ROWS`` (a :class:`_RowMemo`, bounded by the entries of the rows it
+holds and cleared when full).  It keeps each row that passed its own
+checks with one record (:class:`_Row`): its running sums and its +1, -1
+and nonzero columns as masks, one byte per column, and the order code's
+fields where its running sums are 0, filled by the first :func:`_code`
+that needs them.  :func:`_checked` keeps the records it looked up on
+the matrix it returns; a matrix made by the raw constructor looks its
+rows up on first use.  Every per-matrix answer reads them: the column
+checks here, the order code, ``poset``'s covers and join-irreducible
+test, and ``stats.stat_record``, each in a few word operations per row.
 
 :func:`validate` is :func:`_as_rows`, which turns any sequence of rows
 into tuples of ints, then :func:`_checked`, which checks the
@@ -116,10 +123,10 @@ class Asm:
     Entries are in {-1, 0, 1}; every row- and column-prefix sum is 0 or 1
     and every full row/column sum is 1.  Construct via :func:`validate`
     (checked) or the classmethods below; the raw constructor trusts its
-    input.  The corner-sum table, the order code and the hash, once
-    computed, are kept in the instance ``__dict__`` (see the module
-    docstring); only ``n`` and ``entries`` take part in ``==``, ``hash``
-    and ``repr``.
+    input.  The corner-sum table, the order code, the hash and the row
+    records, once computed, are kept in the instance ``__dict__`` (see
+    the module docstring); only ``n`` and ``entries`` take part in
+    ``==``, ``hash`` and ``repr``.
     """
 
     n: int
@@ -242,9 +249,9 @@ class CornerSumMatrix:
     sums: tuple[tuple[int, ...], ...]
 
 
-# Each row memo (``_ROWS`` and ``_FIELDS`` here, the line memo of
-# asmlat.io) holds rows of at most this many entries in all, so its memory
-# is bounded whatever the size of the rows it sees: 1,638 rows of size 10.
+# Each row memo (``_ROWS`` here, the line memo of asmlat.io) holds rows
+# of at most this many entries in all, so its memory is bounded whatever
+# the size of the rows it sees: 1,638 rows of size 10.
 _HELD = 1 << 14
 
 
@@ -262,14 +269,19 @@ class _RowMemo(dict):
         self._lock = threading.Lock()
 
     def keep(self, key, value, size: int):
-        """Store value under key, for a row of ``size`` entries; value."""
+        """Store value under key, for a row of ``size`` entries, unless a
+        value is stored there already, and return the value stored
+        (value itself for a row longer than the bound).  Only a memo
+        about to be cleared hashes the key twice."""
+        if size > _HELD:
+            return value
         with self._lock:
-            if key not in self and size <= _HELD:
-                if self.held + size > _HELD:
-                    super().clear()
-                    self.held = 0
-                self[key] = value
-                self.held += size
+            if self.held + size > _HELD and key not in self:
+                super().clear()
+                self.held = 0
+            held = len(self)
+            value = self.setdefault(key, value)
+            self.held += size * (len(self) - held)
         return value
 
     def clear(self) -> None:
@@ -278,31 +290,41 @@ class _RowMemo(dict):
             self.held = 0
 
 
-# Each row of ints that passed its own checks, keyed to its column masks
-# (see _row_masks); a row that fails them is never stored.
+class _Row:
+    """One valid ASM row of size n as masks, bit 0 of byte j - 1 for
+    column j: ``run``, its running sums R(j); ``plus``, ``minus`` and
+    ``nonzero``, its +1, -1 and nonzero columns; and ``zeros``, its
+    fields of the order code where R(j) is 0, every bit of each, None
+    until :func:`_code` first needs them.  A nonzero entry is a change
+    of the running sum, and a +1 is a change to 1, so the masks come
+    from ``run`` alone."""
+
+    __slots__ = ("run", "plus", "minus", "nonzero", "zeros")
+
+    def __init__(self, sums: bytes) -> None:
+        run = int.from_bytes(sums, "little")
+        nonzero = run ^ run << 8 ^ 1 << 8 * len(sums)  # the last sum, 1, shifted past column n
+        self.run, self.plus = run, nonzero & run
+        self.minus, self.nonzero, self.zeros = nonzero ^ self.plus, nonzero, None
+
+
+# Each row of ints that passed its own checks, keyed to its record (see
+# _row_record); a row that fails them is never stored.
 _ROWS = _RowMemo()
-# Each row of a matrix whose order code was built, keyed to its running
-# sums in the code's field layout (see _row_fields).
-_FIELDS = _RowMemo()
 
 
-def _row_masks(row: tuple[int, ...]) -> tuple[int, int, int] | None:
-    """A row's column masks, computed once per distinct row and kept in
-    ``_ROWS``: its +1 columns, its -1 columns and their union, bit 0 of
-    byte j - 1 for column j.  None, not stored, for a row whose running
-    sums leave {0, 1} or that does not sum to 1.  No step loops over the
-    row in Python: a nonzero entry is a change of the running sum, and a
-    +1 is a change to 1."""
+def _row_record(row: tuple[int, ...]) -> _Row | None:
+    """A row's :class:`_Row`, made once per distinct row and kept in
+    ``_ROWS``.  None, not stored, for a row whose running sums leave
+    {0, 1} or that does not sum to 1.  No step loops over the row in
+    Python."""
     try:
         sums = bytes(accumulate(row))
     except ValueError:  # a running sum below 0 or past 255
         return None
     if sums[-1] != 1 or max(sums) > 1:
         return None
-    run = int.from_bytes(sums, "little")
-    nonzero = run ^ run << 8 ^ 1 << 8 * len(row)  # the last sum, 1, shifted past column n
-    plus = nonzero & run
-    return _ROWS.keep(row, (plus, nonzero ^ plus, nonzero), len(row))
+    return _ROWS.keep(row, _Row(sums), len(row))
 
 
 def validate(raw: Sequence[Sequence[int]]) -> Asm:
@@ -312,7 +334,7 @@ def validate(raw: Sequence[Sequence[int]]) -> Asm:
     1-based coordinates in the message, so errors are deterministic: each
     row's entries and running sums left to right, then its total, then
     its column prefix sums.  A row's own checks are made once per distinct
-    row (:func:`_row_masks`); the column checks are two mask tests against
+    row (:func:`_row_record`); the column checks are two mask tests against
     the column prefix sums, one byte per column.  Only a row that fails is
     scanned entry by entry, for the message.
     """
@@ -329,16 +351,18 @@ def _checked(rows: tuple[tuple[int, ...], ...]) -> Asm:
         if len(row) != n:
             raise NotSquare(f"row {i} has {len(row)} entries, expected {n}")
     known = _ROWS.get
+    records = [known(row) or _row_record(row) for row in rows]
     col = 0  # the column prefix sums of the rows so far, byte j - 1 for column j
-    for i, row in enumerate(rows, start=1):
-        m = known(row) or _row_masks(row)
+    for i, m in enumerate(records, start=1):
         # a +1 under a column that is 1 already, or a -1 under one that is 0
-        if m is None or m[0] & col or m[1] & ~col:
-            _raise_first_violation(i, row, col)
-        col ^= m[2]
+        if m is None or m.plus & col or m.minus & ~col:
+            _raise_first_violation(i, rows[i - 1], col)
+        col ^= m.nonzero
     # every row sums to 1 and every column ends in {0, 1}, so the n column
     # totals add up to n and each of them is 1
-    return Asm(n, rows)
+    a = Asm(n, rows)
+    a.__dict__[_RECORDS] = records
+    return a
 
 
 def _raise_first_violation(i: int, row: tuple[int, ...], col: int) -> None:
@@ -402,10 +426,11 @@ def to_permutation(a: Asm) -> Permutation:
 
 
 # The instance attributes that hold an Asm's corner-sum table, its order
-# code and its hash once computed.
+# code, its hash and its row records once computed.
 _MEMO = "_corner_sums"
 _CODE = "_order_code"
 _HASH = "_hash"
+_RECORDS = "_row_records"
 
 
 def _prefix_sums(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -416,6 +441,16 @@ def _prefix_sums(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
         prev = tuple(map(add, prev, accumulate(row)))
         sums.append(prev)
     return tuple(sums)
+
+
+def _records(a: Asm) -> list[_Row]:
+    """a's row records, in row order: kept on a by :func:`_checked`, or
+    looked up in ``_ROWS`` on first use and then kept on a."""
+    records = a.__dict__.get(_RECORDS)
+    if records is None:
+        known = _ROWS.get
+        records = a.__dict__[_RECORDS] = [known(row) or _row_record(row) for row in a.entries]
+    return records
 
 
 def _sums(a: Asm) -> tuple[tuple[int, ...], ...]:
@@ -462,15 +497,27 @@ def _code_masks(n: int) -> tuple[int, int]:
     return full, full ^ int.from_bytes((bytes(_width(n) - 1) + b"\x01") * n, "big")
 
 
-def _row_fields(row: tuple[int, ...]) -> int:
-    """The fields of one row of the order code where the running sums
-    of an ASM row are 1, every bit of each, computed once per distinct
-    row and kept in ``_FIELDS``; never 0, as the last sum is 1."""
-    n, w = len(row), _width(len(row))
-    fields = bytearray(n * w)
-    fields[w - 1 :: w] = bytes(accumulate(row))  # each sum in its field's low byte
-    ones = int.from_bytes(fields, "big")
-    return _FIELDS.keep(row, (ones << 8 * w) - ones, n)
+def _row_zeros(n: int, record: _Row) -> int:
+    """A size-n row's fields of the order code where its running sums
+    are 0, every bit of each: made on first use and kept in its record.
+
+    The sums are 0 up to the row's first +1, and from each -1 up to the
+    next +1; a run of whole fields from column a on, f bits each, ends at
+    bit f * (n - a + 1).  So the fields are 1 << f * n less the sum over
+    the row's nonzero entries e_a of e_a << f * (n - a + 1): one add
+    per nonzero entry, whatever the row's length.
+    """
+    f, nonzero, plus = _field_bits(n), record.nonzero, record.plus
+    zeros = 1 << f * n
+    while nonzero:
+        bit = nonzero.bit_length() - 1  # bit 0 of byte a - 1 is column a
+        nonzero ^= 1 << bit
+        if plus >> bit & 1:
+            zeros -= 1 << f * (n - bit // 8)
+        else:
+            zeros += 1 << f * (n - bit // 8)
+    record.zeros = zeros
+    return zeros
 
 
 def _code(a: Asm) -> int:
@@ -481,15 +528,18 @@ def _code(a: Asm) -> int:
     code1 | code2 and A <= B iff ``code(A) & ~code(B) == 0``.  The code
     is built a row of fields at a time, with no corner-sum table: row i
     is row i - 1 plus row i's running sums, each 0 or 1, and adding 1 to
-    a field clears its lowest set bit, a shift by one within the field.
+    a field clears its lowest set bit, a shift by one within the field;
+    the fields where row i's sums are 0 (its record's ``zeros``) keep
+    row i - 1's.
     """
     k = a.__dict__.get(_CODE)
     if k is None:
         n = a.n
         full, no_low = _code_masks(n)
-        t, size, known, rows = full, n * _width(n), _FIELDS.get, []  # row 0: every sum 0
-        for row in a.entries:
-            t &= (t << 1 & no_low) | (full ^ (known(row) or _row_fields(row)))
+        t, size, rows = full, n * _width(n), []  # row 0: every sum 0
+        for m in _records(a):
+            zeros = _row_zeros(n, m) if m.zeros is None else m.zeros
+            t &= (t << 1 & no_low) | zeros
             rows.append(t.to_bytes(size, "big"))
         k = a.__dict__[_CODE] = int.from_bytes(b"".join(rows), "big")
     return k

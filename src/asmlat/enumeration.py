@@ -17,16 +17,19 @@ place, builds no table, lists no matrix and packs each state's
 polynomial into one integer, a fixed-width field per exponent; and the
 full cover graph.  The graph comes from one walk of
 the row table that carries each matrix's I, N and beta, and from a second
-table, cached per size as well, that lists for each two-row path the
-covers exchanging a block inside those rows, found by ``poset``'s
-exchange rule, and how far each moves the canonical index.  The walk
+table, cached per size as well (:func:`_cover_table`), that lists for
+each two-row path the covers exchanging a block inside those rows and
+how far each moves the canonical index.  It finds them by ``poset``'s
+exchange rule on three masks, one byte per column: the column state
+between the two rows and each row's running sums, so it builds no
+corner sums.  The walk
 gives the graph in the one plain form ``io``'s writers take: each node
 as its rows, its shared record and its join-irreducible flag, and each
 edge as an exact tuple of ints, which the cyclic collector stops
 scanning.  The ``hasse`` command writes from it directly;
 ``build_hasse`` wraps it in named tuples and ``Asm`` objects.  The
 table and the DP read their shares of I, N and beta off one rule in
-``stats``.
+``stats``, as ``stats.stat_record`` does.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .core import Asm, AsmError, _require_size
+from .core import Asm, AsmError, _require_size, _Row
 from .io import _Edge, _Node, _Rows, _dot_lines, read_int
-from .poset import _TYPE_BY_LOWER_BLOCK, _exchange_positions
+from .poset import _TYPE_BY_LOWER_BLOCK, _exchanges
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import StatRecord, _entry_shares, _record, _row_beta
 
@@ -128,14 +131,25 @@ def _row_table(n: int) -> dict[tuple[int, ...], tuple[_Step, ...]]:
     # one object per distinct row or state: all tables for n <= 10 then
     # take about 6 MiB, not 18
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    records: dict[tuple[int, ...], _Row] = {}
     for col in itertools.product((0, 1), repeat=n):
-        col, i = shared.setdefault(col, col), 1 + sum(col)
+        col, i, above = shared.setdefault(col, col), 1 + sum(col), _mask(col)
         steps = []
         for row, new in _next_rows(col):
             row, new = shared.setdefault(row, row), shared.setdefault(new, new)
-            steps.append(_Step(row, new, *_entry_shares(0, col, row), _row_beta(i, new)))
+            m = records.get(row)
+            if m is None:
+                m = records[row] = _Row(bytes(itertools.accumulate(row)))
+            shares = _entry_shares(m.run << 8, above, m.minus)
+            steps.append(_Step(row, new, *shares, _row_beta(i, n, sum(itertools.accumulate(new)))))
         table[col] = tuple(steps)
     return table
+
+
+def _mask(values: Iterable[int]) -> int:
+    """0/1 values, column j's as bit 0 of byte j - 1: the layout of
+    ``core._Row``."""
+    return int.from_bytes(bytes(values), "little")
 
 
 @functools.cache
@@ -145,12 +159,13 @@ def _cover_table(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, i
     ``_cover_table(n)[p][k1][k2]`` is for the path that takes step k1
     from state p to q, then step k2 to q2.  It lists (rank delta, cover
     type) for each column s, ascending, that passes
-    :func:`poset._exchange_positions` on the corner sums of p, q and q2;
-    the exchanged rows are the steps p -> qx -> q2, qx being q with column
-    s's 1 moved to s + 1.  A matrix's canonical index is the sum over its
-    rows of off[state, next state], the number of paths that leave the
-    state by an earlier step, so the exchange moves the index by the
-    change in those two terms alone: the rank delta.
+    :func:`poset._exchanges`, the exchange rule, on the masks of state q
+    and of the two steps' running sums; the exchanged rows are the steps
+    p -> qx -> q2, qx being q with column s's 1 moved to s + 1.  A
+    matrix's canonical index is the sum over its rows of off[state, next
+    state], the number of paths that leave the state by an earlier step,
+    so the exchange moves the index by the change in those two terms
+    alone: the rank delta.
     """
     table = _row_table(n)
     paths = {(1,) * n: 1}  # paths from each state to the last
@@ -162,16 +177,23 @@ def _cover_table(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, i
         for step in steps:
             off[col, step.new] = before
             before += paths[step.new]
-    corner = {col: (0, *itertools.accumulate(col)) for col in table}
+    state = {col: _mask(col) for col in table}
+    rows = {step.row for steps in table.values() for step in steps}
+    run = {row: _mask(itertools.accumulate(row)) for row in rows}
     cover = {}
     for p, steps in table.items():
         from_p = []
         for first in steps:
             q = first.new
+            col, top = state[q], run[first.row]
             from_q = []
             for second in table[q]:
                 q2, found = second.new, []
-                for _, s in _exchange_positions((corner[p], corner[q], corner[q2]), up=True):
+                at = _exchanges(col, top, run[second.row], True)
+                while at:
+                    low = at & -at
+                    at ^= low
+                    s = low.bit_length() // 8 + 1
                     qx = q[: s - 1] + (0, 1) + q[s + 1 :]
                     delta = off[p, qx] + off[qx, q2] - off[p, q] - off[q, q2]
                     block = first.row[s - 1 : s + 1] + second.row[s - 1 : s + 1]
@@ -216,16 +238,18 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int) -> 
     unit = 8 * width
 
     def shift(entry: int) -> int:
-        d_inv, d_minus = _entry_shares(1, (1,), (entry,))
+        d_inv, d_minus = _entry_shares(1, 1, int(entry == -1))
         return unit * (w_inv * d_inv + w_minus * d_minus)
 
     # only a position entered with both bits at 1 has a share: its 0 stays,
     # its -1 turns both bits to 0
     stay, down = shift(0), shift(-1)
     row_bit = 1 << n
-    cols: list[tuple[int, ...]] = [()]  # cols[state]: its column sums
-    for _ in range(n if w_beta else 0):
-        cols = [c + (0,) for c in cols] + [c + (1,) for c in cols]
+    # corners[state]: the sum of the corner sums its column sums make,
+    # column k + 1 (bit k) adding 1 to each of c(i, k + 1..n)
+    corners = [0]
+    for k in range(n if w_beta else 0):
+        corners += [c + n - k for c in corners]
     layer = {0: 1}
     for i in range(1, n + 1):
         for k in range(n):
@@ -247,7 +271,7 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int) -> 
             if state & row_bit:
                 state ^= row_bit
                 if w_beta:
-                    poly <<= unit * w_beta * _row_beta(i, cols[state])
+                    poly <<= unit * w_beta * _row_beta(i, n, corners[state])
                 ended[state] = poly
         layer = ended
     poly = layer[row_bit - 1]

@@ -15,17 +15,30 @@ code of an ASM.
 When that code is one operand's own, the operands are comparable and
 that operand is returned as it is; otherwise core decodes the entries
 straight from the code, unchecked, and the result keeps it as its order
-code.  One exchange rule tests the corner sums around a position: the
-covers build a matrix where it passes, the join-irreducible test counts
-the positions, and ``enumeration``'s cover table reads it on the column
-states of two rows.  Bigrassmannian permutations are built directly as
-block swaps.  This module's brute-force oracles live in asmlat.verify.
+code.
+
+One exchange rule, :func:`_exchanges`, finds the covers.  The block at
+rows r, r + 1 and columns s, s + 1 moves only the corner sum c(r, s),
+so it gives an ASM again iff the four unit steps around c(r, s) stay in
+{0, 1}.  Those steps are edge states of the six-vertex model: R_r(s),
+the running sum of row r through column s, and B_r(s), the column prefix
+sum of column s after row r.  With one byte per column, B the mask of
+B_r and R_r, R_(r+1) the masks of the two rows' running sums, an up
+exchange is at ``B & R_r & ~(B >> 8) & ~R_(r+1)`` and a down exchange at
+``~B & ~R_r & (B >> 8) & R_(r+1)``: a few word operations per pair of
+rows, read off core's row records, with no corner-sum table.  The
+covers build a matrix at each position it gives, the join-irreducible
+test counts the lower positions by popcount, and ``enumeration``'s
+cover table reads it on the masks of a column state and two steps.
+Bigrassmannian permutations are built directly as block swaps.  This
+module's brute-force oracles, the corner-sum walk for the cover
+positions among them, live in asmlat.verify.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import islice
+import functools
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -36,8 +49,8 @@ from .core import (
     _code,
     _field_position,
     _from_code,
+    _records,
     _require_size,
-    _sums,
 )
 
 class NotAnExchangeBlock(AsmError):
@@ -167,10 +180,16 @@ def classify_cover_type(
     return row
 
 
+# The fields of a cover edge after its ends and position, keyed by the
+# lower matrix's 2x2 block.
+_EDGE_TAIL = {block: (t.index, t.d_inv, t.d_minus, t.d_weak2) for block, t in _TYPE_ROWS}
+# tuple.__new__ skips the named tuple's constructor written in Python
+_new_edge = functools.partial(tuple.__new__, CoverEdge)
+
+
 def _edge(lower: Asm, upper: Asm, r: int, s: int) -> CoverEdge:
-    lo = lower.entries
-    t = _TYPE_BY_LOWER_BLOCK[(lo[r - 1][s - 1], lo[r - 1][s], lo[r][s - 1], lo[r][s])]
-    return CoverEdge(lower, upper, r, s, t.index, t.d_inv, t.d_minus, t.d_weak2)
+    top, bottom = lower.entries[r - 1 : r + 1]
+    return _new_edge((lower, upper, r, s) + _EDGE_TAIL[top[s - 1 : s + 1] + bottom[s - 1 : s + 1]])
 
 
 def try_cover(a: Asm, b: Asm) -> Optional[CoverEdge]:
@@ -189,42 +208,47 @@ def try_cover(a: Asm, b: Asm) -> Optional[CoverEdge]:
     return _edge(a, b, *_field_position(a.n, d.bit_length() - 1))
 
 
-def _exchange(row: tuple[int, ...], j: int, d: int) -> tuple[int, ...]:
-    """``row`` with d added at j and subtracted at j + 1: one row of the
-    2x2 exchange."""
-    return row[:j] + (row[j] + d, row[j + 1] - d) + row[j + 2 :]
-
-
-def _exchange_positions(c: Sequence[Sequence[int]], up: bool) -> Iterator[tuple[int, int]]:
-    """Each (r, s), in order, where the exchange block at (r, s) gives an
-    ASM again, upward or downward, read off corner-sum rows ``c``, each led
-    by c(r, 0) = 0.  The block moves only c(r, s), by -1 going up and +1
-    going down, so the other matrix is an ASM iff the four unit steps
-    around c(r, s) stay in {0, 1}.
+def _exchanges(col: int, run: int, below: int, up: bool) -> int:
+    """The exchange rule (see the module docstring): each column s where
+    the block at rows r, r + 1 and columns s, s + 1 gives an ASM again,
+    upward or downward, as bit 0 of byte s - 1, given B_r as ``col`` and
+    R_r and R_(r+1) as ``run`` and ``below``, bit 0 of byte j - 1 for
+    column j.  Going up the steps B_r(s), R_r(s), B_r(s + 1), R_(r+1)(s)
+    must read 1, 1, 0, 0 and going down 0, 0, 1, 1; column n never
+    passes, as B_r(n + 1) reads 0 and R_(r+1)(n) reads 1.
     """
-    d, cols = int(up), range(1, len(c[0]) - 1)
-    for r in range(1, len(c) - 1):
-        above, row, below = c[r - 1], c[r], c[r + 1]
-        for s in cols:
-            x = row[s] - d
-            if row[s - 1] == above[s] == x == row[s + 1] - 1 == below[s] - 1:
-                yield r, s
+    if up:
+        return col & run & ~(col >> 8) & ~below
+    return ~col & ~run & col >> 8 & below
 
 
 def _cover_positions(a: Asm, up: bool) -> Iterator[tuple[int, int]]:
-    """Each (r, s) of a cover at a, upward or downward, in order."""
-    return _exchange_positions([(0,) * (a.n + 1)] + [(0,) + row for row in _sums(a)], up)
+    """Each (r, s) of a cover at a, upward or downward, in order: the
+    exchange rule on the records of each two adjacent rows."""
+    records, col = _records(a), 0
+    for r, (top, bottom) in enumerate(zip(records, records[1:]), start=1):
+        col ^= top.nonzero
+        found = _exchanges(col, top.run, bottom.run, up)
+        while found:
+            low = found & -found
+            found ^= low
+            yield r, low.bit_length() // 8 + 1
 
 
 def _covers(a: Asm, up: bool) -> list[CoverEdge]:
     """Every cover edge at a, upward or downward, in (r, s) order: the
-    exchange at each of :func:`_cover_positions`."""
-    n, sign = a.n, 1 if up else -1
-    e = a.entries
+    exchange at each of :func:`_cover_positions`, which adds sign times
+    [[-1, 1], [1, -1]] to rows r and r + 1 at columns s and s + 1."""
+    n, e, sign = a.n, a.entries, 1 if up else -1
     out = []
     for r, s in _cover_positions(a, up):
-        top, bot = _exchange(e[r - 1], s - 1, -sign), _exchange(e[r], s - 1, sign)
-        b = Asm(n, e[: r - 1] + (top, bot) + e[r + 1 :])
+        rows, top, bottom = list(e), list(e[r - 1]), list(e[r])
+        top[s - 1] -= sign
+        top[s] += sign
+        bottom[s - 1] += sign
+        bottom[s] -= sign
+        rows[r - 1], rows[r] = tuple(top), tuple(bottom)
+        b = Asm(n, tuple(rows))
         out.append(_edge(a, b, r, s) if up else _edge(b, a, r, s))
     return out
 
@@ -294,6 +318,13 @@ def enumerate_bigrassmannians(n: int) -> list[Permutation]:
 
 
 def is_join_irreducible(a: Asm) -> bool:
-    """True iff a covers exactly one element: the lower cover positions
-    are counted, up to the second, and no lower matrix is built."""
-    return len(list(islice(_cover_positions(a, up=False), 2))) == 1
+    """True iff a covers exactly one element: the exchange rule's lower
+    positions are counted row pair by row pair, stopping past one, and
+    no lower matrix is built."""
+    records, col, found = _records(a), 0, 0
+    for top, bottom in zip(records, records[1:]):
+        col ^= top.nonzero
+        found += _exchanges(col, top.run, bottom.run, False).bit_count()
+        if found > 1:
+            return False
+    return found == 1

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations
-from operator import add, mul
-from typing import Iterator, NamedTuple, Sequence
+from itertools import combinations
+from typing import Iterator, NamedTuple
 
-from .core import Asm, _require_position, _sums, minus_count
+from .core import Asm, _records, _require_position, _sums, minus_count
 
 
 class Inversion(NamedTuple):
@@ -175,11 +174,11 @@ def local_weak_contribution(a: Asm, p: int, q: int) -> Fraction:
     return _quarter(apq * (2 * sw_ne + above + right))
 
 
-def _entry_shares(left: int, aboves: Sequence[int], entries: Sequence[int]) -> tuple[int, int]:
-    """What a run of positions in one row adds to I and N, given
-    ``left``, the sum of the row's entries before the run, and for each
-    position its column sum over the rows above (``aboves``) and its
-    entry.
+def _entry_shares(before: int, above: int, minus: int) -> tuple[int, int]:
+    """What a run of positions in one row adds to I and N, given three
+    masks with one bit per position: ``before``, the row's running sum
+    just before the position, ``above``, its column sum over the rows
+    above, and ``minus``, its -1s.
 
     I sums a_jk * a_il over i < j, k < l; the terms with j and l fixed add
     up to the product of the row sum left of (j, l) and the column sum
@@ -188,20 +187,18 @@ def _entry_shares(left: int, aboves: Sequence[int], entries: Sequence[int]) -> t
     share of I, N or 2H = 2I - N is negative, and only a position with
     both sums at 1 has a share at all.
     """
-    return sum(map(mul, accumulate(entries, initial=left), aboves)), entries.count(-1)
+    return (before & above).bit_count(), minus.bit_count()
 
 
-def _row_beta(i: int, new: Sequence[int]) -> int:
-    """What row i adds to beta, given ``new``, the column sums of rows
-    1..i: sum_j (min(i, j) - c(i, j)) over its corner sums c(i, j), which
-    over all rows is :func:`beta_corner`.
+def _row_beta(i: int, n: int, corners: int) -> int:
+    """What row i of a size-n matrix adds to beta, given ``corners``,
+    the sum of its corner sums c(i, 1..n): sum_j (min(i, j) - c(i, j)),
+    which over all rows is :func:`beta_corner`.
 
-    sum_j min(i, j) is i(2n - i + 1)/2, and c(i, j) is the running sum of
-    ``new`` up to column j.  A prefix sum is 0 or 1, so c(i, j) <=
-    min(i, j) and the share is never negative.
+    sum_j min(i, j) is i(2n - i + 1)/2.  A prefix sum is 0 or 1, so
+    c(i, j) <= min(i, j) and the share is never negative.
     """
-    n = len(new)
-    return i * (2 * n - i + 1) // 2 - sum(accumulate(new))
+    return i * (2 * n - i + 1) // 2 - corners
 
 
 def _record(n: int, inv: int, minus: int, beta: int) -> StatRecord:
@@ -211,17 +208,19 @@ def _record(n: int, inv: int, minus: int, beta: int) -> StatRecord:
 
 
 def stat_record(a: Asm) -> StatRecord:
-    """All five statistics in one pass over the rows, each adding its
-    positions' :func:`_entry_shares` and its :func:`_row_beta`, completed
-    by :func:`_record`.  The definitional functions above are its
-    oracles."""
-    col = (0,) * a.n
-    inv = minus = rank = 0
-    for i, row in enumerate(a.entries, 1):
-        d_inv, d_minus = _entry_shares(0, col, row)
-        col = tuple(map(add, col, row))
-        inv, minus, rank = inv + d_inv, minus + d_minus, rank + _row_beta(i, col)
-    return _record(a.n, inv, minus, rank)
+    """All five statistics in one pass over the row records, each adding
+    its positions' :func:`_entry_shares` and its :func:`_row_beta`,
+    completed by :func:`_record`.  Row i's corner sums add up to the
+    running sums R of rows 1..i, each counted by a popcount.  The
+    definitional functions above are its oracles."""
+    n = a.n
+    col = inv = minus = corners = rank = 0  # col: the column sums of the rows above
+    for i, m in enumerate(_records(a), 1):
+        d_inv, d_minus = _entry_shares(m.run << 8, col, m.minus)
+        col ^= m.nonzero
+        corners += m.run.bit_count()
+        inv, minus, rank = inv + d_inv, minus + d_minus, rank + _row_beta(i, n, corners)
+    return _record(n, inv, minus, rank)
 
 
 def classical_beta(images: tuple[int, ...]) -> int:

@@ -5,11 +5,11 @@ sweeps matrices up to a size cap (intersected with the requested
 maximum) and reports "name: passed/checked"; a failure anywhere means a
 broken build.  The test suite runs every entry at every size up to its
 cap.  The brute-force oracles the suites and tests compare against (the
-entrywise order and cover test on corner sums, H_pq by a scan of the
-entries, the generic cover relation, the cover closure, the definitional
-beta, the greedy chain rank, the generating polynomials by enumeration,
-the Hasse diagram by the cover scan) and the lattice-law predicate live
-here too, each in one place.
+entrywise order, cover test and cover positions on corner sums, H_pq by
+a scan of the entries, the generic cover relation, the cover closure,
+the definitional beta, the greedy chain rank, the generating
+polynomials by enumeration, the Hasse diagram by the cover scan) and
+the lattice-law predicate live here too, each in one place.
 
 Each memo is a ``functools.cache`` function: A_n (read through
 ``_asms``, which checks the guard on every call), its index, S_n's
@@ -292,6 +292,25 @@ def scanned_try_cover(a: Asm, b: Asm) -> Optional[poset.CoverEdge]:
                     return None
                 found = (r, s)
     return None if found is None else poset._edge(a, b, *found)
+
+
+def scanned_cover_positions(a: Asm, up: bool) -> list[tuple[int, int]]:
+    """Each (r, s), in order, where the exchange block at rows r, r + 1
+    and columns s, s + 1 gives an ASM again, upward or downward, by a walk
+    of the corner-sum table, the oracle for the exchange rule of
+    :func:`poset.covers_up`, :func:`poset.covers_down` and
+    :func:`poset.is_join_irreducible`: the block moves only c(r, s), by
+    -1 going up and +1 going down, so the other matrix is an ASM iff the
+    four unit steps around c(r, s) stay in {0, 1}.  Rows and columns 0
+    read c = 0."""
+    c = [(0,) * (a.n + 1)] + [(0, *row) for row in core.corner_sum(a).sums]
+    d = int(up)
+    return [
+        (r, s)
+        for r in range(1, a.n)
+        for s in range(1, a.n)
+        if c[r][s - 1] == c[r - 1][s] == c[r][s] - d == c[r][s + 1] - 1 == c[r + 1][s] - 1
+    ]
 
 
 def generic_covers(universe: list[Asm]) -> set[tuple[int, int]]:

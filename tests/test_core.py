@@ -256,29 +256,31 @@ def _asm_rows(n):
 
 
 def test_row_memos_stay_within_their_bound():
-    # 2^13 distinct rows of size 14, more entries than the bound: each memo
-    # is cleared when full and never holds more than _HELD entries
+    # 2^13 distinct rows of size 14, more entries than the bound: the memo
+    # is cleared when full and never holds more than _HELD entries, and a
+    # row's code fields, filled in its one entry, add none
     clear_row_memos()
     rows = list(_asm_rows(14))
     assert len(rows) == 2**13 and len(set(rows)) == 2**13
     assert 14 * len(rows) > 4 * core._HELD
-    sizes = [(core._ROWS, []), (core._FIELDS, [])]
+    memo, seen = core._ROWS, []
     for row in rows:
-        assert core._row_masks(row) is not None
-        core._row_fields(row)
-        for memo, seen in sizes:
-            seen.append(len(memo))
-            assert memo.held <= core._HELD
+        record = core._row_record(row)
+        assert record is not None and memo[row] is record
+        core._row_zeros(14, record)
+        seen.append(len(memo))
+        assert memo.held <= core._HELD
     per_fill = core._HELD // 14
-    for memo, seen in sizes:
-        assert memo.held == 14 * len(memo) == sum(map(len, memo))
-        assert max(seen) == per_fill
-        # filled from empty once, then once after each clear
-        assert seen.count(1) == -(-len(rows) // per_fill)
+    assert memo.held == 14 * len(memo) == sum(map(len, memo))
+    assert max(seen) == per_fill
+    # filled from empty once, then once after each clear
+    assert seen.count(1) == -(-len(rows) // per_fill)
     # a failing row is not stored; a row longer than the bound is not either
-    assert core._row_masks((1, 1, -1)) is None and (1, 1, -1) not in core._ROWS
+    assert core._row_record((1, 1, -1)) is None and (1, 1, -1) not in core._ROWS
     memo = core._RowMemo()
     memo.keep("short", 1, 3)
+    # a key stored already (by another thread) keeps its value and its count
+    assert memo.keep("short", 9, 3) == 1
     assert memo.keep("long", 2, core._HELD + 1) == 2
     assert memo == {"short": 1} and memo.held == 3
 
@@ -394,8 +396,7 @@ def test_row_memos_keep_their_count_under_threads():
 
     def store(part):
         for row in part:
-            core._row_masks(row)
-            core._row_fields(row)
+            core._row_zeros(14, core._row_record(row))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -408,8 +409,7 @@ def test_row_memos_keep_their_count_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for memo in (core._ROWS, core._FIELDS):
-        assert memo.held == sum(map(len, memo)) <= core._HELD
+    assert core._ROWS.held == sum(map(len, core._ROWS)) <= core._HELD
 
 
 def _thermometer_code(a):
@@ -451,6 +451,48 @@ def test_code_is_the_thermometer_code_of_the_corner_sums():
     clear_row_memos()
     for _ in range(2):
         assert [core._code(Asm(a.n, a.entries)) for a in matrices] == want
+
+
+def _record_view(row):
+    """A row's record by its definition: its running sums and its +1, -1
+    and nonzero columns as masks, bit 0 of byte j - 1 for column j."""
+    sums = list(itertools.accumulate(row))
+    def mask(bits):
+        return sum(1 << 8 * j for j, b in enumerate(bits) if b)
+    return mask(sums), mask(x == 1 for x in row), mask(x == -1 for x in row), mask(row)
+
+
+def test_records_agree_however_the_matrix_was_made():
+    # validate keeps the records it checked the rows with, each the row's
+    # one entry of _ROWS; a matrix of the raw constructor or of the decoder
+    # looks its rows up on first use.  All three read the same records
+    rng = random.Random(31)
+    matrices = [a for n in range(1, 6) for a in enumerate_asms(n)]
+    matrices += [_random_asm(n, rng) for n in (7, 9, 17, 30) for _ in range(5)]
+    for a in matrices:
+        clear_row_memos()
+        checked = validate(a.entries)
+        assert [core._ROWS[row] for row in a.entries] == vars(checked)[core._RECORDS]
+        raw, decoded = Asm(a.n, a.entries), core._from_code(a.n, core._code(a))
+        assert core._RECORDS not in vars(raw) and core._RECORDS not in vars(decoded)
+        want = [_record_view(row) for row in a.entries]
+        for x in (checked, raw, decoded):
+            assert [(m.run, m.plus, m.minus, m.nonzero) for m in core._records(x)] == want
+
+
+def test_validate_fills_no_code_fields():
+    # the code's fields are filled by the first _code that needs them, in
+    # the row's one entry, and never by validate
+    clear_row_memos()
+    for n in range(1, 7):
+        for a in enumerate_asms(n):
+            validate(a.entries)
+    assert len(core._ROWS) == sum(2 ** (n - 1) for n in range(1, 7))
+    assert all(m.zeros is None for m in core._ROWS.values())
+    a = validate(EXAMPLE_A_ROWS)
+    k = core._code(a)
+    assert all(core._ROWS[row].zeros is not None for row in a.entries)
+    assert core._code(Asm(a.n, a.entries)) == k == _thermometer_code(a)
 
 
 def test_from_corner_sum_rejects_bad_table():

@@ -446,7 +446,7 @@ def test_vertex_shares_never_negative():
     for left, above, e in itertools.product((0, 1), (0, 1), (-1, 0, 1)):
         if left + e not in (0, 1) or above + e not in (0, 1):
             continue
-        d_inv, d_minus = _entry_shares(left, (above,), (e,))
+        d_inv, d_minus = _entry_shares(left, above, int(e == -1))
         assert (d_inv, d_minus) == (left * above, int(e == -1))
         assert d_inv >= 0 and d_minus >= 0 and 2 * d_inv - d_minus >= 0
     # and every row's beta share, from any column state with sum i
@@ -454,9 +454,9 @@ def test_vertex_shares_never_negative():
         for new in itertools.product((0, 1), repeat=n):
             i = sum(new)
             if i:
-                corner = itertools.accumulate(new)
+                corner = list(itertools.accumulate(new))
                 want = sum(min(i, j) - c for j, c in enumerate(corner, 1))
-                assert _row_beta(i, new) == want >= 0
+                assert _row_beta(i, n, sum(corner)) == want >= 0
 
 
 def test_row_table_matches_brute_force():

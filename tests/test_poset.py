@@ -25,6 +25,7 @@ from asmlat import (
     iter_asms,
     join,
     meet,
+    minus_count,
     rank_by_chain,
     to_permutation,
     try_cover,
@@ -34,7 +35,9 @@ from asmlat import core
 from asmlat.enumeration import build_hasse
 from asmlat.core import AsmError, SizeMismatch
 from asmlat.poset import COVER_TYPES, CoverEdge, NotAnExchangeBlock, leq
-from asmlat.verify import bigrassmannians_below
+from asmlat.verify import bigrassmannians_below, scanned_cover_positions, scanned_try_cover
+
+from conftest import walked_asms
 
 
 def perm(*images):
@@ -311,37 +314,32 @@ def test_is_join_irreducible(middle3, pools):
     assert sum(1 for a in pools[4] if is_join_irreducible(a)) == 10
 
 
-def _cover_walk(n, steps, rng):
-    # a seeded walk up from the identity, one random up cover a step
-    a = identity(n)
-    for _ in range(steps):
-        up = covers_up(a)
-        if not up:
-            break
-        a = rng.choice(up).upper
-    return a
-
-
-@functools.lru_cache(maxsize=None)
-def _ji_universe(n):
-    if n <= 6:
-        return list(iter_asms(n))
-    rng = random.Random(n)
-    top = n * (n * n - 1) // 6  # beta of the reversal, the longest chain
-    return [_cover_walk(n, rng.randrange(top + 1), rng) for _ in range(300)]
-
-
 @pytest.mark.parametrize("n", [*range(1, 7), 8, 10])
 def test_is_join_irreducible_counts_lower_covers(n):
     # the position count, stopped at the second, agrees with the edges
-    for a in _ji_universe(n):
+    for a in walked_asms(n):
         assert is_join_irreducible(a) == (len(covers_down(a)) == 1)
+
+
+@pytest.mark.parametrize("n", [8, 10, 20, 30])
+def test_cover_mask_rule_matches_the_corner_sum_walk(n):
+    # the exchange rule on row masks, past the sizes the brute-force covers
+    # reach and past 8 and 16 columns: each cover's position, in order,
+    # against the corner-sum walk, each edge against the corner-sum cover
+    # test, and join-irreducibility against the lower positions counted
+    universe = walked_asms(n)
+    assert sum(minus_count(a) for a in universe) >= len(universe)
+    for a in universe:
+        for up, edges in ((True, covers_up(a)), (False, covers_down(a))):
+            assert [(e.r, e.s) for e in edges] == scanned_cover_positions(a, up)
+            assert all(scanned_try_cover(e.lower, e.upper) == e for e in edges)
+        assert is_join_irreducible(a) == (len(scanned_cover_positions(a, False)) == 1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_join_irreducible_count_is_binomial(n):
     # the join-irreducibles are the C(n+1, 3) bigrassmannians
-    assert sum(map(is_join_irreducible, _ji_universe(n))) == math.comb(n + 1, 3)
+    assert sum(map(is_join_irreducible, walked_asms(n))) == math.comb(n + 1, 3)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -26,8 +26,10 @@ from asmlat import (
     weak_inversion_twice,
 )
 from asmlat.core import IndexOutOfRange
-from asmlat.stats import classical_beta
+from asmlat.stats import StatRecord, classical_beta
 from asmlat.verify import scanned_local_weak_contribution
+
+from conftest import walked_asms
 
 
 # Quadruple-loop reference implementations, deliberately independent of the
@@ -210,6 +212,19 @@ def test_stat_record(example_a, example_b):
     }
     rec_b = stat_record(example_b)
     assert (rec_b.inv, rec_b.dual_inv, rec_b.minus, rec_b.weak, rec_b.beta) == (4, 2, 0, 4, 8)
+
+
+@pytest.mark.parametrize("n", [8, 10, 20, 30])
+def test_stat_record_matches_the_definitions_past_the_suite(n):
+    # the pass over the row records against the definitional pair sums and
+    # beta_corner, past the sizes stat-record-vs-definitions reaches (6)
+    # and past 8 and 16 columns
+    universe = walked_asms(n)
+    assert sum(minus_count(a) for a in universe) >= len(universe)
+    for a in universe:
+        inv, minus = inversion_number(a), minus_count(a)
+        want = StatRecord(inv, dual_inversion_number(a), minus, 2 * inv - minus, beta_corner(a))
+        assert stat_record(a) == want
 
 
 @given(st.permutations(list(range(1, 9))))
