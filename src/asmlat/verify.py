@@ -734,7 +734,7 @@ SUITES: list[tuple[str, int, Suite]] = [
     ("genfun-symmetries", 10, check_genfun_symmetries),
     ("perm-inversion-genfun", 7, check_perm_inversion_genfun),
     ("genfun-at-one", 10, check_genfun_at_one),
-    ("signed-identity", 10, check_signed_identity),
+    ("signed-identity", 13, check_signed_identity),
     ("genfun-dp-vs-enumeration", 6, check_genfun_dp_vs_enumeration),
     ("hasse-vs-cover-scan", 6, check_hasse_vs_cover_scan),
 ]

@@ -184,10 +184,37 @@ def test_bivariate_n2():
 
 
 def test_bivariate_specialized_matches_signed_identity():
-    for n in (2, 3, 4):
-        p = bivariate_genfun(n, "I:beta", over="perm")
-        _, _, rhs = signed_identity_check(n)
-        assert p.specialize_first(-1) == rhs
+    # the whole I:beta polynomial at λ = -1 is the oracle of the DP that
+    # keeps only I's parity
+    for n in range(1, 9):
+        p = bivariate_genfun(n, "I:beta", over="perm").specialize_first(-1)
+        ok, lhs, rhs = signed_identity_check(n)
+        assert ok and lhs == p == rhs
+
+
+def test_wrapped_dp_signs_asms_too():
+    # the signed identity's reading of the DP kept modulo 2S, over ASMs,
+    # whose -1 entries take the down shift that permutations never do:
+    # q^beta's coefficient is the one at beta (I even) less the one at
+    # S + beta (I odd)
+    for n in range(1, 8):
+        stride = math.comb(n + 1, 3) + 1
+        c = _vertex_sums(n, True, stride, 0, 1, 2 * stride)
+        signed = HalfIntPolynomial({2 * b: c.get(b, 0) - c.get(stride + b, 0) for b in range(stride)}, var="q")
+        assert signed == bivariate_genfun(n, "I:beta").specialize_first(-1)
+
+
+@pytest.mark.parametrize("minus", [True, False])
+def test_wrapped_dp_is_the_exponent_modulo_the_wrap(minus):
+    # every statistic's weights and wraps below, at and past each shift
+    for n in range(1, 7):
+        for weights in ((1, 0, 0), (2, -1, 0), (0, 0, 1), (3, 1, 2), (21, 0, 1)):
+            full = _vertex_sums(n, minus, *weights)
+            for wrap in (1, 2, 3, 5, 7, 40):
+                want = {}
+                for e, c in full.items():
+                    want[e % wrap] = want.get(e % wrap, 0) + c
+                assert _vertex_sums(n, minus, *weights, wrap) == want
 
 
 def test_signed_identity():
