@@ -15,7 +15,7 @@ statistics and the signed permutation identity, by a vertex DP that
 adds one position at a time, updating each pair of states once and in
 place, builds no table, lists no matrix and packs each state's
 polynomial into one integer, a fixed-width field per exponent (for the
-signed identity, modulo x^wrap - 1, so I keeps only its parity); and
+signed identity, (-1)^I by subtraction, a signed int); and
 the full cover graph.  The graph comes from one walk of
 the row table that carries each matrix's I, N and beta, and from a second
 table, cached per size as well (:func:`_cover_table`), that lists for
@@ -211,12 +211,12 @@ _STATS = {"I": ((1, 0, 0), 2), "H": ((2, -1, 0), 1), "beta": ((0, 0, 1), 2)}
 _PAIRS = ("I:beta", "H:beta")
 
 
-def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int, wrap: int = 0) -> dict[int, int]:
+def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int, signed: bool = False) -> dict[int, int]:
     """{exponent: number of matrices} over the ASMs of size n, or the
     permutation matrices when not ``minus``, for the exponent
     w_inv * I + w_minus * N + w_beta * beta; no position's or row's share
-    of it may be negative.  With a ``wrap`` the exponent is taken modulo
-    it, so every key is below ``wrap``.
+    of it may be negative.  When ``signed``, each matrix counts (-1)^I,
+    not 1, and the values may be negative.
 
     Lists no matrix.  The DP adds one position at a time, row by row, left
     to right, in the six-vertex model's states: one int holding the
@@ -229,23 +229,17 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int, wra
     sum 1.  Each state carries its paths' polynomial as one int, x^e's
     coefficient in field e of ``width`` bytes.  A position updates each
     pair of states, both bits at 0 and both at 1, once and in place, by a
-    shift and an add; a state with one bit at 1 is not touched.
-
-    With a wrap the DP works modulo x^wrap - 1: after each shift, a
-    position's or a row end's, the fields at wrap or past are added back
-    wrap lower, so a state's int holds fields 0..wrap - 1 only; a
-    position's shift, taken modulo wrap, is a rotation of them.  A
-    state's int then has wrap fields however large the exponent grows,
-    and a sum that needs only the exponent's residue, such as I's parity
-    in :func:`signed_identity_check`, costs that much less.
+    shift and an add; a state with one bit at 1 is not touched.  Only the
+    moves out of a state with both bits at 1 add to I, 1 each, so the
+    signed DP subtracts their shifted polynomials instead of adding them.
     """
     # no carry: a coefficient counts partial matrices into one state, and
     # where the state can be completed each extends to a distinct matrix,
-    # so it is at most |A_n| (n!) < 2^(8 * width); a state that cannot
-    # (running sum 0, only columns at 1 left) never merges into one that
-    # can, and the row's end drops it.  A wrapped field adds up the
-    # fields of one residue, still partial matrices into one state, so
-    # the same bound holds and a rotation moves whole fields
+    # so its absolute value, signed or not, is at most |A_n| (n!) <
+    # 2^(8 * width - 1); a state that cannot (running sum 0, only columns
+    # at 1 left) never merges into one that can, and the row's end drops
+    # it.  So adding half a field's range to every field leaves each in
+    # 0..2^(8 * width) - 1, to be read unsigned
     width = (count_formula(n) if minus else math.factorial(n)).bit_length() // 8 + 1
     unit = 8 * width
 
@@ -256,13 +250,6 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int, wra
     # only a position entered with both bits at 1 has a share: its 0 stays,
     # its -1 turns both bits to 0
     stay, down = shift(0), shift(-1)
-    period = unit * wrap
-    mask = (1 << period) - 1
-    if wrap:
-        stay, down = stay % period, down % period
-    # a rotation by s shifts the low period - s bits, mask >> s, up by s
-    # and brings the rest back to bit 0
-    stay_kept, down_kept = mask >> stay, mask >> down
     row_bit = 1 << n
     # corners[state]: the sum of the corner sums its column sums make,
     # column k + 1 (bit k) adding 1 to each of c(i, k + 1..n)
@@ -280,16 +267,17 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int, wra
             # so each pair is updated once, in place: the partner has row
             # bit 0 and column sum i - 1, rows 1..i-1 of a permutation leave
             # any such column vector, and row i's 0s up to k keep it.  The
-            # wrap is tested once per position: a test per pair cost the
-            # unwrapped sums 2-4% at n = 6
-            if wrap:
-                for state in [s for s in layer if not s & flip]:
+            # sign is tested once per position: a test per pair cost the
+            # unsigned sums 2-4% at n = 6
+            low = [s for s in layer if not s & flip]
+            if signed:
+                for state in low:
                     poly, high = layer[state], layer.get(state | flip, 0)
-                    layer[state | flip] = poly + ((high & stay_kept) << stay | high >> period - stay)
+                    layer[state | flip] = poly - (high << stay)
                     if minus:
-                        layer[state] = poly + ((high & down_kept) << down | high >> period - down)
+                        layer[state] = poly - (high << down)
                 continue
-            for state in [s for s in layer if not s & flip]:
+            for state in low:
                 poly, high = layer[state], layer.get(state | flip, 0)
                 layer[state | flip] = poly + (high << stay)
                 if minus:
@@ -302,15 +290,13 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int, wra
                     poly <<= unit * w_beta * _row_beta(i, n, corners[state])
                 ended[state] = poly
         layer = ended
-        # a row's beta shift may pass the wrap more than once
-        for state, poly in layer.items() if wrap else ():
-            while poly >> period:
-                poly = (poly & mask) + (poly >> period)
-            layer[state] = poly
+    # the one decode, signed or not: every field up to the top one raised
+    # by half, read unsigned and lowered again
     poly = layer[row_bit - 1]
-    data = poly.to_bytes((poly.bit_length() + 7) // 8, "little")
-    fields = (int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width))
-    return {e: c for e, c in enumerate(fields) if c}
+    fields, half = abs(poly).bit_length() // unit + 1, 1 << unit - 1
+    data = (poly + half * ((1 << unit * fields) - 1) // ((1 << unit) - 1)).to_bytes(fields * width, "little")
+    coeffs = (int.from_bytes(data[k : k + width], "little") - half for k in range(0, len(data), width))
+    return {e: c for e, c in enumerate(coeffs) if c}
 
 
 # a size at or past this is refused as at least this bound, on a lower
@@ -443,15 +429,12 @@ def signed_identity_check(n: int, limit_guard: Optional[int] = None) -> tuple[bo
     the sum of (-1)^I(w) q^beta(w); right, the product over k < n of
     (1 - q^k)^(n - k).  Returns (equal, left, right).
 
-    The left side needs only I's parity.  The vertex DP packs S * I + beta
-    into one exponent, S = C(n + 1, 3) + 1 past beta's top, and keeps it
-    modulo 2S, so each state holds 2S fields, not S * (C(n, 2) + 1): the
-    coefficient of q^beta is the one at beta, even I, less the one at
-    S + beta, odd I."""
+    The left side is the signed vertex DP over permutations with beta
+    alone as the exponent: each state holds one field per value of beta,
+    not one per value of (I, beta)."""
     _check_dp(n, "perm", limit_guard)
-    stride = math.comb(n + 1, 3) + 1
-    c = _vertex_sums(n, False, stride, 0, 1, 2 * stride)
-    lhs = HalfIntPolynomial({2 * b: c.get(b, 0) - c.get(stride + b, 0) for b in range(stride)}, var="q")
+    c = _vertex_sums(n, False, 0, 0, 1, signed=True)
+    lhs = HalfIntPolynomial({2 * b: v for b, v in c.items()}, var="q")
     factors = (HalfIntPolynomial({0: 1, 2 * k: -1}, var="q") ** (n - k) for k in range(1, n))
     rhs = math.prod(factors, start=HalfIntPolynomial.one(var="q"))
     return lhs == rhs, lhs, rhs

@@ -651,6 +651,14 @@ def check_genfun_at_one(n: int):
     return 3, failures
 
 
+def check_two_enumeration(n: int):
+    """Mills, Robbins and Rumsey's 2-enumeration: the sum over A_n of
+    2^N(A) is 2^C(n, 2), read off the vertex DP's N polynomial."""
+    minus = enumeration._check_dp(n, "asm", None)
+    total = sum(c << e for e, c in enumeration._vertex_sums(n, minus, 0, 1, 0).items())
+    return 1, [] if total == 1 << n * (n - 1) // 2 else [f"sum of 2^N is {total} at n={n}"]
+
+
 def enumerated_genfuns(
     universe: Iterable[Asm],
 ) -> dict[str, Union[HalfIntPolynomial, BivariatePolynomial]]:
@@ -734,7 +742,8 @@ SUITES: list[tuple[str, int, Suite]] = [
     ("genfun-symmetries", 10, check_genfun_symmetries),
     ("perm-inversion-genfun", 7, check_perm_inversion_genfun),
     ("genfun-at-one", 10, check_genfun_at_one),
-    ("signed-identity", 13, check_signed_identity),
+    ("two-enumeration", 12, check_two_enumeration),
+    ("signed-identity", 14, check_signed_identity),
     ("genfun-dp-vs-enumeration", 6, check_genfun_dp_vs_enumeration),
     ("hasse-vs-cover-scan", 6, check_hasse_vs_cover_scan),
 ]

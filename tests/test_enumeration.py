@@ -192,29 +192,24 @@ def test_bivariate_specialized_matches_signed_identity():
         assert ok and lhs == p == rhs
 
 
-def test_wrapped_dp_signs_asms_too():
-    # the signed identity's reading of the DP kept modulo 2S, over ASMs,
-    # whose -1 entries take the down shift that permutations never do:
-    # q^beta's coefficient is the one at beta (I even) less the one at
-    # S + beta (I odd)
+def test_signed_dp_over_asms_is_i_beta_at_minus_one():
+    # the signed identity's DP over ASMs, whose -1 entries take the down
+    # move that permutations never do
     for n in range(1, 8):
-        stride = math.comb(n + 1, 3) + 1
-        c = _vertex_sums(n, True, stride, 0, 1, 2 * stride)
-        signed = HalfIntPolynomial({2 * b: c.get(b, 0) - c.get(stride + b, 0) for b in range(stride)}, var="q")
+        c = _vertex_sums(n, True, 0, 0, 1, signed=True)
+        signed = HalfIntPolynomial({2 * b: v for b, v in c.items()}, var="q")
         assert signed == bivariate_genfun(n, "I:beta").specialize_first(-1)
 
 
-@pytest.mark.parametrize("minus", [True, False])
-def test_wrapped_dp_is_the_exponent_modulo_the_wrap(minus):
-    # every statistic's weights and wraps below, at and past each shift
+def test_signed_dp_is_the_definitional_signed_sum():
+    # weight 1 on I, N and beta, so both subtracted moves shift
     for n in range(1, 7):
-        for weights in ((1, 0, 0), (2, -1, 0), (0, 0, 1), (3, 1, 2), (21, 0, 1)):
-            full = _vertex_sums(n, minus, *weights)
-            for wrap in (1, 2, 3, 5, 7, 40):
-                want = {}
-                for e, c in full.items():
-                    want[e % wrap] = want.get(e % wrap, 0) + c
-                assert _vertex_sums(n, minus, *weights, wrap) == want
+        want = {}
+        for a in iter_asms(n):
+            inv = inversion_number(a)
+            e = inv + minus_count(a) + beta_corner(a)
+            want[e] = want.get(e, 0) + (-1) ** inv
+        assert _vertex_sums(n, True, 1, 1, 1, signed=True) == {e: c for e, c in want.items() if c}
 
 
 def test_signed_identity():
