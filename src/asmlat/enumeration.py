@@ -1,13 +1,12 @@
 """Exhaustive generation of all size-n alternating sign matrices.
 
 Generation runs row by row.  The search state is the vector of column
-prefix sums, each 0 or 1 (a row of the matrix's monotone triangle); a
-candidate row is any {-1, 0, 1} vector whose running prefix sums stay in
-{0, 1}, whose total is 1, and which keeps all column prefix sums in
-{0, 1}.  One row-transition table per size, cached, lists each state
-(every 0/1 vector) with its legal rows in the canonical order, row-major
+prefix sums, each 0 or 1 (a row of the matrix's monotone triangle), held
+as a mask in ``core._Row``'s layout, one byte per column.  One
+row-transition table per size, cached, lists each state (every 0/1
+vector) with its legal rows in the canonical order, row-major
 lexicographic (entry order -1 < 0 < 1), and what each adds to I, N and
-beta; a state's rows come from one sweep over its columns.
+beta; a row may follow a state by ``core.validate``'s own mask test.
 
 Also here: the closed-form count, walked from |A_k| to |A_(k+1)| by
 one ratio of binomials; generating polynomials of the
@@ -21,16 +20,15 @@ the row table that carries each matrix's I, N and beta, and from a second
 table, cached per size as well (:func:`_cover_table`), that lists for
 each two-row path the covers exchanging a block inside those rows and
 how far each moves the canonical index.  It finds them by ``poset``'s
-exchange rule on three masks, one byte per column: the column state
-between the two rows and each row's running sums, so it builds no
-corner sums.  The walk
-gives the graph in the one plain form ``io``'s writers take: each node
-as its rows, its shared record and its join-irreducible flag, and each
-edge as an exact tuple of ints, which the cyclic collector stops
-scanning.  The ``hasse`` command writes from it directly;
-``build_hasse`` wraps it in named tuples and ``Asm`` objects.  The
-table and the DP read their shares of I, N and beta off one rule in
-``stats``, as ``stats.stat_record`` does.
+exchange rule on the column state between the two rows and each row's
+running sums, so it builds no corner sums.  The walk gives the graph in
+the one plain form ``io``'s writers take: each node as its rows, its
+shared record and its join-irreducible flag, and each edge as an exact
+tuple of ints, which the cyclic collector stops scanning.  The
+``hasse`` command writes from it directly; ``build_hasse`` wraps it in
+named tuples and ``Asm`` objects.  The table and the DP read their
+shares of I, N and beta off one rule in ``stats``, as
+``stats.stat_record`` does.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ import decimal
 import functools
 import itertools
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -86,91 +85,75 @@ def count_formula(n: int) -> int:
     return next(itertools.islice(_asm_counts(), n - 1, None))
 
 
-def _next_rows(col: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All legal next rows for the given column prefix-sum vector, as
-    (row, new column vector) in ascending lexicographic row order.
-
-    One sweep over the columns, left to right, keeps every partial row
-    with its new column prefix sums and its running sum; each extends by
-    -1, 0, then 1 where that keeps both sums in {0, 1}, so the partial
-    rows stay in lexicographic order.
-    """
-    partial = [((), (), 0)]
-    for c in col:
-        nxt = []
-        for row, new, prefix in partial:
-            if c and prefix:
-                nxt.append((row + (-1,), new + (0,), 0))
-            nxt.append((row + (0,), new + (c,), prefix))
-            if not (c or prefix):
-                nxt.append((row + (1,), new + (1,), 1))
-        partial = nxt
-    return [(row, new) for row, new, prefix in partial if prefix]
-
-
 class _Step(NamedTuple):
-    """One legal next row from a column prefix state, with what it adds
-    to I, N and beta."""
+    """One legal next row from a column state, with its record, the state
+    it leads to and what it adds to I, N and beta."""
 
     row: tuple[int, ...]
-    new: tuple[int, ...]
+    record: _Row
+    new: int
     d_inv: int
     d_minus: int
     d_beta: int
 
 
 @functools.cache
-def _row_table(n: int) -> dict[tuple[int, ...], tuple[_Step, ...]]:
-    """Every column prefix state of size n with its legal next rows, in
+def _row_table(n: int) -> dict[int, tuple[_Step, ...]]:
+    """Every column state of size n with its legal next rows, in
     canonical order.
 
-    The state before row i has sum i - 1; a row adds to I and N the
+    A state is the column prefix sums of the rows so far as a mask in
+    ``core._Row``'s layout, column j's as bit 0 of byte j - 1: every 0/1
+    vector, straight from ``itertools.product``.  A row is the first
+    difference of its running sums, any 0/1 vector that ends at 1, and
+    these vectors in lexicographic order give the rows in canonical
+    order.  A state's steps are the rows that ``core._checked`` lets
+    follow it, each to the state ``col ^ nonzero``.  The state before
+    row i has sum i - 1; a row adds to I and N the
     :func:`stats._entry_shares` of its positions and to beta its
-    :func:`stats._row_beta`.
+    :func:`stats._row_beta`, as :func:`stats.stat_record` adds them.
     """
-    table: dict[tuple[int, ...], tuple[_Step, ...]] = {}
-    # one object per distinct row or state: all tables for n <= 10 then
-    # take about 6 MiB, not 18
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    records: dict[tuple[int, ...], _Row] = {}
-    for col in itertools.product((0, 1), repeat=n):
-        col, i, above = shared.setdefault(col, col), 1 + sum(col), _mask(col)
-        steps = []
-        for row, new in _next_rows(col):
-            row, new = shared.setdefault(row, row), shared.setdefault(new, new)
-            m = records.get(row)
-            if m is None:
-                m = records[row] = _Row(bytes(itertools.accumulate(row)))
-            shares = _entry_shares(m.run << 8, above, m.minus)
-            steps.append(_Step(row, new, *shares, _row_beta(i, n, sum(itertools.accumulate(new)))))
-        table[col] = tuple(steps)
+    rows = []
+    for run in itertools.product((0, 1), repeat=n - 1):
+        run += (1,)
+        rows.append((tuple(map(operator.sub, run, (0,) + run)), _Row(bytes(run))))
+    # one int per state, each new state looked up among the keys: a fresh
+    # int per step took the peak at n = 12 from 44 to 56 MiB
+    states = [int.from_bytes(bytes(c), "little") for c in itertools.product((0, 1), repeat=n)]
+    state = dict(zip(states, states))
+    table = {}
+    for col in states:
+        # corners: the sum of the corner sums that the rows so far make
+        i, corners = 1 + col.bit_count(), sum(itertools.accumulate(col.to_bytes(n, "little")))
+        table[col] = tuple(
+            _Step(
+                row, m, state[col ^ m.nonzero], *_entry_shares(m.run << 8, col, m.minus),
+                _row_beta(i, n, corners + m.run.bit_count()),
+            )
+            for row, m in rows
+            if not (m.plus & col or m.minus & ~col)
+        )
     return table
 
 
-def _mask(values: Iterable[int]) -> int:
-    """0/1 values, column j's as bit 0 of byte j - 1: the layout of
-    ``core._Row``."""
-    return int.from_bytes(bytes(values), "little")
-
-
 @functools.cache
-def _cover_table(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+def _cover_table(n: int) -> dict[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
     """The up covers inside every two-row path through the row table.
 
     ``_cover_table(n)[p][k1][k2]`` is for the path that takes step k1
     from state p to q, then step k2 to q2.  It lists (rank delta, cover
     type) for each column s, ascending, that passes
-    :func:`poset._exchanges`, the exchange rule, on the masks of state q
-    and of the two steps' running sums; the exchanged rows are the steps
-    p -> qx -> q2, qx being q with column s's 1 moved to s + 1.  A
-    matrix's canonical index is the sum over its rows of off[state, next
-    state], the number of paths that leave the state by an earlier step,
-    so the exchange moves the index by the change in those two terms
-    alone: the rank delta.
+    :func:`poset._exchanges`, the exchange rule, on state q and the two
+    steps' running sums; the exchanged rows are the steps p -> qx -> q2,
+    qx being q with column s's 1 moved to s + 1.  A matrix's canonical
+    index is the sum over its rows of off[state, next state], the number
+    of paths that leave the state by an earlier step, so the exchange
+    moves the index by the change in those two terms alone: the rank
+    delta.
     """
     table = _row_table(n)
-    paths = {(1,) * n: 1}  # paths from each state to the last
-    for col in sorted(table, key=sum, reverse=True)[1:]:
+    paths = {int.from_bytes(b"\x01" * n, "little"): 1}  # paths from each state to the last
+    for col in sorted(table, key=int.bit_count, reverse=True)[1:]:
         paths[col] = sum(paths[step.new] for step in table[col])
     off = {}
     for col, steps in table.items():
@@ -178,24 +161,20 @@ def _cover_table(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[tuple[int, i
         for step in steps:
             off[col, step.new] = before
             before += paths[step.new]
-    state = {col: _mask(col) for col in table}
-    rows = {step.row for steps in table.values() for step in steps}
-    run = {row: _mask(itertools.accumulate(row)) for row in rows}
     cover = {}
     for p, steps in table.items():
         from_p = []
         for first in steps:
-            q = first.new
-            col, top = state[q], run[first.row]
+            q, top = first.new, first.record.run
             from_q = []
             for second in table[q]:
                 q2, found = second.new, []
-                at = _exchanges(col, top, run[second.row], True)
+                at = _exchanges(q, top, second.record.run, True)
                 while at:
                     low = at & -at
                     at ^= low
                     s = low.bit_length() // 8 + 1
-                    qx = q[: s - 1] + (0, 1) + q[s + 1 :]
+                    qx = q ^ low * 0x101
                     delta = off[p, qx] + off[qx, q2] - off[p, q] - off[q, q2]
                     block = first.row[s - 1 : s + 1] + second.row[s - 1 : s + 1]
                     found.append((delta, _TYPE_BY_LOWER_BLOCK[block].index))
@@ -361,13 +340,14 @@ def _check_dp(n: int, over: str, limit_guard: Optional[int]) -> bool:
 
 def iter_asms(n: int) -> Iterator[Asm]:
     """Yield every ASM of size n, canonical order, no guard, by walking
-    the row table depth first, but only once the whole table is built:
-    (3^n - 1)/2 steps, so the first item takes 1.5 s and 43 MiB at
-    n = 12, 14 s and 260 MiB at n = 14 (2-vCPU VM)."""
+    the row table depth first from state 0, but only once the whole
+    table is built: 2^(2n - 1) tests of a state and a row for (3^n - 1)/2
+    steps, so the first item takes 0.8 s and 44 MiB at n = 12, 11 s and
+    261 MiB at n = 14 (2-vCPU VM)."""
     _require_size(n)
     table = _row_table(n)
 
-    def rec(rows: list[tuple[int, ...]], col: tuple[int, ...]) -> Iterator[Asm]:
+    def rec(rows: list[tuple[int, ...]], col: int) -> Iterator[Asm]:
         if len(rows) == n:
             yield Asm(n, tuple(rows))
             return
@@ -375,7 +355,7 @@ def iter_asms(n: int) -> Iterator[Asm]:
             rows.append(step.row)
             yield from rec(rows, step.new)
             rows.pop()
-    return rec([], (0,) * n)
+    return rec([], 0)
 
 
 def enumerate_asms(n: int, limit_guard: Optional[int] = None) -> list[Asm]:
@@ -510,7 +490,7 @@ def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[Iterator[_Node], li
     # r (0-based) on the current path; exchanges[0] stays empty
     exchanges: list[tuple[tuple[int, int], ...]] = [()] * n
 
-    def walk(r: int, col: tuple[int, ...], above, inv: int, minus: int, rank: int) -> None:
+    def walk(r: int, col: int, above, inv: int, minus: int, rank: int) -> None:
         for k, step in enumerate(table[col]):
             rows[r] = step.row
             if r:
@@ -533,7 +513,7 @@ def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[Iterator[_Node], li
                     lower_covers[upper] += 1
                     edges.append((lower, upper, cover_type))
 
-    walk(0, (0,) * n, None, 0, 0, 0)
+    walk(0, 0, None, 0, 0, 0)
     # walk reaches itself through its closure: without this the cycle keeps
     # every list here alive until a full collection
     del walk

@@ -699,6 +699,9 @@ def check_genfun_dp_vs_enumeration(n: int):
         got.update({p: enumeration.bivariate_genfun(n, p, over) for p in ("I:beta", "H:beta")})
         if over == "perm":
             got["signed"] = enumeration.signed_identity_check(n)[1]
+        else:
+            signed = enumeration._vertex_sums(n, True, 0, 0, 1, signed=True)
+            got["signed"] = HalfIntPolynomial({2 * b: c for b, c in signed.items()}, var="q")
         for key, poly in got.items():
             checked += 1
             if poly != want[key]:

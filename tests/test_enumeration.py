@@ -355,12 +355,18 @@ def test_iter_asms_streams():
     assert 1 + sum(1 for _ in it) == 429
 
 
+def _bits(mask, n):
+    """A column state of the row table, a mask in the layout of
+    ``core._Row``, as its 0/1 tuple."""
+    return tuple(mask.to_bytes(n, "little"))
+
+
 def test_row_table_paths_count_matrices():
     for n in range(1, 11):
-        table = _row_table(n)
+        table = {_bits(col, n): steps for col, steps in _row_table(n).items()}
         paths = {(1,) * n: 1}  # paths from each state to the last
         for col in sorted(table, key=sum, reverse=True)[1:]:
-            paths[col] = sum(paths[step.new] for step in table[col])
+            paths[col] = sum(paths[_bits(step.new, n)] for step in table[col])
         assert paths[(0,) * n] == count_formula(n)
 
 
@@ -454,9 +460,9 @@ def test_row_deltas_never_negative():
     # sum_j (min(i, j) - c(i, j)) over the corner sums of its new state
     for n in range(1, 9):
         for col, steps in _row_table(n).items():
-            i = 1 + sum(col)
+            i = 1 + sum(_bits(col, n))
             for step in steps:
-                corner = itertools.accumulate(step.new)
+                corner = itertools.accumulate(_bits(step.new, n))
                 want = sum(min(i, j) - c for j, c in enumerate(corner, 1))
                 assert step.d_inv >= 0 and 2 * step.d_inv - step.d_minus >= 0
                 assert step.d_beta == want >= 0
@@ -491,20 +497,21 @@ def test_row_table_matches_brute_force():
             for row in itertools.product((-1, 0, 1), repeat=n)
             if set(itertools.accumulate(row)) <= {0, 1} and sum(row) == 1
         ]
-        table = _row_table(n)
+        table = {_bits(col, n): steps for col, steps in _row_table(n).items()}
         assert set(table) == set(itertools.product((0, 1), repeat=n))
         for col, steps in table.items():
             want = [row for row in rows if all(c + r in (0, 1) for c, r in zip(col, row))]
             assert [step.row for step in steps] == want
-            assert [step.new for step in steps] == [
+            assert [_bits(step.new, n) for step in steps] == [
                 tuple(map(sum, zip(col, row))) for row in want
             ]
 
 
-# sha256 of the cover table's (state, covers) pairs, sorted by state,
-# recorded when the table still looked each exchanged row up among a
-# state's steps; the Hasse diagram is checked against the cover scan
-# only up to n = 6
+# sha256 of the cover table's (state, covers) pairs, each state as its
+# 0/1 tuple and sorted by it, recorded when the table still looked each
+# exchanged row up among a state's steps and keyed its states by
+# tuples; the Hasse diagram is checked against the cover scan only up
+# to n = 6
 _COVER_TABLE_SHA256 = {
     7: "482e0dbae6434c21c0a315e5ae5ab3cdc23770e1a13a97a47ca670a698ed3782",
     8: "f44b0d228f97ab6f43578e0c3fa77545cffc87cbb3fcdf4fcf9369d4293901b2",
@@ -513,7 +520,7 @@ _COVER_TABLE_SHA256 = {
 
 @pytest.mark.parametrize("n", sorted(_COVER_TABLE_SHA256))
 def test_cover_table_pinned(n):
-    text = repr(sorted(_cover_table(n).items()))
+    text = repr(sorted((_bits(p, n), covers) for p, covers in _cover_table(n).items()))
     assert hashlib.sha256(text.encode()).hexdigest() == _COVER_TABLE_SHA256[n]
 
 
@@ -538,7 +545,7 @@ def test_row_table_deltas_sum_to_statistics(pools):
     for n in (3, 4, 5):
         table = _row_table(n)
         for a in pools[n]:
-            col, total = (0,) * n, [0, 0, 0]
+            col, total = 0, [0, 0, 0]
             for row in a.entries:
                 (step,) = [s for s in table[col] if s.row == row]
                 total = [total[0] + step.d_inv, total[1] + step.d_minus, total[2] + step.d_beta]
