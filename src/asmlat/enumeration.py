@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import Asm, AsmError, _require_size, _Row
-from .io import _Edge, _Node, _Rows, _dot_lines, read_int
+from .io import _Edge, _Node, _Rows, _dot_chunks, read_int
 from .poset import _TYPE_BY_LOWER_BLOCK, _exchanges
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import StatRecord, _entry_shares, _record, _row_beta
@@ -343,17 +343,24 @@ def iter_asms(n: int) -> Iterator[Asm]:
     the row table depth first from state 0, but only once the whole
     table is built: 2^(2n - 1) tests of a state and a row for (3^n - 1)/2
     steps, so the first item takes 0.8 s and 44 MiB at n = 12, 11 s and
-    261 MiB at n = 14 (2-vCPU VM)."""
+    261 MiB at n = 14 (2-vCPU VM).  The walk stops at row n - 1: the state
+    after it has n - 1 columns at 1, so the last row is that state's one
+    step, and each matrix is yielded straight from it, with no generator
+    frame of its own."""
     _require_size(n)
     table = _row_table(n)
 
+    if n == 1:  # the one matrix, (1): its row is forced from the start
+        return (Asm(1, (step.row,)) for step in table[0])
+    last = n - 1  # the rows the walk chooses
+
     def rec(rows: list[tuple[int, ...]], col: int) -> Iterator[Asm]:
-        if len(rows) == n:
-            yield Asm(n, tuple(rows))
-            return
         for step in table[col]:
             rows.append(step.row)
-            yield from rec(rows, step.new)
+            if len(rows) < last:
+                yield from rec(rows, step.new)
+            else:
+                yield Asm(n, (*rows, table[step.new][0].row))
             rows.pop()
     return rec([], 0)
 
@@ -442,7 +449,7 @@ class HasseGraph:
 
     def to_dot(self, highlight_ji: bool = True) -> str:
         nodes = ((a.entries, record, ji) for a, record, ji in self.nodes)
-        return "".join(_dot_lines(self.n, nodes, self.edges, highlight_ji))
+        return "".join(_dot_chunks(self.n, nodes, self.edges, highlight_ji))
 
     def to_json_dict(self) -> dict:
         return {
@@ -468,6 +475,11 @@ def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[Iterator[_Node], li
     two steps: node i's up edges go to i + delta.  No upper matrix is
     built or looked up, and ``covers_up`` and ``stat_record`` are not
     called (``verify.scanned_hasse``, which calls them, is the oracle).
+    Row n is forced: the state before it has n - 1 columns at 1, and its
+    one step is a single +1 in the column at 0.  So the walk does not
+    recurse into row n but finishes each node at row n - 1, adding that
+    step's shares to the sums; the covers exchanging rows n - 1 and n are
+    the entry for the last row's step, step 0.
     An exchange at rows r, r + 1 keeps rows 1..r - 1 and makes row r
     lexicographically smaller, so read in (r, s) order the upper ends
     come out ascending and the edges need no sort.  Nothing kept per
@@ -490,15 +502,23 @@ def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[Iterator[_Node], li
     # r (0-based) on the current path; exchanges[0] stays empty
     exchanges: list[tuple[tuple[int, int], ...]] = [()] * n
 
+    last = n - 2  # the 0-based row at which each node is finished
+
     def walk(r: int, col: int, above, inv: int, minus: int, rank: int) -> None:
+        below = cover[col]
         for k, step in enumerate(table[col]):
             rows[r] = step.row
             if r:
                 exchanges[r] = above[k]
-            sums = (inv + step.d_inv, minus + step.d_minus, rank + step.d_beta)
-            if r + 1 < n:
-                walk(r + 1, step.new, cover[col][k], *sums)
+            if r < last:
+                walk(r + 1, step.new, below[k], inv + step.d_inv, minus + step.d_minus, rank + step.d_beta)
                 continue
+            end = table[step.new][0]
+            rows[-1] = end.row
+            exchanges[-1] = below[k][0]
+            sums = (
+                inv + step.d_inv + end.d_inv, minus + step.d_minus + end.d_minus, rank + step.d_beta + end.d_beta
+            )
             i = len(matrices)
             matrices.append(tuple(rows))
             # equal statistics share one record
@@ -513,7 +533,12 @@ def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[Iterator[_Node], li
                     lower_covers[upper] += 1
                     edges.append((lower, upper, cover_type))
 
-    walk(0, 0, None, 0, 0, 0)
+    if n > 1:
+        walk(0, 0, None, 0, 0, 0)
+    else:  # the one matrix, (1): its row is forced from the start
+        (end,) = table[0]
+        matrices.append((end.row,))
+        records.append(_record(1, end.d_inv, end.d_minus, end.d_beta))
     # walk reaches itself through its closure: without this the cycle keeps
     # every list here alive until a full collection
     del walk

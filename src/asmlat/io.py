@@ -13,7 +13,10 @@ memo (``_LINES``, a ``core._RowMemo``), so the reader does not split a
 line it has seen; any other line is split and read each time.
 
 Every writer spells a row one way, as text and as JSON, and the commands'
-writers stream: one piece per matrix, node or edge, written in batches.
+writers stream, each write bounded: ``enumerate`` joins its matrices and
+a hasse writer its nodes 16,384 to a write, and a hasse writer formats
+its edges a block of up to 16,384 at a time, one ``%`` per block, each
+block a write of its own.
 """
 
 from __future__ import annotations
@@ -185,13 +188,32 @@ def _listed(items: Iterator[str]) -> Iterator[str]:
         yield from map(", ".__add__, items)
 
 
-def _write(pieces: Iterable[str]) -> None:
-    """Write the pieces to stdout in batches: the whole text of a large
-    output outweighs what it is made from, and one write per piece is
+# the most pieces, lines or list items one write holds
+_BATCH = 16384
+
+
+def _batched(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces joined ``_BATCH`` at a time: one write per piece is
     slower than one per batch."""
     pieces = iter(pieces)
-    while chunk := "".join(islice(pieces, 16384)):
-        sys.stdout.write(chunk)
+    while chunk := "".join(islice(pieces, _BATCH)):
+        yield chunk
+
+
+def _blocks(fmt: str, edges: Iterable[_Edge]) -> Iterator[str]:
+    """The edges, each formatted by ``fmt``, ``_BATCH`` at a time with one
+    ``%`` per block: one ``%`` per edge is slower."""
+    edges = iter(edges)
+    while block := tuple(islice(edges, _BATCH)):
+        yield (fmt * len(block)) % tuple(chain.from_iterable(block))
+
+
+def _write(chunks: Iterable[str]) -> None:
+    """Write the chunks to stdout one by one, each already bounded: the
+    whole text of a large output outweighs what it is made from."""
+    write = sys.stdout.write
+    for chunk in chunks:
+        write(chunk)
 
 
 def _write_matrices(n: int, matrices: Iterable[Asm], fmt: str) -> None:
@@ -199,10 +221,10 @@ def _write_matrices(n: int, matrices: Iterable[Asm], fmt: str) -> None:
     if fmt == "json":
         rows, item = _Texts(_json_row).__getitem__, _JSON_HEAD % n + "%s]}"
         items = (item % ", ".join(map(rows, a.entries)) for a in matrices)
-        _write(chain(("[",), _listed(items), ("]\n",)))
+        _write(_batched(chain(("[",), _listed(items), ("]\n",))))
     else:
         rows = _Texts(lambda row: _row_text(row) + "\n").__getitem__
-        _write("".join(map(rows, a.entries)) + "\n" for a in matrices)
+        _write(_batched("".join(map(rows, a.entries)) + "\n" for a in matrices))
 
 
 # a matrix's rows, and a node and an edge as the graph writers take them
@@ -213,16 +235,23 @@ _Edge = tuple[int, int, int]  # lower, upper, cover type
 
 def _write_hasse(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge], fmt: str, highlight_ji: bool) -> None:
     """``hasse``'s output, DOT or JSON."""
-    _write(_dot_lines(n, nodes, edges, highlight_ji) if fmt == "dot" else _json_chunks(n, nodes, edges))
+    _write(_dot_chunks(n, nodes, edges, highlight_ji) if fmt == "dot" else _json_chunks(n, nodes, edges))
 
 
-def _dot_lines(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge], highlight_ji: bool) -> Iterator[str]:
-    """The DOT text of a size-n cover graph line by line, each with its
-    newline, so a writer need not hold the whole text.  ``nodes`` are
-    (rows, record, join_irreducible) in index order, ``edges`` are
-    (lower, upper, cover type).  A node's label is a permutation in
-    one-line notation, as ``core.Permutation`` prints it, or any other
-    matrix row by row."""
+def _dot_chunks(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge], highlight_ji: bool) -> Iterator[str]:
+    """The DOT text of a size-n cover graph in chunks of at most
+    ``_BATCH`` lines, so a writer need not hold the whole text.  ``nodes``
+    are (rows, record, join_irreducible) in index order, ``edges`` are
+    (lower, upper, cover type)."""
+    yield from _batched(_dot_nodes(n, nodes, highlight_ji))
+    yield from _blocks('  a%d -> a%d [label="t%d"];\n', edges)
+    yield "}\n"
+
+
+def _dot_nodes(n: int, nodes: Iterable[_Node], highlight_ji: bool) -> Iterator[str]:
+    """The DOT graph's head, then one line per node, each with its
+    newline.  A node's label is a permutation in one-line notation, as
+    ``core.Permutation`` prints it, or any other matrix row by row."""
     yield f"digraph asm_lattice_{n} {{\n  rankdir=BT;\n  node [shape=box];\n"
     digit = _Texts(lambda row: str(row.index(1) + 1)).__getitem__
     entries = _Texts(_row_text).__getitem__
@@ -234,24 +263,24 @@ def _dot_lines(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge], highlight
         else:
             label = comma.join(map(digit, rows))
         yield '  a%d [label="%s"%s];\n' % (idx, label, filled if join_irreducible else "")
-    yield from map('  a%d -> a%d [label="t%d"];\n'.__mod__, edges)
-    yield "}\n"
 
 
 def _json_chunks(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge]) -> Iterator[str]:
     """The text of ``json.dumps(HasseGraph.to_json_dict())`` and a newline
-    for the same nodes and edges as :func:`_dot_lines` takes, in pieces,
-    one per node and one per edge, so a writer need not hold it whole;
-    each distinct row's and record's text is made once."""
+    for the same nodes and edges as :func:`_dot_chunks` takes, in chunks
+    of at most ``_BATCH`` nodes or edges, so a writer need not hold it
+    whole; each distinct row's and record's text is made once."""
     rows_text = _Texts(_json_row).__getitem__
     stats = _Texts(lambda record: json.dumps(record.to_json_dict())).__getitem__
     matrix = '{"matrix": ' + _JSON_HEAD % n
-    yield '{"n": %d, "nodes": [' % n
-    yield from _listed(
+    nodes = _listed(
         f'{matrix}{", ".join(map(rows_text, rows))}]}}, "stats": {stats(record)}, '
         f'"join_irreducible": {"true" if join_irreducible else "false"}}}'
         for rows, record, join_irreducible in nodes
     )
-    yield '], "edges": ['
-    yield from _listed(map('{"lower": %d, "upper": %d, "type": %d}'.__mod__, edges))
+    yield from _batched(chain(('{"n": %d, "nodes": [' % n,), nodes, ('], "edges": [',)))
+    blocks = _blocks(', {"lower": %d, "upper": %d, "type": %d}', edges)
+    for first in blocks:
+        yield first[2:]  # the first edge has no ", " before it
+        yield from blocks
     yield "]}\n"

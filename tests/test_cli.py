@@ -211,6 +211,18 @@ def test_hasse_json_streams(monkeypatch):
     assert peaks["json"] <= 1.5 * peaks["dot"]
 
 
+def test_hasse_writes_are_bounded(monkeypatch):
+    # the edges are formatted a block at a time, and no write holds more
+    # than 16,384 DOT lines or JSON nodes and edges: a block is never
+    # joined with further blocks.  The writes are the pinned bytes
+    for fmt, column, items in (("dot", 0, ("\n",)), ("json", 2, ('"lower"', '"join_irreducible"'))):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": staticmethod(writes.append)})())
+        assert run(["hasse", "--size", "6", "--output", fmt]) == 0
+        assert max(sum(map(text.count, items)) for text in writes) <= 16384
+        assert hashlib.sha256("".join(writes).encode()).hexdigest() == HASSE_SHA256[6][column]
+
+
 # sha256 of `enumerate --size n` as lines and as JSON, recorded before
 # the command streamed its output
 ENUMERATE_SHA256 = {
@@ -253,7 +265,7 @@ def test_write_joins_pieces_in_batches(monkeypatch):
     writes = []
     monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": staticmethod(writes.append)})())
     pieces = [f"{i}\n" for i in range(40_000)]
-    io._write(pieces)
+    io._write(io._batched(pieces))
     assert len(writes) == 3 and "".join(writes) == "".join(pieces)
 
 

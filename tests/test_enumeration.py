@@ -370,6 +370,19 @@ def test_row_table_paths_count_matrices():
         assert paths[(0,) * n] == count_formula(n)
 
 
+def test_row_table_forces_the_last_row():
+    # the walks finish each matrix at row n - 1: each of the n states with
+    # n - 1 columns at 1 has one step, a single +1 in its column at 0, and
+    # it leads to the all-ones state
+    for n in range(1, 9):
+        forced = {col: steps for col, steps in _row_table(n).items() if col.bit_count() == n - 1}
+        assert len(forced) == n
+        for col, steps in forced.items():
+            (step,) = steps
+            assert step.row == tuple(1 - bit for bit in _bits(col, n))
+            assert _bits(step.new, n) == (1,) * n
+
+
 def test_vertex_dp_counts_matrices():
     for n in range(1, 11):
         # with every weight at 0 the DP counts paths, and the whole count
