@@ -103,9 +103,9 @@ def _hasse_args(sp) -> None:
 def _genfun_args(sp) -> None:
     sp.add_argument("--size", type=_int, required=True)
     what = sp.add_mutually_exclusive_group(required=True)
-    what.add_argument("--stat", choices=["I", "H", "beta"])
-    what.add_argument("--bivariate", choices=["I:beta", "H:beta"])
-    sp.add_argument("--over", choices=["asm", "perm"], default="asm")
+    what.add_argument("--stat", choices=enumeration._STATS)
+    what.add_argument("--bivariate", choices=enumeration._PAIRS)
+    sp.add_argument("--over", choices=enumeration._UNIVERSES, default="asm")
     sp.add_argument("--format", choices=["human", "json"], default="human")
     sp.add_argument("--guard", type=_int, default=None)
 
@@ -179,17 +179,16 @@ def _cmd_stats(args) -> int:
 
 def _cmd_covers(args) -> int:
     a = _load_matrix(args)
-    edges = []
+    # each edge labelled by the call that found it
+    found = []
     if args.up or not args.down:
-        edges += poset.covers_up(a)
+        found += [("up", e, e.upper) for e in poset.covers_up(a)]
     if args.down or not args.up:
-        edges += poset.covers_down(a)
+        found += [("down", e, e.lower) for e in poset.covers_down(a)]
     if args.format == "json":
-        print(json.dumps([e.to_json_dict() for e in edges]))
+        print(json.dumps([e.to_json_dict() for _, e, _ in found]))
     else:
-        for e in edges:
-            direction = "up" if e.lower == a else "down"
-            other = e.upper if direction == "up" else e.lower
+        for direction, e, other in found:
             print(f"{direction} ({e.r},{e.s}) type={e.cover_type} "
                   f"dI={e.d_inv} dN={e.d_minus} dH2={e.d_weak2}")
             print(io.matrix_to_text(other))

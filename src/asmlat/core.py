@@ -177,7 +177,12 @@ class Asm:
         return {"n": self.n, "entries": [list(row) for row in self.entries]}
 
     def __str__(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
+        return "\n".join(map(_row_text, self.entries))
+
+
+def _row_text(row: tuple[int, ...]) -> str:
+    """A row as every text writer spells it: its entries by single spaces."""
+    return " ".join(map(str, row))
 
 
 @dataclass(frozen=True)

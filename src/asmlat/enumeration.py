@@ -184,10 +184,13 @@ def _cover_table(n: int) -> dict[int, tuple[tuple[tuple[tuple[int, int], ...], .
     return cover
 
 
-# each statistic as weights on I, N and beta, and the factor that puts
-# its exponents in half-units: 2H = 2I - N already is
+# The one list of the generating polynomials' names, which the genfun
+# command's choices and verify's suites read: each statistic as weights
+# on I, N and beta, and the factor that puts its exponents in half-units
+# (2H = 2I - N already is), each pair, and each universe
 _STATS = {"I": ((1, 0, 0), 2), "H": ((2, -1, 0), 1), "beta": ((0, 0, 1), 2)}
 _PAIRS = ("I:beta", "H:beta")
+_UNIVERSES = ("asm", "perm")
 
 
 def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int, signed: bool = False) -> dict[int, int]:
@@ -282,22 +285,23 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int, sig
 # bound past it, and neither made nor printed in full: printing takes time
 # quadratic in the digits
 _SHOWN = 10**10000
-# the end of every refusal: how to raise the guard; verify, which takes
-# no --guard, names the variable alone
-_RAISE_WITH = "; raise it with --guard N or ASMLAT_GUARD"
 
 
 def _raise_over_guard(what: str, sizes: Iterable[int], limit_guard: Optional[int]) -> None:
     """Refuse a size above :func:`resolve_guard`.  ``sizes`` are rising
     lower bounds on it, the last the size itself; they are read until
-    one is above both the guard and ``_SHOWN``."""
+    one is above both the guard and ``_SHOWN``.  The refusal names
+    ``--guard N`` only to a caller that passed a guard, as every command
+    with that flag does; one that passed none, such as ``verify``, is
+    told of ASMLAT_GUARD alone."""
     guard = resolve_guard(limit_guard)
     for size in sizes:
         if size > guard and size >= _SHOWN:
             break
     if size > guard:
         shown = f"= {decimal.Decimal(size)}" if size < _SHOWN else ">= 10^10000"
-        raise TooLarge(f"{what} {shown} exceeds guard {decimal.Decimal(guard)}{_RAISE_WITH}")
+        flag = "" if limit_guard is None else "--guard N or "
+        raise TooLarge(f"{what} {shown} exceeds guard {decimal.Decimal(guard)}; raise it with {flag}ASMLAT_GUARD")
 
 
 def _asm_counts() -> Iterator[int]:
@@ -325,7 +329,7 @@ def _check_dp(n: int, over: str, limit_guard: Optional[int]) -> bool:
     more DP steps than :func:`resolve_guard` allows: n^2 positions, each
     over at most 2^(n + 1) states.  True for ASMs, False for
     permutations."""
-    if over not in ("asm", "perm"):
+    if over not in _UNIVERSES:
         raise AsmError(f"unknown universe {over!r}; expected 'asm' or 'perm'")
     _require_size(n)
 
@@ -411,6 +415,14 @@ def bivariate_genfun(
     return BivariatePolynomial({(scale * (e // stride), e % stride): c for e, c in coeffs.items()})
 
 
+def _signed_beta(n: int, minus: bool) -> HalfIntPolynomial:
+    """The sum of (-1)^I q^beta over the ASMs of size n, or the
+    permutation matrices when not ``minus``, by the signed vertex DP with
+    beta alone as the exponent; no guard."""
+    coeffs = _vertex_sums(n, minus, 0, 0, 1, signed=True)
+    return HalfIntPolynomial({2 * b: c for b, c in coeffs.items()}, var="q")
+
+
 def signed_identity_check(n: int, limit_guard: Optional[int] = None) -> tuple[bool, HalfIntPolynomial, HalfIntPolynomial]:
     """Compare the signed rank sum over S_n with its product form: left,
     the sum of (-1)^I(w) q^beta(w); right, the product over k < n of
@@ -420,8 +432,7 @@ def signed_identity_check(n: int, limit_guard: Optional[int] = None) -> tuple[bo
     alone as the exponent: each state holds one field per value of beta,
     not one per value of (I, beta)."""
     _check_dp(n, "perm", limit_guard)
-    c = _vertex_sums(n, False, 0, 0, 1, signed=True)
-    lhs = HalfIntPolynomial({2 * b: v for b, v in c.items()}, var="q")
+    lhs = _signed_beta(n, False)
     factors = (HalfIntPolynomial({0: 1, 2 * k: -1}, var="q") ** (n - k) for k in range(1, n))
     rhs = math.prod(factors, start=HalfIntPolynomial.one(var="q"))
     return lhs == rhs, lhs, rhs

@@ -27,7 +27,7 @@ import sys
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .core import Asm, AsmError, NotSquare, Permutation, _checked, _RowMemo, validate
+from .core import Asm, AsmError, NotSquare, Permutation, _checked, _row_text, _RowMemo, validate
 
 if TYPE_CHECKING:  # for _Node alone: io needs nothing of stats at run time
     from .stats import StatRecord
@@ -152,10 +152,6 @@ _JSON_HEAD = '{"n": %d, "entries": ['  # a matrix's JSON: this, its _json_rows j
 
 def _json_row(row: tuple[int, ...]) -> str:
     return json.dumps(list(row))
-
-
-def _row_text(row: tuple[int, ...]) -> str:  # as str(Asm) prints it
-    return " ".join(map(str, row))
 
 
 def matrix_to_text(a: Asm, header: bool = False) -> str:

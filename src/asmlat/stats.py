@@ -116,8 +116,8 @@ def beta_row_weighted(a: Asm) -> int:
 def beta_corner(a: Asm) -> int:
     """Rank in O(n^2) terms: sum of (delta_ij - a_ij)(n-i+1)(n-j+1).
 
-    This is the default entry point for beta; the weighted sums above are
-    kept for cross-validation.
+    The definitional oracle that ``verify`` reads, beside the weighted
+    sums above; :func:`stat_record` is the entry point for beta.
     """
     n = a.n
     total = 0

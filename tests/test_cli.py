@@ -374,6 +374,14 @@ def test_readme_json_examples_are_real_output(capsys, tmp_path):
     assert commands == {"stats", "covers", "genfun", "hasse", "enumerate"}
 
 
+def test_genfun_choices_are_the_names_enumeration_knows():
+    # the parser reads enumeration's own lists, not copies of them
+    choices = {a.dest: a.choices for a in cli._build_parser("genfun")._actions}
+    assert choices["stat"] is enumeration._STATS
+    assert choices["bivariate"] is enumeration._PAIRS
+    assert choices["over"] is enumeration._UNIVERSES
+
+
 def test_genfun_needs_one_of_stat_and_bivariate(capsys):
     for what in ([], ["--stat", "I", "--bivariate", "I:beta"]):
         code, out, err = invoke(capsys, "genfun", "--size", "3", *what)

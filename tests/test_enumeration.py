@@ -95,6 +95,19 @@ def test_guard_message_names_the_override():
         genfun_stat(7, "I", over="perm", limit_guard=10)
 
 
+def test_guard_message_without_a_guard_names_the_variable_alone(monkeypatch):
+    # a caller that passed no guard has no --guard flag to raise
+    monkeypatch.setenv("ASMLAT_GUARD", "5")
+    for make, what in ((enumerate_asms, "|A_4| = 42"), (build_hasse, "|A_4| = 42"),
+                       (lambda n: genfun_stat(n, "I"), "4^2 * 2^5 DP steps = 512")):
+        with pytest.raises(TooLarge) as info:
+            make(4)
+        assert str(info.value) == f"{what} exceeds guard 5; raise it with ASMLAT_GUARD"
+    with pytest.raises(TooLarge) as info:
+        enumerate_asms(4, limit_guard=5)
+    assert str(info.value) == "|A_4| = 42 exceeds guard 5; raise it with --guard N or ASMLAT_GUARD"
+
+
 def _factorial_product(n):
     # the closed form multiplied out, then one exact division: the oracle
     # for the ratio walk that count_formula and the guards read

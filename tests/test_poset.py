@@ -33,9 +33,9 @@ from asmlat import (
 )
 from asmlat import core
 from asmlat.enumeration import build_hasse
-from asmlat.core import AsmError, SizeMismatch
+from asmlat.core import AsmError, SizeMismatch, iter_permutations
 from asmlat.poset import COVER_TYPES, CoverEdge, NotAnExchangeBlock, leq
-from asmlat.verify import bigrassmannians_below, scanned_cover_positions, scanned_try_cover
+from asmlat.verify import bigrassmannians_below, dominance_compare, scanned_cover_positions, scanned_try_cover
 
 from conftest import walked_asms
 
@@ -306,6 +306,35 @@ def test_beta_poset_oracle(example_a, example_b):
     }
     assert beta_poset_oracle(example_b) == 8
     assert beta_poset_oracle(identity(4)) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_order_code_bits_are_the_bigrassmannians_below(n):
+    # each bit of code(A) that the identity's code lacks is one
+    # bigrassmannian w <= A: the bit at level t of field (r, s) is the
+    # block swap 1..a, b+1..c, a+1..b, c+1..n with (a, b, c) = (t, s,
+    # r - t + s), and there are beta(A) of them
+    f, bottom = core._field_bits(n), core._code(identity(n))
+    bigrassmannians = [from_permutation(w) for w in enumerate_bigrassmannians(n)]
+    for a in iter_asms(n):
+        found, bits = [], core._code(a) & ~bottom
+        while bits:
+            bit = (bits & -bits).bit_length() - 1
+            bits ^= 1 << bit
+            (r, s), t = core._field_position(n, bit), bit % f
+            found.append(perm(*range(1, t + 1), *range(s + 1, r + s - t + 1), *range(t + 1, s + 1),
+                              *range(r + s - t + 1, n + 1)))
+        below = {m for m in bigrassmannians if dominance_compare(m, a) in (Ordering.LESS, Ordering.EQUAL)}
+        assert len(found) == len(set(found)) == beta_corner(a)
+        assert set(found) == below
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_each_matrix_is_the_join_below_and_the_meet_above_it_of_permutations(n):
+    permutations = [from_permutation(w) for w in iter_permutations(n)]
+    for a in iter_asms(n):
+        assert functools.reduce(join, [w for w in permutations if leq(w, a)]) == a
+        assert functools.reduce(meet, [w for w in permutations if leq(a, w)]) == a
 
 
 def test_is_join_irreducible(middle3, pools):

@@ -96,6 +96,20 @@ def test_count_formula_keeps_no_matrices(monkeypatch):
     assert fresh.cache_info().currsize == 0
 
 
+def test_count_formula_is_refused_by_the_guard(monkeypatch):
+    # the streamed count is refused where a listed A_n is, before its table
+    # is built: A_1 and A_2 are counted, |A_3| = 7 is above the guard
+    listed = functools.cache(verify_module._listed.__wrapped__)
+    tables = functools.cache(enumeration._row_table.__wrapped__)
+    monkeypatch.setattr(verify_module, "_listed", listed)
+    monkeypatch.setattr(enumeration, "_row_table", tables)
+    monkeypatch.setenv("ASMLAT_GUARD", "5")
+    with pytest.raises(enumeration.TooLarge) as info:
+        run_suite(verify_module.check_count_formula, 7)
+    assert str(info.value) == "|A_3| = 7 exceeds guard 5; raise it with ASMLAT_GUARD"
+    assert listed.cache_info().currsize == 0 and tables.cache_info().currsize == 2
+
+
 def test_pass_counts_stay_in_range_when_covers_are_wrong(monkeypatch, fresh_covers):
     # every up edge sent to the reversal: an edge can break several claims
     # of one suite at once, but it is one checked item, so it adds at most
