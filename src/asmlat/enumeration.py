@@ -459,10 +459,14 @@ class HasseGraph:
     edges: tuple[HasseEdge, ...]
 
     def to_dot(self, highlight_ji: bool = True) -> str:
+        """DOT text, join-irreducible nodes filled unless ``highlight_ji`` is
+        False; ``asmlat hasse`` fills them only with ``--highlight-ji``."""
         nodes = ((a.entries, record, ji) for a, record, ji in self.nodes)
         return "".join(_dot_chunks(self.n, nodes, self.edges, highlight_ji))
 
     def to_json_dict(self) -> dict:
+        """The dict whose ``json.dumps`` plus a newline is the text of
+        ``asmlat hasse --output json``, which ``io`` writes in chunks."""
         return {
             "n": self.n,
             "nodes": [

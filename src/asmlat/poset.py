@@ -28,7 +28,7 @@ exchange is at ``B & R_r & ~(B >> 8) & ~R_(r+1)`` and a down exchange at
 ``~B & ~R_r & (B >> 8) & R_(r+1)``: a few word operations per pair of
 rows, read off core's row records, with no corner-sum table.  The
 covers build a matrix at each position it gives, the join-irreducible
-test counts the lower positions by popcount, and ``enumeration``'s
+test reads the lower positions up to the second, and ``enumeration``'s
 cover table reads it on the masks of a column state and two steps.
 Bigrassmannian permutations are built directly as block swaps.  This
 module's brute-force oracles, the corner-sum walk for the cover
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -319,12 +320,5 @@ def enumerate_bigrassmannians(n: int) -> list[Permutation]:
 
 def is_join_irreducible(a: Asm) -> bool:
     """True iff a covers exactly one element: the exchange rule's lower
-    positions are counted row pair by row pair, stopping past one, and
-    no lower matrix is built."""
-    records, col, found = _records(a), 0, 0
-    for top, bottom in zip(records, records[1:]):
-        col ^= top.nonzero
-        found += _exchanges(col, top.run, bottom.run, False).bit_count()
-        if found > 1:
-            return False
-    return found == 1
+    positions, read up to the second, and no lower matrix is built."""
+    return len(list(itertools.islice(_cover_positions(a, False), 2))) == 1

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -7,12 +8,13 @@ from asmlat import (
     Permutation,
     core,
     covers_up,
-    enumerate_asms,
     from_corner_sum,
     from_permutation,
     identity,
     io,
     iter_asms,
+    join,
+    meet,
     validate,
 )
 
@@ -49,8 +51,8 @@ def middle3():
 
 @pytest.fixture(scope="session")
 def pools():
-    """All matrices of sizes 1..5, enumerated once per test session."""
-    return {n: enumerate_asms(n) for n in range(1, 6)}
+    """All matrices of sizes 1..5, read from ``walked_asms``."""
+    return {n: walked_asms(n) for n in range(1, 6)}
 
 
 def clear_row_memos():
@@ -97,3 +99,17 @@ def walked_asms(n):
     if n <= 10:
         return [_cover_walk(n, rng.randrange(top + 1), rng) for _ in range(300)]
     return [_site_walk(n, rng.randrange(8 * top + 1), rng) for _ in range(12)]
+
+
+@functools.lru_cache(maxsize=None)
+def joined_permutations(n):
+    """Seeded random permutation matrices of size n, six of them (four
+    past n = 255), then the join and the meet of each pair, most of which
+    have -1 entries."""
+    rng = random.Random(n)
+    perms = []
+    for _ in range(6 if n < 256 else 4):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        perms.append(from_permutation(Permutation.from_images(images)))
+    return perms + [f(x, y) for x, y in itertools.combinations(perms, 2) for f in (join, meet)]

@@ -30,9 +30,8 @@ from asmlat import (
 )
 from asmlat import core
 from asmlat.core import IndexOutOfRange, check_corner_sums, iter_permutations
-from asmlat.enumeration import enumerate_asms
 
-from conftest import EXAMPLE_A_ROWS, clear_row_memos
+from conftest import EXAMPLE_A_ROWS, clear_row_memos, walked_asms
 
 
 def test_validate_example_a(example_a):
@@ -148,10 +147,9 @@ def test_validate_matches_entrywise_scan_on_malformed_input():
     # (Robbins-Rumsey): a square integer matrix is an ASM iff its corner
     # sums step by 0 or 1 and end in 1..n along the last row and column
     rng = random.Random(2019)
-    pools = {n: enumerate_asms(n) for n in range(1, 7)}
     malformed = 0
     for _ in range(12_000):
-        rows = [list(row) for row in rng.choice(pools[rng.randint(1, 6)]).entries]
+        rows = [list(row) for row in rng.choice(walked_asms(rng.randint(1, 6))).entries]
         for _ in range(rng.randint(1, 3)):
             _mutate(rng, rows)
         got = _outcome(validate, rows)
@@ -209,10 +207,9 @@ def test_validate_answers_alike_with_a_cold_or_warm_row_memo():
     # emptied before each call, holds the rows of the call before, or holds
     # every row of A_1 ... A_6 and of all the inputs before
     rng = random.Random(30)
-    pools = {n: enumerate_asms(n) for n in range(1, 7)}
     cases = []
     for _ in range(3000):
-        rows = [list(row) for row in rng.choice(pools[rng.randint(1, 6)]).entries]
+        rows = [list(row) for row in rng.choice(walked_asms(rng.randint(1, 6))).entries]
         for _ in range(rng.randint(0, 2)):
             _mutate(rng, rows)
         cases.append(rows)
@@ -222,8 +219,8 @@ def test_validate_answers_alike_with_a_cold_or_warm_row_memo():
         clear_row_memos()
         assert _outcome(validate, rows) == w, rows
         assert _outcome(validate, rows) == w, rows
-    for pool in pools.values():
-        for a in pool:
+    for n in range(1, 7):
+        for a in walked_asms(n):
             validate(a.entries)
     for rows, w in zip(cases, want):
         assert _outcome(validate, rows) == w, rows
@@ -381,7 +378,7 @@ def test_from_corner_sum_round_trip(example_a):
 def test_decoding_inverts_encoding(n):
     # the decoder rebuilds every matrix from its order code alone and keeps
     # that code as the result's memo
-    for a in enumerate_asms(n):
+    for a in walked_asms(n):
         k = core._code(a)
         x = core._from_code(n, k)
         assert x == a
@@ -422,30 +419,11 @@ def _thermometer_code(a):
     return int.from_bytes(b"".join(fields[c] for row in corner_sum(a).sums for c in row), "big")
 
 
-def _random_asm(n, rng):
-    """A random permutation's corner sums moved by 2n^2 random steps of
-    one inner sum, each kept when the table stays a corner-sum table."""
-    w = Permutation.from_images(rng.sample(range(1, n + 1), n))
-    c = [list(row) for row in corner_sum(from_permutation(w)).sums]
-
-    def at(i, j):
-        return c[i][j] if i >= 0 and j >= 0 else 0
-
-    for _ in range(2 * n * n):
-        i, j = rng.randrange(n - 1), rng.randrange(n - 1)
-        v = c[i][j] + rng.choice((-1, 1))
-        if all(step in (0, 1) for step in (v - at(i, j - 1), c[i][j + 1] - v, v - at(i - 1, j), c[i + 1][j] - v)):
-            c[i][j] = v
-    return from_corner_sum(c)
-
-
 def test_code_is_the_thermometer_code_of_the_corner_sums():
     # the row-by-row build against the definition, on all of A_n for n <= 6
-    # and on random matrices with one-, two- and three-byte fields, with a
+    # and on walked matrices with two-, three- and four-byte fields, with a
     # cold row memo and then a warm one
-    rng = random.Random(30)
-    matrices = [a for n in range(1, 7) for a in enumerate_asms(n)]
-    matrices += [_random_asm(n, rng) for n in (7, 8, 9, 15, 16, 17) for _ in range(10)]
+    matrices = [a for n in (*range(1, 7), 8, 10, 15, 20, 30) for a in walked_asms(n)]
     assert sum(minus_count(a) >= 3 for a in matrices if a.n >= 15) >= 25
     want = [_thermometer_code(a) for a in matrices]
     clear_row_memos()
@@ -466,9 +444,7 @@ def test_records_agree_however_the_matrix_was_made():
     # validate keeps the records it checked the rows with, each the row's
     # one entry of _ROWS; a matrix of the raw constructor or of the decoder
     # looks its rows up on first use.  All three read the same records
-    rng = random.Random(31)
-    matrices = [a for n in range(1, 6) for a in enumerate_asms(n)]
-    matrices += [_random_asm(n, rng) for n in (7, 9, 17, 30) for _ in range(5)]
+    matrices = [a for n in (*range(1, 6), 8, 10, 20, 30) for a in walked_asms(n)]
     for a in matrices:
         clear_row_memos()
         checked = validate(a.entries)
@@ -485,7 +461,7 @@ def test_validate_fills_no_code_fields():
     # the row's one entry, and never by validate
     clear_row_memos()
     for n in range(1, 7):
-        for a in enumerate_asms(n):
+        for a in walked_asms(n):
             validate(a.entries)
     assert len(core._ROWS) == sum(2 ** (n - 1) for n in range(1, 7))
     assert all(m.zeros is None for m in core._ROWS.values())
@@ -604,7 +580,7 @@ def test_asm_hash_is_kept_after_the_first_call(example_a):
 
 def test_asm_hash_is_the_hash_of_its_fields():
     for n in range(1, 7):
-        for a in enumerate_asms(n):
+        for a in walked_asms(n):
             assert hash(a) == hash((a.n, a.entries))
 
 

@@ -47,6 +47,8 @@ from asmlat.stats import (
 
 from pathlib import Path
 
+from conftest import walked_asms
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -54,16 +56,18 @@ def test_count_formula_values():
     assert [count_formula(n) for n in range(1, 8)] == [1, 2, 7, 42, 429, 7436, 218348]
 
 
-def test_enumeration_no_duplicates_all_valid(pools):
+def test_enumeration_no_duplicates_all_valid():
     for n in (3, 4, 5):
-        assert len(set(pools[n])) == len(pools[n])
-        for a in pools[n]:
+        pool = enumerate_asms(n)
+        assert len(set(pool)) == len(pool)
+        for a in pool:
             validate(a.entries)
 
 
-def test_enumeration_order_lexicographic(pools):
+def test_enumeration_order_lexicographic():
     for n in (3, 4):
-        assert pools[n] == sorted(pools[n], key=lambda a: a.entries)
+        pool = enumerate_asms(n)
+        assert pool == sorted(pool, key=lambda a: a.entries)
 
 
 def test_enumeration_small():
@@ -218,7 +222,7 @@ def test_signed_dp_is_the_definitional_signed_sum():
     # weight 1 on I, N and beta, so both subtracted moves shift
     for n in range(1, 7):
         want = {}
-        for a in iter_asms(n):
+        for a in walked_asms(n):
             inv = inversion_number(a)
             e = inv + minus_count(a) + beta_corner(a)
             want[e] = want.get(e, 0) + (-1) ** inv
@@ -374,6 +378,13 @@ def _bits(mask, n):
     return tuple(mask.to_bytes(n, "little"))
 
 
+def _beta_share(i, new):
+    """Row i's share of beta by its definition, sum_j (min(i, j) -
+    c(i, j)), given the column state after the row as a 0/1 tuple, whose
+    running sums are the c(i, j)."""
+    return sum(min(i, j) - c for j, c in enumerate(itertools.accumulate(new), 1))
+
+
 def test_row_table_paths_count_matrices():
     for n in range(1, 11):
         table = {_bits(col, n): steps for col, steps in _row_table(n).items()}
@@ -482,16 +493,14 @@ def test_vertex_dp_pairs_both_bits_at_one(minus):
 
 
 def test_row_deltas_never_negative():
-    # every step's shares are >= 0, and its beta share is
-    # sum_j (min(i, j) - c(i, j)) over the corner sums of its new state
+    # every step's shares are >= 0, and its beta share is the definition's
+    # over its new state
     for n in range(1, 9):
         for col, steps in _row_table(n).items():
             i = 1 + sum(_bits(col, n))
             for step in steps:
-                corner = itertools.accumulate(_bits(step.new, n))
-                want = sum(min(i, j) - c for j, c in enumerate(corner, 1))
                 assert step.d_inv >= 0 and 2 * step.d_inv - step.d_minus >= 0
-                assert step.d_beta == want >= 0
+                assert step.d_beta == _beta_share(i, _bits(step.new, n)) >= 0
 
 
 def test_vertex_shares_never_negative():
@@ -508,9 +517,7 @@ def test_vertex_shares_never_negative():
         for new in itertools.product((0, 1), repeat=n):
             i = sum(new)
             if i:
-                corner = list(itertools.accumulate(new))
-                want = sum(min(i, j) - c for j, c in enumerate(corner, 1))
-                assert _row_beta(i, n, sum(corner)) == want >= 0
+                assert _row_beta(i, n, sum(itertools.accumulate(new))) == _beta_share(i, new) >= 0
 
 
 def test_row_table_matches_brute_force():

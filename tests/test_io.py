@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from asmlat import Permutation, enumerate_asms, from_permutation, validate
+from asmlat import Permutation, from_permutation, validate
 from asmlat import io as asmlat_io
 from asmlat.cli import run
 from asmlat import core
@@ -22,7 +22,7 @@ from asmlat.io import (
     parse_permutation,
 )
 
-from conftest import EXAMPLE_A_ROWS, clear_row_memos
+from conftest import EXAMPLE_A_ROWS, clear_row_memos, walked_asms
 
 
 def text_of(rows):
@@ -294,7 +294,7 @@ def int_reader(text):
     return validate(rows)
 
 
-_POOL = {n: enumerate_asms(n) for n in range(1, 5)}
+_POOL = {n: walked_asms(n) for n in range(1, 5)}
 _SPELLINGS = {0: ["0", "00", "-0"], 1: ["1", "01"], -1: ["-1", "-01"]}
 _ascii_token = st.text("0123456789-", min_size=1, max_size=3)
 _replacement = st.sampled_from(["-1", "0", "1"]) | _ascii_token

@@ -22,22 +22,19 @@ from asmlat import (
     identity,
     is_bigrassmannian,
     is_join_irreducible,
-    iter_asms,
     join,
     meet,
     minus_count,
     rank_by_chain,
     to_permutation,
     try_cover,
-    validate,
 )
 from asmlat import core
-from asmlat.enumeration import build_hasse
-from asmlat.core import AsmError, SizeMismatch, iter_permutations
-from asmlat.poset import COVER_TYPES, CoverEdge, NotAnExchangeBlock, leq
+from asmlat.core import SizeMismatch, iter_permutations
+from asmlat.poset import COVER_TYPES, NotAnExchangeBlock, leq
 from asmlat.verify import bigrassmannians_below, dominance_compare, scanned_cover_positions, scanned_try_cover
 
-from conftest import walked_asms
+from conftest import joined_permutations, walked_asms
 
 
 def perm(*images):
@@ -83,59 +80,6 @@ def test_try_cover_simplest():
 def test_try_cover_rejects_rank_gap():
     assert try_cover(identity(3), perm(3, 2, 1)) is None
     assert try_cover(perm(2, 1, 3), identity(3)) is None  # wrong direction
-
-
-def brute_force_covers(a, sign):
-    """The cover oracle: add sign * [[-1, 1], [1, -1]] at every (r, s) in
-    order and keep each result that validate accepts (sign 1 finds upper
-    covers of a, sign -1 lower ones).  A block entry outside {-1, 0, 1}
-    is skipped before validate, which would reject it too."""
-    out = []
-    for r in range(1, a.n):
-        for s in range(1, a.n):
-            rows = [list(row) for row in a.entries]
-            rows[r - 1][s - 1] -= sign
-            rows[r - 1][s] += sign
-            rows[r][s - 1] += sign
-            rows[r][s] -= sign
-            quad = (rows[r - 1][s - 1], rows[r - 1][s], rows[r][s - 1], rows[r][s])
-            if any(v not in (-1, 0, 1) for v in quad):
-                continue
-            try:
-                b = validate(rows)
-            except AsmError:
-                continue
-            lower, upper = (a, b) if sign == 1 else (b, a)
-            block = lambda m: [row[s - 1 : s + 1] for row in m.entries[r - 1 : r + 1]]
-            t = classify_cover_type(block(lower), block(upper))
-            out.append(CoverEdge(lower, upper, r, s, t.index, t.d_inv, t.d_minus, t.d_weak2))
-    return out
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_covers_match_brute_force(n):
-    # the brute-force neighbours and try_cover up to n = 5; at n = 6,
-    # where rebuilding every neighbour through validate took a fifth of
-    # the whole test run, the oracle is the walk of build_hasse, as in
-    # verify's hasse-vs-cover-scan
-    up_edges, down_edges = set(), set()
-    for a in iter_asms(n):
-        up, down = covers_up(a), covers_down(a)
-        if n <= 5:
-            assert up == brute_force_covers(a, 1)
-            assert down == brute_force_covers(a, -1)
-            for e in up:
-                assert try_cover(a, e.upper) == e
-                assert try_cover(e.upper, a) is None
-        up_edges.update(up)
-        down_edges.update(down)
-    # each edge is found once from either end, and is an edge of the walk
-    assert up_edges == down_edges
-    graph = build_hasse(n)
-    index = {node.matrix: i for i, node in enumerate(graph.nodes)}
-    assert sorted((index[e.lower], index[e.upper], e.cover_type) for e in up_edges) == sorted(
-        (e.lower, e.upper, e.cover_type) for e in graph.edges
-    )
 
 
 def test_covers_up_identity3():
@@ -229,24 +173,13 @@ def test_join_meet_are_bounds(pools):
 WIDE_SIZES = (7, 8, 9, 15, 16, 17, 260)
 
 
-def _random_perm(n, rng):
-    images = list(range(1, n + 1))
-    rng.shuffle(images)
-    return perm(*images)
-
-
 @functools.lru_cache(maxsize=None)
 def _join_meet_sweep(n):
     # the pairs both join/meet tests below check, with their join and meet,
     # built once per n: every pair for n <= 4, 10,000 seeded draws for 5 and
-    # 6, and above that, where nothing is enumerated, pairs from seeded
-    # random permutations and the joins and meets of two of them
-    if n <= 6:
-        universe = list(iter_asms(n))
-    else:
-        rng = random.Random(n)
-        perms = [_random_perm(n, rng) for _ in range(8 if n < 256 else 4)]
-        universe = perms + [f(x, y) for x, y in itertools.combinations(perms, 2) for f in (join, meet)]
+    # 6, and above that, where nothing is enumerated, pairs from the joined
+    # permutations
+    universe = walked_asms(n) if n <= 6 else joined_permutations(n)
     if n <= 4:
         pairs = itertools.product(universe, repeat=2)
     else:
@@ -316,7 +249,7 @@ def test_order_code_bits_are_the_bigrassmannians_below(n):
     # r - t + s), and there are beta(A) of them
     f, bottom = core._field_bits(n), core._code(identity(n))
     bigrassmannians = [from_permutation(w) for w in enumerate_bigrassmannians(n)]
-    for a in iter_asms(n):
+    for a in walked_asms(n):
         found, bits = [], core._code(a) & ~bottom
         while bits:
             bit = (bits & -bits).bit_length() - 1
@@ -332,7 +265,7 @@ def test_order_code_bits_are_the_bigrassmannians_below(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_each_matrix_is_the_join_below_and_the_meet_above_it_of_permutations(n):
     permutations = [from_permutation(w) for w in iter_permutations(n)]
-    for a in iter_asms(n):
+    for a in walked_asms(n):
         assert functools.reduce(join, [w for w in permutations if leq(w, a)]) == a
         assert functools.reduce(meet, [w for w in permutations if leq(a, w)]) == a
 
@@ -343,26 +276,49 @@ def test_is_join_irreducible(middle3, pools):
     assert sum(1 for a in pools[4] if is_join_irreducible(a)) == 10
 
 
+def _covers_match_the_scan(universe):
+    """The exact guard of the exchange rule, which the registry reaches
+    only through covers_up: each cover's position, in order, against the
+    corner-sum walk, each edge against the corner-sum cover test and
+    try_cover both ways, and join-irreducibility against the lower
+    positions counted.  Returns the up edges and the down edges found."""
+    held = {a: a for a in universe}  # an end read from here keeps its memos
+    found = {True: set(), False: set()}
+    for a in universe:
+        for up, cover in ((True, covers_up), (False, covers_down)):
+            edges, positions = cover(a), scanned_cover_positions(a, up)
+            assert [(e.r, e.s) for e in edges] == positions
+            found[up].update(edges)
+        assert is_join_irreducible(a) == (len(positions) == 1)  # the lower ones, scanned last
+    for e in found[True] | found[False]:
+        lower, upper = held.get(e.lower, e.lower), held.get(e.upper, e.upper)
+        assert scanned_try_cover(lower, upper) == e == try_cover(lower, upper)
+        assert try_cover(upper, lower) is None
+    return found[True], found[False]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_covers_match_brute_force(n):
+    # the covers against verify's scan of every position, on all of A_n,
+    # where each edge is found once from either end
+    up, down = _covers_match_the_scan(walked_asms(n))
+    assert up == down
+
+
+@pytest.mark.parametrize("n", [8, 10, 20, 30])
+def test_cover_mask_rule_matches_the_corner_sum_walk(n):
+    # the same past the sizes enumerated, on walks with -1 entries, past
+    # 8 and 16 columns
+    universe = walked_asms(n)
+    assert sum(minus_count(a) for a in universe) >= len(universe)
+    _covers_match_the_scan(universe)
+
+
 @pytest.mark.parametrize("n", [*range(1, 7), 8, 10])
 def test_is_join_irreducible_counts_lower_covers(n):
     # the position count, stopped at the second, agrees with the edges
     for a in walked_asms(n):
         assert is_join_irreducible(a) == (len(covers_down(a)) == 1)
-
-
-@pytest.mark.parametrize("n", [8, 10, 20, 30])
-def test_cover_mask_rule_matches_the_corner_sum_walk(n):
-    # the exchange rule on row masks, past the sizes the brute-force covers
-    # reach and past 8 and 16 columns: each cover's position, in order,
-    # against the corner-sum walk, each edge against the corner-sum cover
-    # test, and join-irreducibility against the lower positions counted
-    universe = walked_asms(n)
-    assert sum(minus_count(a) for a in universe) >= len(universe)
-    for a in universe:
-        for up, edges in ((True, covers_up(a)), (False, covers_down(a))):
-            assert [(e.r, e.s) for e in edges] == scanned_cover_positions(a, up)
-            assert all(scanned_try_cover(e.lower, e.upper) == e for e in edges)
-        assert is_join_irreducible(a) == (len(scanned_cover_positions(a, False)) == 1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -374,7 +330,7 @@ def test_join_irreducible_count_is_binomial(n):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_join_meet_of_comparable_pair_is_an_operand(n):
     # a <= b: the join is b itself and the meet a itself, not rebuilt
-    universe = list(iter_asms(n))
+    universe = walked_asms(n)
     for a, b in itertools.product(universe, repeat=2):
         if leq(a, b):
             assert join(a, b) is b and join(b, a) is b

@@ -11,14 +11,11 @@ from asmlat import (
     beta_row_weighted,
     beta_weighted,
     dual_inversion_number,
-    enumerate_asms,
     from_permutation,
     identity,
     inversion_list,
     inversion_number,
-    join,
     local_weak_contribution,
-    meet,
     minus_count,
     stat_record,
     validate,
@@ -29,7 +26,7 @@ from asmlat.core import IndexOutOfRange
 from asmlat.stats import StatRecord, classical_beta
 from asmlat.verify import scanned_local_weak_contribution
 
-from conftest import walked_asms
+from conftest import joined_permutations, walked_asms
 
 
 # Quadruple-loop reference implementations, deliberately independent of the
@@ -178,23 +175,11 @@ def test_local_weak_contribution(example_a):
         local_weak_contribution(example_a, 1, 5)
 
 
-def _random_asms(n, rng):
-    # four seeded random permutations with their joins and meets, most of
-    # which have -1 entries
-    perms = []
-    for _ in range(4):
-        images = list(range(1, n + 1))
-        rng.shuffle(images)
-        perms.append(from_permutation(Permutation.from_images(images)))
-    return perms + [f(x, y) for x in perms for y in perms if x != y for f in (join, meet)]
-
-
 def test_local_weak_contribution_matches_scan():
     # the corner-sum reading against the entry scan at every position:
-    # all of A_n for n <= 5, then random matrices at n = 8..20
-    rng = random.Random(14)
-    matrices = [a for n in range(1, 6) for a in enumerate_asms(n)]
-    matrices += [a for n in (8, 9, 10, 13, 16, 20) for a in _random_asms(n, rng)]
+    # all of A_n for n <= 5, then the joined permutations at n = 8..20
+    matrices = [a for n in range(1, 6) for a in walked_asms(n)]
+    matrices += [a for n in (8, 9, 10, 13, 16, 20) for a in joined_permutations(n)]
     assert sum(minus_count(a) > 0 for a in matrices if a.n >= 8) > 30
     for a in matrices:
         for p in range(1, a.n + 1):

@@ -9,7 +9,6 @@ from asmlat import (
     Permutation,
     build_hasse,
     cli,
-    enumerate_asms,
     enumeration,
     from_permutation,
     minus_count,
@@ -20,6 +19,8 @@ from asmlat import (
 from asmlat.core import Asm, AsmError
 from asmlat.enumeration import _walk_hasse
 from asmlat.verify import SUITES, generic_covers, run_suite
+
+from conftest import walked_asms
 
 # the module, not the function asmlat.verify that shadows it
 verify_module = importlib.import_module("asmlat.verify")
@@ -242,7 +243,7 @@ def test_generic_covers_are_the_hasse_edges(n):
 def test_generic_covers_in_any_order(n, shuffle):
     # in canonical order a matrix comes before every matrix below it, so
     # only another order makes compare answer LESS for a pair (i < j)
-    canonical = enumerate_asms(n)
+    canonical = walked_asms(n)
     order = list(range(len(canonical)))[::-1]
     if shuffle == "seeded":
         random.Random(n).shuffle(order)
