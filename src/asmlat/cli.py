@@ -3,8 +3,10 @@
 Subcommands: enumerate, count, stats, covers, hasse, genfun, verify.
 Exit codes: 0 success, 1 usage error, 2 domain error (invalid matrix or
 arguments out of domain), 3 enumeration guard exceeded, 4 verification
-failure, 141 stdout closed by its reader.  Output is human-readable by
-default; --format json switches to the JSON schemas listed in README.md.
+failure, 141 stdout closed by its reader.  Each command loads its input,
+makes one library call and hands the result to its writer in ``io``,
+which spells every line: human-readable by default, or with --format
+json the JSON schemas listed in README.md.
 ``run`` builds only the parser of the command it runs, on that command's
 first call, and reuses it for the rest of the process.  The full parser,
 with every command as a subparser, is built only when the arguments do
@@ -14,9 +16,7 @@ not start with a command, or to report leftover arguments in its words.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
-import json
 import os
 import sys
 from typing import Callable, NamedTuple, Optional
@@ -120,32 +120,10 @@ def _add_matrix_args(sp) -> None:
     src.add_argument("--perm", help="one-line permutation, e.g. 3412 or 3,4,1,2")
 
 
-def _read_utf8(path: str) -> str:
-    """The file at path, or stdin for "-", decoded as strict UTF-8.
-
-    Stdin is read as bytes, since its text layer decodes by the locale
-    (the POSIX locale turns bad bytes into surrogates); a stdin with no
-    byte layer, such as an ``io.StringIO``, is already text.
-    """
-    if path == "-":
-        name, stream = "stdin", getattr(sys.stdin, "buffer", None)
-        if stream is None:
-            return sys.stdin.read()
-        data = stream.read()
-    else:
-        name = path
-        with open(path, "rb") as fh:
-            data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise io.ParseError(f"{name}: byte {exc.start} is not UTF-8 text") from None
-
-
 def _load_matrix(args) -> Asm:
     if args.perm is not None:
         return from_permutation(io.parse_permutation(args.perm))
-    return io.parse_matrix(_read_utf8(args.matrix))
+    return io.parse_matrix(io._read_utf8(args.matrix))
 
 
 def _cmd_enumerate(args) -> int:
@@ -161,37 +139,21 @@ def _cmd_count(args) -> int:
         # stream the matrices: counting needs none of them kept
         enumeration._check_size(args.size, args.guard)
         count = sum(1 for _ in enumeration.iter_asms(args.size))
-    # exact at any size: str() of an int refuses more than 4,300 digits
-    print(decimal.Decimal(count))
+    io._write_count(count)
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    a = _load_matrix(args)
-    rec = stat_record(a)
-    if args.format == "json":
-        print(json.dumps(rec.to_json_dict()))
-    else:
-        h = rec.weak
-        print(f"I={rec.inv} I*={rec.dual_inv} N={rec.minus} H={h} beta={rec.beta}")
+    io._write_stats(stat_record(_load_matrix(args)), args.format)
     return EXIT_OK
 
 
 def _cmd_covers(args) -> int:
     a = _load_matrix(args)
-    # each edge labelled by the call that found it
-    found = []
-    if args.up or not args.down:
-        found += [("up", e, e.upper) for e in poset.covers_up(a)]
-    if args.down or not args.up:
-        found += [("down", e, e.lower) for e in poset.covers_down(a)]
-    if args.format == "json":
-        print(json.dumps([e.to_json_dict() for _, e, _ in found]))
-    else:
-        for direction, e, other in found:
-            print(f"{direction} ({e.r},{e.s}) type={e.cover_type} "
-                  f"dI={e.d_inv} dN={e.d_minus} dH2={e.d_weak2}")
-            print(io.matrix_to_text(other))
+    # with neither flag, both directions
+    up = poset.covers_up(a) if args.up or not args.down else []
+    down = poset.covers_down(a) if args.down or not args.up else []
+    io._write_covers(up, down, args.format)
     return EXIT_OK
 
 
@@ -207,16 +169,13 @@ def _cmd_genfun(args) -> int:
     # argparse lets exactly one of --stat and --bivariate through
     genfun = enumeration.bivariate_genfun if args.bivariate else enumeration.genfun_stat
     poly = genfun(args.size, args.bivariate or args.stat, over=args.over, limit_guard=args.guard)
-    if args.format == "json":
-        print(json.dumps(poly.to_json_dict()))
-    else:
-        print(poly)
+    io._write_genfun(poly, args.format)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     report = run_verify(args.n_max)
-    print(report)
+    io._write_report(report)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 

@@ -33,7 +33,6 @@ shares of I, N and beta off one rule in ``stats``, as
 
 from __future__ import annotations
 
-import decimal
 import functools
 import itertools
 import math
@@ -44,8 +43,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import Asm, AsmError, _require_size, _Row
-from .io import _Edge, _Node, _Rows, _dot_chunks, read_int
-from .poset import _TYPE_BY_LOWER_BLOCK, _exchanges
+from .io import _Edge, _Node, _Rows, _dot_chunks, _exact, read_int
+from .poset import _EDGE_TAIL, _exchange_columns, _exchanges
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import StatRecord, _entry_shares, _record, _row_beta
 
@@ -169,15 +168,11 @@ def _cover_table(n: int) -> dict[int, tuple[tuple[tuple[tuple[int, int], ...], .
             from_q = []
             for second in table[q]:
                 q2, found = second.new, []
-                at = _exchanges(q, top, second.record.run, True)
-                while at:
-                    low = at & -at
-                    at ^= low
-                    s = low.bit_length() // 8 + 1
-                    qx = q ^ low * 0x101
+                for s in _exchange_columns(_exchanges(q, top, second.record.run, True)):
+                    qx = q ^ 0x101 << 8 * s - 8  # column s's 1 moved to s + 1
                     delta = off[p, qx] + off[qx, q2] - off[p, q] - off[q, q2]
                     block = first.row[s - 1 : s + 1] + second.row[s - 1 : s + 1]
-                    found.append((delta, _TYPE_BY_LOWER_BLOCK[block].index))
+                    found.append((delta, _EDGE_TAIL[block][0]))  # the cover type, as _edge reads it
                 from_q.append(tuple(found))
             from_p.append(tuple(from_q))
         cover[p] = tuple(from_p)
@@ -299,9 +294,9 @@ def _raise_over_guard(what: str, sizes: Iterable[int], limit_guard: Optional[int
         if size > guard and size >= _SHOWN:
             break
     if size > guard:
-        shown = f"= {decimal.Decimal(size)}" if size < _SHOWN else ">= 10^10000"
+        shown = f"= {_exact(size)}" if size < _SHOWN else ">= 10^10000"
         flag = "" if limit_guard is None else "--guard N or "
-        raise TooLarge(f"{what} {shown} exceeds guard {decimal.Decimal(guard)}; raise it with {flag}ASMLAT_GUARD")
+        raise TooLarge(f"{what} {shown} exceeds guard {_exact(guard)}; raise it with {flag}ASMLAT_GUARD")
 
 
 def _asm_counts() -> Iterator[int]:

@@ -1,4 +1,5 @@
-"""Text and JSON formats for matrices, permutations and cover graphs.
+"""Text and JSON formats: the readers of matrices and permutations, and
+the writers of every command's output.
 
 Matrix text format: an optional first line "n <size>", then n lines of n
 whitespace-separated integers.  Permutation shorthand: "perm:<images>"
@@ -12,25 +13,31 @@ tokens are all ``0``, ``1`` or ``-1`` is kept with its row in a bounded
 memo (``_LINES``, a ``core._RowMemo``), so the reader does not split a
 line it has seen; any other line is split and read each time.
 
-Every writer spells a row one way, as text and as JSON, and the commands'
-writers stream, each write bounded: ``enumerate`` joins its matrices and
-a hasse writer its nodes 16,384 to a write, and a hasse writer formats
-its edges a block of up to 16,384 at a time, one ``%`` per block, each
-block a write of its own.
+Every command's output is written here, by one writer per command that
+finds ``sys.stdout`` when called.  Every writer spells a row one way, as
+text and as JSON, and a statistics record's JSON one way, and the
+writers of ``enumerate`` and ``hasse`` stream, each write bounded:
+``enumerate`` joins its matrices and a hasse writer its nodes 16,384 to a
+write, and a hasse writer formats its edges a block of up to 16,384 at a
+time, one ``%`` per block, each block a write of its own.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import re
 import sys
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .core import Asm, AsmError, NotSquare, Permutation, _checked, _row_text, _RowMemo, validate
 
-if TYPE_CHECKING:  # for _Node alone: io needs nothing of stats at run time
+if TYPE_CHECKING:  # for annotations alone: io needs nothing but core at run time
+    from .polynomials import BivariatePolynomial, HalfIntPolynomial
+    from .poset import CoverEdge
     from .stats import StatRecord
+    from .verify import VerifyReport
 
 
 class ParseError(AsmError):
@@ -54,6 +61,29 @@ def read_int(token: str) -> int:
     if not _INT.fullmatch(t):
         raise ValueError(f"not an ASCII integer: {token!r}")
     return int(t)  # ValueError too past sys.get_int_max_str_digits()
+
+
+def _read_utf8(path: str) -> str:
+    """The file at path, or stdin for "-", decoded as strict UTF-8: the
+    text of a command's ``--matrix``, for :func:`parse_matrix`.
+
+    Stdin is read as bytes, since its text layer decodes by the locale
+    (the POSIX locale turns bad bytes into surrogates); a stdin with no
+    byte layer, such as an ``io.StringIO``, is already text.
+    """
+    if path == "-":
+        name, stream = "stdin", getattr(sys.stdin, "buffer", None)
+        if stream is None:
+            return sys.stdin.read()
+        data = stream.read()
+    else:
+        name = path
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name}: byte {exc.start} is not UTF-8 text") from None
 
 
 def parse_matrix(text: str) -> Asm:
@@ -212,6 +242,52 @@ def _write(chunks: Iterable[str]) -> None:
         write(chunk)
 
 
+def _exact(number: int) -> str:
+    """An int's decimal text at any size: ``str()`` refuses more than 4,300 digits."""
+    return str(decimal.Decimal(number))
+
+
+def _stats_json(record: StatRecord) -> str:
+    """A record's JSON, as ``stats`` and a hasse node write it."""
+    return json.dumps(record.to_json_dict())
+
+
+def _write_count(count: int) -> None:
+    """``count``'s output, exact."""
+    print(_exact(count))
+
+
+def _write_stats(record: StatRecord, fmt: str) -> None:
+    """``stats``'s output: the record's JSON, or a line of I, I*, N, H and beta."""
+    if fmt == "json":
+        print(_stats_json(record))
+    else:
+        print(f"I={record.inv} I*={record.dual_inv} N={record.minus} H={record.weak} beta={record.beta}")
+
+
+def _write_covers(up: Sequence[CoverEdge], down: Sequence[CoverEdge], fmt: str) -> None:
+    """``covers``'s output, the up edges before the down ones: one JSON
+    list, or per edge a line of its exchange, then the matrix at its other
+    end and a blank line."""
+    if fmt == "json":
+        print(json.dumps([e.to_json_dict() for e in (*up, *down)]))
+    else:
+        for way, edges in (("up", up), ("down", down)):
+            for e in edges:
+                print(f"{way} ({e.r},{e.s}) type={e.cover_type} dI={e.d_inv} dN={e.d_minus} dH2={e.d_weak2}")
+                print(matrix_to_text(e.upper if way == "up" else e.lower))
+
+
+def _write_genfun(poly: HalfIntPolynomial | BivariatePolynomial, fmt: str) -> None:
+    """``genfun``'s output: the polynomial's JSON, or its printed form."""
+    print(json.dumps(poly.to_json_dict()) if fmt == "json" else poly)
+
+
+def _write_report(report: VerifyReport) -> None:
+    """``verify``'s output: the report as it prints itself."""
+    print(report)
+
+
 def _write_matrices(n: int, matrices: Iterable[Asm], fmt: str) -> None:
     """``enumerate``'s output: a JSON list of matrix_to_json texts, or matrix_to_text blocks."""
     if fmt == "json":
@@ -267,7 +343,7 @@ def _json_chunks(n: int, nodes: Iterable[_Node], edges: Iterable[_Edge]) -> Iter
     of at most ``_BATCH`` nodes or edges, so a writer need not hold it
     whole; each distinct row's and record's text is made once."""
     rows_text = _Texts(_json_row).__getitem__
-    stats = _Texts(lambda record: json.dumps(record.to_json_dict())).__getitem__
+    stats = _Texts(_stats_json).__getitem__
     matrix = '{"matrix": ' + _JSON_HEAD % n
     nodes = _listed(
         f'{matrix}{", ".join(map(rows_text, rows))}]}}, "stats": {stats(record)}, '

@@ -26,10 +26,11 @@ sum of column s after row r.  With one byte per column, B the mask of
 B_r and R_r, R_(r+1) the masks of the two rows' running sums, an up
 exchange is at ``B & R_r & ~(B >> 8) & ~R_(r+1)`` and a down exchange at
 ``~B & ~R_r & (B >> 8) & R_(r+1)``: a few word operations per pair of
-rows, read off core's row records, with no corner-sum table.  The
-covers build a matrix at each position it gives, the join-irreducible
-test reads the lower positions up to the second, and ``enumeration``'s
-cover table reads it on the masks of a column state and two steps.
+rows, read off core's row records, with no corner-sum table, and
+:func:`_exchange_columns` reads the columns off its mask.  The covers
+build a matrix at each position it gives, the join-irreducible test
+reads the lower positions up to the second, and ``enumeration``'s cover
+table reads it on the masks of a column state and two steps.
 Bigrassmannian permutations are built directly as block swaps.  This
 module's brute-force oracles, the corner-sum walk for the cover
 positions among them, live in asmlat.verify.
@@ -223,17 +224,23 @@ def _exchanges(col: int, run: int, below: int, up: bool) -> int:
     return ~col & ~run & col >> 8 & below
 
 
+def _exchange_columns(found: int) -> Iterator[int]:
+    """Each column s, ascending, whose bit (bit 0 of byte s - 1) is set in
+    ``found``, a mask of :func:`_exchanges`."""
+    while found:
+        low = found & -found
+        found ^= low
+        yield low.bit_length() // 8 + 1
+
+
 def _cover_positions(a: Asm, up: bool) -> Iterator[tuple[int, int]]:
     """Each (r, s) of a cover at a, upward or downward, in order: the
     exchange rule on the records of each two adjacent rows."""
     records, col = _records(a), 0
     for r, (top, bottom) in enumerate(zip(records, records[1:]), start=1):
         col ^= top.nonzero
-        found = _exchanges(col, top.run, bottom.run, up)
-        while found:
-            low = found & -found
-            found ^= low
-            yield r, low.bit_length() // 8 + 1
+        for s in _exchange_columns(_exchanges(col, top.run, bottom.run, up)):
+            yield r, s
 
 
 def _covers(a: Asm, up: bool) -> list[CoverEdge]:

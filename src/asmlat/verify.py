@@ -427,6 +427,18 @@ def check_cover_local_vs_generic(n: int):
     return _check_all(itertools.product(enumerate(universe), repeat=2), pred)
 
 
+def check_cover_positions(n: int):
+    # the exchange rule as the covers both ways (the up ones as kept) and
+    # the join-irreducible test read it, against the corner-sum walk
+    def pred(a: Asm):
+        lower = scanned_cover_positions(a, False)
+        walk = (scanned_cover_positions(a, True), lower, len(lower) == 1)
+        up, down = ([(e.r, e.s) for e in edges] for edges in (_covers_up(a), poset.covers_down(a)))
+        got = (up, down, poset.is_join_irreducible(a))
+        return None if got == walk else f"up, down, join-irreducible {got} != walk {walk} on\n{a}"
+    return _check_all(_asms(n), pred)
+
+
 def check_grading_and_reachability(n: int):
     checked, failures = _check_all(
         _edges(n),
@@ -726,6 +738,7 @@ SUITES: list[tuple[str, int, Suite]] = [
     ("permutation-beta-formula", 7, check_permutation_beta_formula),
     ("max-weak-inversion", 5, check_max_weak_inversion),
     ("cover-local-vs-generic", 4, check_cover_local_vs_generic),
+    ("cover-positions-vs-corner-sum-walk", 6, check_cover_positions),
     ("order-code-vs-dominance", 6, check_order_code_vs_dominance),
     ("beta-order-code-popcount", 6, check_beta_code_popcount),
     ("grading-and-reachability", 5, check_grading_and_reachability),

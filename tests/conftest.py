@@ -5,6 +5,7 @@ import random
 import pytest
 
 from asmlat import (
+    AsmError,
     Permutation,
     core,
     covers_up,
@@ -59,6 +60,15 @@ def clear_row_memos():
     """Empty the row memos of core and io, as in a fresh process."""
     for memo in (core._ROWS, io._LINES):
         memo.clear()
+
+
+def outcome(call, arg):
+    """``call(arg)``, or the AsmError it raises as its type and message,
+    so that two calls compare equal only when they agree."""
+    try:
+        return call(arg)
+    except AsmError as exc:
+        return type(exc), str(exc)
 
 
 def _cover_walk(n, steps, rng):

@@ -34,6 +34,7 @@ CHECKED_AT_CAP = {
     "permutation-beta-formula": 5_913,
     "max-weak-inversion": 481,
     "cover-local-vs-generic": 1_818,
+    "cover-positions-vs-corner-sum-walk": 7_917,
     "order-code-vs-dominance": 21_818,
     "beta-order-code-popcount": 7_917,
     "grading-and-reachability": 1_418,

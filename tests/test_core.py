@@ -31,7 +31,7 @@ from asmlat import (
 from asmlat import core
 from asmlat.core import IndexOutOfRange, check_corner_sums, iter_permutations
 
-from conftest import EXAMPLE_A_ROWS, clear_row_memos, walked_asms
+from conftest import EXAMPLE_A_ROWS, clear_row_memos, outcome, walked_asms
 
 
 def test_validate_example_a(example_a):
@@ -134,14 +134,6 @@ def _mutate(rng, rows):
         row[j] = rng.choice([True, False, 1.0, 0.0, "1", "0"])
 
 
-def _outcome(check, raw):
-    try:
-        a = check(raw)
-    except AsmError as exc:
-        return type(exc), str(exc)
-    return a
-
-
 def test_validate_matches_entrywise_scan_on_malformed_input():
     # validate's row checks against the corner-sum characterization
     # (Robbins-Rumsey): a square integer matrix is an ASM iff its corner
@@ -152,10 +144,10 @@ def test_validate_matches_entrywise_scan_on_malformed_input():
         rows = [list(row) for row in rng.choice(walked_asms(rng.randint(1, 6))).entries]
         for _ in range(rng.randint(1, 3)):
             _mutate(rng, rows)
-        got = _outcome(validate, rows)
+        got = outcome(validate, rows)
         square = all(len(row) == len(rows) for row in rows)
         if square and all(type(x) is int for row in rows for x in row):
-            want = _outcome(check_corner_sums, core._prefix_sums(rows))
+            want = outcome(check_corner_sums, core._prefix_sums(rows))
             assert isinstance(got, Asm) == isinstance(want, core.CornerSumMatrix), rows
         if isinstance(got, Asm):
             assert got == Asm(len(rows), tuple(map(tuple, rows)))
@@ -213,17 +205,17 @@ def test_validate_answers_alike_with_a_cold_or_warm_row_memo():
         for _ in range(rng.randint(0, 2)):
             _mutate(rng, rows)
         cases.append(rows)
-    want = [_outcome(_scanned, rows) for rows in cases]
+    want = [outcome(_scanned, rows) for rows in cases]
     assert sum(isinstance(w, tuple) for w in want) > 1500
     for rows, w in zip(cases, want):
         clear_row_memos()
-        assert _outcome(validate, rows) == w, rows
-        assert _outcome(validate, rows) == w, rows
+        assert outcome(validate, rows) == w, rows
+        assert outcome(validate, rows) == w, rows
     for n in range(1, 7):
         for a in walked_asms(n):
             validate(a.entries)
     for rows, w in zip(cases, want):
-        assert _outcome(validate, rows) == w, rows
+        assert outcome(validate, rows) == w, rows
     # only rows of ints that pass their own checks were stored
     assert core._ROWS and all(map(_is_asm_row, core._ROWS))
 

@@ -22,7 +22,7 @@ from asmlat.io import (
     parse_permutation,
 )
 
-from conftest import EXAMPLE_A_ROWS, clear_row_memos, walked_asms
+from conftest import EXAMPLE_A_ROWS, clear_row_memos, outcome, walked_asms
 
 
 def text_of(rows):
@@ -319,13 +319,6 @@ def _ascii_matrix_texts(draw):
     return draw(st.sampled_from(["\n", "\n \n"])).join(lines)
 
 
-def _parsed(parse, text):
-    try:
-        return parse(text)
-    except AsmError as exc:
-        return type(exc), str(exc)
-
-
 @seed(2019)
 @settings(deadline=None, max_examples=400)
 @given(
@@ -334,7 +327,7 @@ def _parsed(parse, text):
     | st.text("01- \n", max_size=40).map(lambda t: "n 2\n" + t)
 )
 def test_parse_matrix_text_matches_int_reader(text):
-    assert _parsed(parse_matrix_text, text) == _parsed(int_reader, text)
+    assert outcome(parse_matrix_text, text) == outcome(int_reader, text)
 
 
 def _malformed_texts(rng, count):
@@ -366,15 +359,15 @@ def test_parse_matrix_text_answers_alike_with_a_cold_or_warm_memo():
     # row memos are emptied before each text, hold the lines of the same
     # text, or hold those of every text before
     texts = list(_malformed_texts(random.Random(30), 3000))
-    want = [_parsed(int_reader, text) for text in texts]
+    want = [outcome(int_reader, text) for text in texts]
     assert sum(isinstance(w, tuple) for w in want) > 1000
     assert sum(not isinstance(w, tuple) for w in want) > 500
     for text, w in zip(texts, want):
         clear_row_memos()
-        assert _parsed(parse_matrix_text, text) == w, text
-        assert _parsed(parse_matrix_text, text) == w, text
+        assert outcome(parse_matrix_text, text) == w, text
+        assert outcome(parse_matrix_text, text) == w, text
     for text, w in zip(texts, want):
-        assert _parsed(parse_matrix_text, text) == w, text
+        assert outcome(parse_matrix_text, text) == w, text
     # only lines of entry tokens were stored, each with its own row
     assert asmlat_io._LINES
     for line, row in asmlat_io._LINES.items():
