@@ -277,9 +277,9 @@ def test_is_join_irreducible(middle3, pools):
 
 
 def _covers_match_the_scan(universe):
-    """The exact guard of the exchange rule, which the registry reaches
-    only through covers_up: each cover's position, in order, against the
-    corner-sum walk, each edge against the corner-sum cover test and
+    """The exact guard of the exchange rule past n = 6, where the
+    registry's cover-positions suite stops: each cover's position, in
+    order, against the corner-sum walk, each edge against the corner-sum cover test and
     try_cover both ways, and join-irreducibility against the lower
     positions counted.  Returns the up edges and the down edges found."""
     held = {a: a for a in universe}  # an end read from here keeps its memos
