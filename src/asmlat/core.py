@@ -33,11 +33,14 @@ of a row is paid once per distinct row, in one module-level row memo,
 ``_ROWS`` (a :class:`_RowMemo`, bounded by the entries of the rows it
 holds and cleared when full).  It keeps each row that passed its own
 checks with one record (:class:`_Row`): its running sums and its +1, -1
-and nonzero columns as masks, one byte per column, and the order code's
-fields where its running sums are 0, filled by the first :func:`_code`
-that needs them.  :func:`_checked` keeps the records it looked up on
-the matrix it returns; a matrix made by the raw constructor looks its
-rows up on first use.  Every per-matrix answer reads them: the column
+and nonzero columns as masks, bit j - 1 for column j, and the order
+code's fields where its running sums are 0, filled by the first
+:func:`_code` that needs them.  That bit layout is the one of every
+column state in the package: the column prefix sums here, ``poset``'s
+exchange rule, and ``enumeration``'s row table and vertex DP.
+:func:`_checked` keeps the records it looked up on the matrix it
+returns; a matrix made by the raw constructor looks its rows up on
+first use.  Every per-matrix answer reads them: the column
 checks here, the order code, ``poset``'s covers and join-irreducible
 test, and ``stats.stat_record``, each in a few word operations per row.
 
@@ -296,8 +299,8 @@ class _RowMemo(dict):
 
 
 class _Row:
-    """One valid ASM row of size n as masks, bit 0 of byte j - 1 for
-    column j: ``run``, its running sums R(j); ``plus``, ``minus`` and
+    """One valid ASM row of size n as masks, bit j - 1 for column j:
+    ``run``, its running sums R(j); ``plus``, ``minus`` and
     ``nonzero``, its +1, -1 and nonzero columns; and ``zeros``, its
     fields of the order code where R(j) is 0, every bit of each, None
     until :func:`_code` first needs them.  A nonzero entry is a change
@@ -307,8 +310,9 @@ class _Row:
     __slots__ = ("run", "plus", "minus", "nonzero", "zeros")
 
     def __init__(self, sums: bytes) -> None:
-        run = int.from_bytes(sums, "little")
-        nonzero = run ^ run << 8 ^ 1 << 8 * len(sums)  # the last sum, 1, shifted past column n
+        # the sums, each 0 or 1, read as binary digits, column n first
+        run = int(sums[::-1].hex()[1::2], 2)
+        nonzero = run ^ run << 1 ^ 1 << len(sums)  # the last sum, 1, shifted past column n
         self.run, self.plus = run, nonzero & run
         self.minus, self.nonzero, self.zeros = nonzero ^ self.plus, nonzero, None
 
@@ -340,7 +344,7 @@ def validate(raw: Sequence[Sequence[int]]) -> Asm:
     row's entries and running sums left to right, then its total, then
     its column prefix sums.  A row's own checks are made once per distinct
     row (:func:`_row_record`); the column checks are two mask tests against
-    the column prefix sums, one byte per column.  Only a row that fails is
+    the column prefix sums, bit j - 1 for column j.  Only a row that fails is
     scanned entry by entry, for the message.
     """
     return _checked(_as_rows(raw))
@@ -355,24 +359,21 @@ def _checked(rows: tuple[tuple[int, ...], ...]) -> Asm:
     for i, row in enumerate(rows, start=1):
         if len(row) != n:
             raise NotSquare(f"row {i} has {len(row)} entries, expected {n}")
-    known = _ROWS.get
-    records = [known(row) or _row_record(row) for row in rows]
-    col = 0  # the column prefix sums of the rows so far, byte j - 1 for column j
-    for i, m in enumerate(records, start=1):
+    a = Asm(n, rows)
+    col = 0  # the column prefix sums of the rows so far, bit j - 1 for column j
+    for i, m in enumerate(_records(a), start=1):
         # a +1 under a column that is 1 already, or a -1 under one that is 0
         if m is None or m.plus & col or m.minus & ~col:
             _raise_first_violation(i, rows[i - 1], col)
         col ^= m.nonzero
     # every row sums to 1 and every column ends in {0, 1}, so the n column
     # totals add up to n and each of them is 1
-    a = Asm(n, rows)
-    a.__dict__[_RECORDS] = records
     return a
 
 
 def _raise_first_violation(i: int, row: tuple[int, ...], col: int) -> None:
     """Raise the first violation of row i, which breaks one, given the
-    column prefix sums ``col`` of the rows above it (byte j - 1 for column j)."""
+    column prefix sums ``col`` of the rows above it (bit j - 1 for column j)."""
     row_sum = 0
     for j, v in enumerate(row, start=1):
         if v not in (-1, 0, 1):
@@ -383,7 +384,7 @@ def _raise_first_violation(i: int, row: tuple[int, ...], col: int) -> None:
     if row_sum != 1:
         raise BadTotalSum(f"row {i} sums to {row_sum}, expected 1")
     for j, v in enumerate(row, start=1):
-        c = (col >> 8 * (j - 1) & 1) + v
+        c = (col >> j - 1 & 1) + v
         if c not in (0, 1):
             raise BadPartialSum(f"column prefix sum {c} at ({i}, {j})")
 
@@ -449,8 +450,10 @@ def _prefix_sums(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 
 def _records(a: Asm) -> list[_Row]:
-    """a's row records, in row order: kept on a by :func:`_checked`, or
-    looked up in ``_ROWS`` on first use and then kept on a."""
+    """a's row records, in row order, looked up in ``_ROWS`` on first
+    use and then kept on a; :func:`_checked` reads them here as it
+    checks the rows, so a checked matrix keeps those it was checked
+    with."""
     records = a.__dict__.get(_RECORDS)
     if records is None:
         known = _ROWS.get
@@ -515,12 +518,12 @@ def _row_zeros(n: int, record: _Row) -> int:
     f, nonzero, plus = _field_bits(n), record.nonzero, record.plus
     zeros = 1 << f * n
     while nonzero:
-        bit = nonzero.bit_length() - 1  # bit 0 of byte a - 1 is column a
+        bit = nonzero.bit_length() - 1  # bit a - 1 is column a
         nonzero ^= 1 << bit
         if plus >> bit & 1:
-            zeros -= 1 << f * (n - bit // 8)
+            zeros -= 1 << f * (n - bit)
         else:
-            zeros += 1 << f * (n - bit // 8)
+            zeros += 1 << f * (n - bit)
     record.zeros = zeros
     return zeros
 

@@ -2,7 +2,8 @@
 
 Generation runs row by row.  The search state is the vector of column
 prefix sums, each 0 or 1 (a row of the matrix's monotone triangle), held
-as a mask in ``core._Row``'s layout, one byte per column.  One
+as a mask in ``core._Row``'s layout, bit j - 1 for column j, so the
+states of size n are the ints 0 .. 2^n - 1, the vertex DP's own.  One
 row-transition table per size, cached, lists each state (every 0/1
 vector) with its legal rows in the canonical order, row-major
 lexicographic (entry order -1 < 0 < 1), and what each adds to I, N and
@@ -12,7 +13,7 @@ Also here: the closed-form count, walked from |A_k| to |A_(k+1)| by
 one ratio of binomials; generating polynomials of the
 statistics and the signed permutation identity, by a vertex DP that
 adds one position at a time, updating each pair of states once and in
-place, builds no table, lists no matrix and packs each state's
+place, builds no row table, lists no matrix and packs each state's
 polynomial into one integer, a fixed-width field per exponent (for the
 signed identity, (-1)^I by subtraction, a signed int); and
 the full cover graph.  The graph comes from one walk of
@@ -28,7 +29,8 @@ tuple of ints, which the cyclic collector stops scanning.  The
 ``hasse`` command writes from it directly; ``build_hasse`` wraps it in
 named tuples and ``Asm`` objects.  The table and the DP read their
 shares of I, N and beta off one rule in ``stats``, as
-``stats.stat_record`` does.
+``stats.stat_record`` does, and each state's corner-sum total off one
+cached table, :func:`_corner_totals`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import Asm, AsmError, _require_size, _Row
 from .io import _Edge, _Node, _Rows, _dot_chunks, _exact, read_int
-from .poset import _EDGE_TAIL, _exchange_columns, _exchanges
+from .poset import _EDGE_TAIL, _exchanges
 from .polynomials import BivariatePolynomial, HalfIntPolynomial
 from .stats import StatRecord, _entry_shares, _record, _row_beta
 
@@ -102,11 +104,10 @@ def _row_table(n: int) -> dict[int, tuple[_Step, ...]]:
     canonical order.
 
     A state is the column prefix sums of the rows so far as a mask in
-    ``core._Row``'s layout, column j's as bit 0 of byte j - 1: every 0/1
-    vector, straight from ``itertools.product``.  A row is the first
-    difference of its running sums, any 0/1 vector that ends at 1, and
-    these vectors in lexicographic order give the rows in canonical
-    order.  A state's steps are the rows that ``core._checked`` lets
+    ``core._Row``'s layout, column j's as bit j - 1: every int 0 ..
+    2^n - 1.  A row is the first difference of its running sums, any 0/1
+    vector that ends at 1, and these vectors in lexicographic order give
+    the rows in canonical order.  A state's steps are the rows that ``core._checked`` lets
     follow it, each to the state ``col ^ nonzero``.  The state before
     row i has sum i - 1; a row adds to I and N the
     :func:`stats._entry_shares` of its positions and to beta its
@@ -116,18 +117,16 @@ def _row_table(n: int) -> dict[int, tuple[_Step, ...]]:
     for run in itertools.product((0, 1), repeat=n - 1):
         run += (1,)
         rows.append((tuple(map(operator.sub, run, (0,) + run)), _Row(bytes(run))))
-    # one int per state, each new state looked up among the keys: a fresh
+    # one int per state, each new state looked up in this list: a fresh
     # int per step took the peak at n = 12 from 44 to 56 MiB
-    states = [int.from_bytes(bytes(c), "little") for c in itertools.product((0, 1), repeat=n)]
-    state = dict(zip(states, states))
+    states, corners = list(range(1 << n)), _corner_totals(n)
     table = {}
     for col in states:
-        # corners: the sum of the corner sums that the rows so far make
-        i, corners = 1 + col.bit_count(), sum(itertools.accumulate(col.to_bytes(n, "little")))
+        i = 1 + col.bit_count()
         table[col] = tuple(
             _Step(
-                row, m, state[col ^ m.nonzero], *_entry_shares(m.run << 8, col, m.minus),
-                _row_beta(i, n, corners + m.run.bit_count()),
+                row, m, states[col ^ m.nonzero], *_entry_shares(m.run << 1, col, m.minus),
+                _row_beta(i, n, corners[col] + m.run.bit_count()),
             )
             for row, m in rows
             if not (m.plus & col or m.minus & ~col)
@@ -151,7 +150,7 @@ def _cover_table(n: int) -> dict[int, tuple[tuple[tuple[tuple[int, int], ...], .
     delta.
     """
     table = _row_table(n)
-    paths = {int.from_bytes(b"\x01" * n, "little"): 1}  # paths from each state to the last
+    paths = {(1 << n) - 1: 1}  # paths from each state to the last
     for col in sorted(table, key=int.bit_count, reverse=True)[1:]:
         paths[col] = sum(paths[step.new] for step in table[col])
     off = {}
@@ -168,8 +167,8 @@ def _cover_table(n: int) -> dict[int, tuple[tuple[tuple[tuple[int, int], ...], .
             from_q = []
             for second in table[q]:
                 q2, found = second.new, []
-                for s in _exchange_columns(_exchanges(q, top, second.record.run, True)):
-                    qx = q ^ 0x101 << 8 * s - 8  # column s's 1 moved to s + 1
+                for s in _exchanges(q, top, second.record.run, True):
+                    qx = q ^ 3 << s - 1  # column s's 1 moved to s + 1
                     delta = off[p, qx] + off[qx, q2] - off[p, q] - off[q, q2]
                     block = first.row[s - 1 : s + 1] + second.row[s - 1 : s + 1]
                     found.append((delta, _EDGE_TAIL[block][0]))  # the cover type, as _edge reads it
@@ -177,6 +176,18 @@ def _cover_table(n: int) -> dict[int, tuple[tuple[tuple[tuple[int, int], ...], .
             from_p.append(tuple(from_q))
         cover[p] = tuple(from_p)
     return cover
+
+
+@functools.cache
+def _corner_totals(n: int) -> tuple[int, ...]:
+    """The sum of the corner sums c(i, 1..n) that each column state of
+    size n makes, indexed by the state, column j's sum at bit j - 1:
+    column j adds 1 to each of c(i, j..n), so a state's total is the
+    sum of the running sums of its bits."""
+    corners = [0]
+    for k in range(n):
+        corners += [c + n - k for c in corners]
+    return tuple(corners)
 
 
 # The one list of the generating polynomials' names, which the genfun
@@ -202,9 +213,10 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int, sig
     bits are 0, or -1 where both are 1 (ASMs only); a nonzero entry flips
     both.  Shares come from the rule of ``stats``: each position's
     :func:`stats._entry_shares`, and each row's :func:`stats._row_beta`
-    from the new column state, once the row ends in a state with running
-    sum 1.  Each state carries its paths' polynomial as one int, x^e's
-    coefficient in field e of ``width`` bytes.  A position updates each
+    from the new column state's :func:`_corner_totals` entry, once the
+    row ends in a state with running sum 1.  Each state carries its
+    paths' polynomial as one int, x^e's coefficient in field e of
+    ``width`` bytes.  A position updates each
     pair of states, both bits at 0 and both at 1, once and in place, by a
     shift and an add; a state with one bit at 1 is not touched.  Only the
     moves out of a state with both bits at 1 add to I, 1 each, so the
@@ -228,11 +240,7 @@ def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int, sig
     # its -1 turns both bits to 0
     stay, down = shift(0), shift(-1)
     row_bit = 1 << n
-    # corners[state]: the sum of the corner sums its column sums make,
-    # column k + 1 (bit k) adding 1 to each of c(i, k + 1..n)
-    corners = [0]
-    for k in range(n if w_beta else 0):
-        corners += [c + n - k for c in corners]
+    corners = _corner_totals(n)
     layer = {0: 1}
     for i in range(1, n + 1):
         for k in range(n):
@@ -341,8 +349,8 @@ def iter_asms(n: int) -> Iterator[Asm]:
     """Yield every ASM of size n, canonical order, no guard, by walking
     the row table depth first from state 0, but only once the whole
     table is built: 2^(2n - 1) tests of a state and a row for (3^n - 1)/2
-    steps, so the first item takes 0.8 s and 44 MiB at n = 12, 11 s and
-    261 MiB at n = 14 (2-vCPU VM).  The walk stops at row n - 1: the state
+    steps, so the first item takes 0.65 s and 44 MiB at n = 12, 10 s and
+    260 MiB at n = 14 (2-vCPU VM).  The walk stops at row n - 1: the state
     after it has n - 1 columns at 1, so the last row is that state's one
     step, and each matrix is yielded straight from it, with no generator
     frame of its own."""

@@ -22,15 +22,16 @@ rows r, r + 1 and columns s, s + 1 moves only the corner sum c(r, s),
 so it gives an ASM again iff the four unit steps around c(r, s) stay in
 {0, 1}.  Those steps are edge states of the six-vertex model: R_r(s),
 the running sum of row r through column s, and B_r(s), the column prefix
-sum of column s after row r.  With one byte per column, B the mask of
-B_r and R_r, R_(r+1) the masks of the two rows' running sums, an up
-exchange is at ``B & R_r & ~(B >> 8) & ~R_(r+1)`` and a down exchange at
-``~B & ~R_r & (B >> 8) & R_(r+1)``: a few word operations per pair of
+sum of column s after row r.  With bit j - 1 for column j, B the mask
+of B_r and R_r, R_(r+1) the masks of the two rows' running sums, an up
+exchange is at ``B & R_r & ~(B >> 1) & ~R_(r+1)`` and a down exchange at
+``~B & ~R_r & (B >> 1) & R_(r+1)``: a few word operations per pair of
 rows, read off core's row records, with no corner-sum table, and
-:func:`_exchange_columns` reads the columns off its mask.  The covers
-build a matrix at each position it gives, the join-irreducible test
-reads the lower positions up to the second, and ``enumeration``'s cover
-table reads it on the masks of a column state and two steps.
+:func:`_exchanges` returns the columns of that mask's set bits,
+ascending.  The covers build a matrix at each position it gives, the
+join-irreducible test reads the lower positions up to the second, and
+``enumeration``'s cover table reads it on the masks of a column state
+and two steps.
 Bigrassmannian permutations are built directly as block swaps.  This
 module's brute-force oracles, the corner-sum walk for the cover
 positions among them, live in asmlat.verify.
@@ -210,27 +211,22 @@ def try_cover(a: Asm, b: Asm) -> Optional[CoverEdge]:
     return _edge(a, b, *_field_position(a.n, d.bit_length() - 1))
 
 
-def _exchanges(col: int, run: int, below: int, up: bool) -> int:
-    """The exchange rule (see the module docstring): each column s where
-    the block at rows r, r + 1 and columns s, s + 1 gives an ASM again,
-    upward or downward, as bit 0 of byte s - 1, given B_r as ``col`` and
-    R_r and R_(r+1) as ``run`` and ``below``, bit 0 of byte j - 1 for
-    column j.  Going up the steps B_r(s), R_r(s), B_r(s + 1), R_(r+1)(s)
-    must read 1, 1, 0, 0 and going down 0, 0, 1, 1; column n never
-    passes, as B_r(n + 1) reads 0 and R_(r+1)(n) reads 1.
+def _exchanges(col: int, run: int, below: int, up: bool) -> list[int]:
+    """The exchange rule (see the module docstring): each column s,
+    ascending, where the block at rows r, r + 1 and columns s, s + 1
+    gives an ASM again, upward or downward, given B_r as ``col`` and R_r
+    and R_(r+1) as ``run`` and ``below``, bit j - 1 for column j.  Going
+    up the steps B_r(s), R_r(s), B_r(s + 1), R_(r+1)(s) must read 1, 1,
+    0, 0 and going down 0, 0, 1, 1; column n never passes, as B_r(n + 1)
+    reads 0 and R_(r+1)(n) reads 1.
     """
-    if up:
-        return col & run & ~(col >> 8) & ~below
-    return ~col & ~run & col >> 8 & below
-
-
-def _exchange_columns(found: int) -> Iterator[int]:
-    """Each column s, ascending, whose bit (bit 0 of byte s - 1) is set in
-    ``found``, a mask of :func:`_exchanges`."""
+    found = col & run & ~(col >> 1) & ~below if up else ~col & ~run & col >> 1 & below
+    columns = []
     while found:
         low = found & -found
         found ^= low
-        yield low.bit_length() // 8 + 1
+        columns.append(low.bit_length())  # bit s - 1, column s
+    return columns
 
 
 def _cover_positions(a: Asm, up: bool) -> Iterator[tuple[int, int]]:
@@ -239,7 +235,7 @@ def _cover_positions(a: Asm, up: bool) -> Iterator[tuple[int, int]]:
     records, col = _records(a), 0
     for r, (top, bottom) in enumerate(zip(records, records[1:]), start=1):
         col ^= top.nonzero
-        for s in _exchange_columns(_exchanges(col, top.run, bottom.run, up)):
+        for s in _exchanges(col, top.run, bottom.run, up):
             yield r, s
 
 

@@ -216,7 +216,7 @@ def stat_record(a: Asm) -> StatRecord:
     n = a.n
     col = inv = minus = corners = rank = 0  # col: the column sums of the rows above
     for i, m in enumerate(_records(a), 1):
-        d_inv, d_minus = _entry_shares(m.run << 8, col, m.minus)
+        d_inv, d_minus = _entry_shares(m.run << 1, col, m.minus)
         col ^= m.nonzero
         corners += m.run.bit_count()
         inv, minus, rank = inv + d_inv, minus + d_minus, rank + _row_beta(i, n, corners)

@@ -425,10 +425,10 @@ def test_code_is_the_thermometer_code_of_the_corner_sums():
 
 def _record_view(row):
     """A row's record by its definition: its running sums and its +1, -1
-    and nonzero columns as masks, bit 0 of byte j - 1 for column j."""
+    and nonzero columns as masks, bit j - 1 for column j."""
     sums = list(itertools.accumulate(row))
     def mask(bits):
-        return sum(1 << 8 * j for j, b in enumerate(bits) if b)
+        return sum(1 << j for j, b in enumerate(bits) if b)
     return mask(sums), mask(x == 1 for x in row), mask(x == -1 for x in row), mask(row)
 
 

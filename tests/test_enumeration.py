@@ -25,6 +25,7 @@ from asmlat.enumeration import (
     HasseEdge,
     HasseNode,
     _asm_counts,
+    _corner_totals,
     _cover_table,
     _row_table,
     _vertex_sums,
@@ -373,9 +374,9 @@ def test_iter_asms_streams():
 
 
 def _bits(mask, n):
-    """A column state of the row table, a mask in the layout of
-    ``core._Row``, as its 0/1 tuple."""
-    return tuple(mask.to_bytes(n, "little"))
+    """A column state of the row table, a mask with column j at bit
+    j - 1, as its 0/1 tuple."""
+    return tuple(mask >> j & 1 for j in range(n))
 
 
 def _beta_share(i, new):
@@ -518,6 +519,16 @@ def test_vertex_shares_never_negative():
             i = sum(new)
             if i:
                 assert _row_beta(i, n, sum(itertools.accumulate(new))) == _beta_share(i, new) >= 0
+
+
+def test_corner_totals_match_definition():
+    # the one table of corner-sum totals that the row table and the vertex
+    # DP read: each state's sum of the running sums of its bits
+    for n in range(1, 11):
+        totals = _corner_totals(n)
+        assert len(totals) == 1 << n
+        for m, total in enumerate(totals):
+            assert total == sum(itertools.accumulate(_bits(m, n)))
 
 
 def test_row_table_matches_brute_force():
