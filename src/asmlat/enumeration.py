@@ -16,11 +16,14 @@ adds one position at a time, updating each pair of states once and in
 place, builds no row table, lists no matrix and packs each state's
 polynomial into one integer, a fixed-width field per exponent (for the
 signed identity, (-1)^I by subtraction, a signed int); and
-the full cover graph.  The graph comes from one walk of
-the row table that carries each matrix's I, N and beta, and from a second
-table, cached per size as well (:func:`_cover_table`), that lists for
-each two-row path the covers exchanging a block inside those rows and
-how far each moves the canonical index.  It finds them by ``poset``'s
+the full cover graph.  Both walks of the row table, :func:`iter_asms`
+and the graph's, are depth-first recursions that share no buffer: each
+level is handed its row prefix as a tuple, and in the graph's walk the
+sums of I, N and beta and the covers found so far on the path too.  The
+graph comes from that walk and from a second table, cached per size as
+well (:func:`_cover_table`), that lists for each two-row path the
+covers exchanging a block inside those rows and how far each moves the
+canonical index.  It finds them by ``poset``'s
 exchange rule on the column state between the two rows and each row's
 running sums, so it builds no corner sums.  The walk gives the graph in
 the one plain form ``io``'s writers take: each node as its rows, its
@@ -87,11 +90,12 @@ def count_formula(n: int) -> int:
 
 
 class _Step(NamedTuple):
-    """One legal next row from a column state, with its record, the state
-    it leads to and what it adds to I, N and beta."""
+    """One legal next row from a column state, with its running sums as
+    a mask (``core._Row.run``), the state it leads to and what it adds to
+    I, N and beta."""
 
     row: tuple[int, ...]
-    record: _Row
+    run: int
     new: int
     d_inv: int
     d_minus: int
@@ -125,7 +129,7 @@ def _row_table(n: int) -> dict[int, tuple[_Step, ...]]:
         i = 1 + col.bit_count()
         table[col] = tuple(
             _Step(
-                row, m, states[col ^ m.nonzero], *_entry_shares(m.run << 1, col, m.minus),
+                row, m.run, states[col ^ m.nonzero], *_entry_shares(m.run << 1, col, m.minus),
                 _row_beta(i, n, corners[col] + m.run.bit_count()),
             )
             for row, m in rows
@@ -163,11 +167,10 @@ def _cover_table(n: int) -> dict[int, tuple[tuple[tuple[tuple[int, int], ...], .
     for p, steps in table.items():
         from_p = []
         for first in steps:
-            q, top = first.new, first.record.run
-            from_q = []
+            q, from_q = first.new, []
             for second in table[q]:
                 q2, found = second.new, []
-                for s in _exchanges(q, top, second.record.run, True):
+                for s in _exchanges(q, first.run, second.run, True):
                     qx = q ^ 3 << s - 1  # column s's 1 moved to s + 1
                     delta = off[p, qx] + off[qx, q2] - off[p, q] - off[q, q2]
                     block = first.row[s - 1 : s + 1] + second.row[s - 1 : s + 1]
@@ -197,6 +200,12 @@ def _corner_totals(n: int) -> tuple[int, ...]:
 _STATS = {"I": ((1, 0, 0), 2), "H": ((2, -1, 0), 1), "beta": ((0, 0, 1), 2)}
 _PAIRS = ("I:beta", "H:beta")
 _UNIVERSES = ("asm", "perm")
+
+
+def _either(names: Iterable[str]) -> str:
+    """The names as a refusal lists them: "a, b or c"."""
+    *first, final = names
+    return f"{', '.join(first)} or {final}"
 
 
 def _vertex_sums(n: int, minus: bool, w_inv: int, w_minus: int, w_beta: int, signed: bool = False) -> dict[int, int]:
@@ -333,7 +342,7 @@ def _check_dp(n: int, over: str, limit_guard: Optional[int]) -> bool:
     over at most 2^(n + 1) states.  True for ASMs, False for
     permutations."""
     if over not in _UNIVERSES:
-        raise AsmError(f"unknown universe {over!r}; expected 'asm' or 'perm'")
+        raise AsmError(f"unknown universe {over!r}; expected {_either(map(repr, _UNIVERSES))}")
     _require_size(n)
 
     def steps() -> Iterator[int]:
@@ -350,26 +359,27 @@ def iter_asms(n: int) -> Iterator[Asm]:
     the row table depth first from state 0, but only once the whole
     table is built: 2^(2n - 1) tests of a state and a row for (3^n - 1)/2
     steps, so the first item takes 0.65 s and 44 MiB at n = 12, 10 s and
-    260 MiB at n = 14 (2-vCPU VM).  The walk stops at row n - 1: the state
-    after it has n - 1 columns at 1, so the last row is that state's one
-    step, and each matrix is yielded straight from it, with no generator
+    260 MiB at n = 14 (2-vCPU VM).  Each level of the walk is handed the
+    rows above it as a tuple, its prefix, and hands each of its steps on
+    as ``prefix + (step.row,)``; nothing is shared between levels.  The
+    walk stops at row n - 1: the state after it has n - 1 columns at 1,
+    so the last row is that state's one step, and each matrix is yielded
+    straight from it, ``prefix + (step.row, end.row)``, with no generator
     frame of its own."""
     _require_size(n)
     table = _row_table(n)
 
     if n == 1:  # the one matrix, (1): its row is forced from the start
         return (Asm(1, (step.row,)) for step in table[0])
-    last = n - 1  # the rows the walk chooses
+    last = n - 2  # the length of a prefix whose steps end a matrix
 
-    def rec(rows: list[tuple[int, ...]], col: int) -> Iterator[Asm]:
+    def rec(prefix: _Rows, col: int) -> Iterator[Asm]:
         for step in table[col]:
-            rows.append(step.row)
-            if len(rows) < last:
-                yield from rec(rows, step.new)
+            if len(prefix) < last:
+                yield from rec(prefix + (step.row,), step.new)
             else:
-                yield Asm(n, (*rows, table[step.new][0].row))
-            rows.pop()
-    return rec([], 0)
+                yield Asm(n, prefix + (step.row, table[step.new][0].row))
+    return rec((), 0)
 
 
 def enumerate_asms(n: int, limit_guard: Optional[int] = None) -> list[Asm]:
@@ -394,8 +404,9 @@ def genfun_stat(
     Computed by the vertex DP, without listing the matrices; the guard
     bounds the DP's steps, n^2 * 2^(n + 1).
     """
-    if stat not in _STATS:
-        raise AsmError(f"unknown statistic {stat!r}; expected I, H or beta")
+    # a str first: an unhashable stat cannot be looked up in the dict
+    if not isinstance(stat, str) or stat not in _STATS:
+        raise AsmError(f"unknown statistic {stat!r}; expected {_either(_STATS)}")
     weights, scale = _STATS[stat]
     coeffs = _vertex_sums(n, _check_dp(n, over, limit_guard), *weights)
     return HalfIntPolynomial({scale * e: c for e, c in coeffs.items()})
@@ -488,16 +499,22 @@ def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[Iterator[_Node], li
     record; and every edge as an exact (lower, upper, cover type) tuple.
     A node is join-irreducible when it has exactly one lower cover.
 
-    The walk carries the sums of I, N and beta along each path and, for
-    each pair of adjacent rows, the :func:`_cover_table` entry of their
-    two steps: node i's up edges go to i + delta.  No upper matrix is
+    Each level of the walk is handed its path's state as arguments: the
+    rows above it as a tuple, its prefix; the sums of I, N and beta; and
+    the covers found so far, one flat tuple of the (delta, cover type)
+    pairs that :func:`_cover_table` lists for each two adjacent rows of
+    the prefix.  A step hands on ``prefix + (step.row,)`` and
+    ``pending + above[k]``, the covers so far and those exchanging its
+    row with the one above, so no buffer is shared between levels.
+    Node i's up edges go to i + delta.  No upper matrix is
     built or looked up, and ``covers_up`` and ``stat_record`` are not
     called (``verify.scanned_hasse``, which calls them, is the oracle).
     Row n is forced: the state before it has n - 1 columns at 1, and its
     one step is a single +1 in the column at 0.  So the walk does not
     recurse into row n but finishes each node at row n - 1, adding that
     step's shares to the sums; the covers exchanging rows n - 1 and n are
-    the entry for the last row's step, step 0.
+    the entry for the last row's step, step 0, and the node's edges come
+    from one loop over ``found + below[k][0]``.
     An exchange at rows r, r + 1 keeps rows 1..r - 1 and makes row r
     lexicographically smaller, so read in (r, s) order the upper ends
     come out ascending and the edges need no sort.  Nothing kept per
@@ -515,44 +532,38 @@ def _walk_hasse(n: int, limit_guard: Optional[int]) -> tuple[Iterator[_Node], li
     records: list[StatRecord] = []
     known: dict[tuple[int, int, int], StatRecord] = {}
     edges: list[_Edge] = []
-    rows: list[tuple[int, ...]] = [()] * n
-    # exchanges[r]: (delta, type) of the covers exchanging rows r - 1 and
-    # r (0-based) on the current path; exchanges[0] stays empty
-    exchanges: list[tuple[tuple[int, int], ...]] = [()] * n
+    last = n - 2  # the length of a prefix whose steps end a node
 
-    last = n - 2  # the 0-based row at which each node is finished
-
-    def walk(r: int, col: int, above, inv: int, minus: int, rank: int) -> None:
+    def walk(prefix: _Rows, col: int, above, pending, inv: int, minus: int, rank: int) -> None:
         below = cover[col]
         for k, step in enumerate(table[col]):
-            rows[r] = step.row
-            if r:
-                exchanges[r] = above[k]
-            if r < last:
-                walk(r + 1, step.new, below[k], inv + step.d_inv, minus + step.d_minus, rank + step.d_beta)
+            found = pending + above[k]
+            if len(prefix) < last:
+                walk(
+                    prefix + (step.row,), step.new, below[k], found,
+                    inv + step.d_inv, minus + step.d_minus, rank + step.d_beta,
+                )
                 continue
             end = table[step.new][0]
-            rows[-1] = end.row
-            exchanges[-1] = below[k][0]
             sums = (
                 inv + step.d_inv + end.d_inv, minus + step.d_minus + end.d_minus, rank + step.d_beta + end.d_beta
             )
             i = len(matrices)
-            matrices.append(tuple(rows))
+            matrices.append(prefix + (step.row, end.row))
             # equal statistics share one record
             record = known.get(sums)
             if record is None:
                 record = known[sums] = _record(n, *sums)
             records.append(record)
             lower = ids[i]
-            for found in exchanges:
-                for delta, cover_type in found:
-                    upper = ids[i + delta]
-                    lower_covers[upper] += 1
-                    edges.append((lower, upper, cover_type))
+            for delta, cover_type in found + below[k][0]:
+                upper = ids[i + delta]
+                lower_covers[upper] += 1
+                edges.append((lower, upper, cover_type))
 
     if n > 1:
-        walk(0, 0, None, 0, 0, 0)
+        # no row lies above row 1, so no cover exchanges it with one
+        walk((), 0, ((),) * len(table[0]), (), 0, 0, 0)
     else:  # the one matrix, (1): its row is forced from the start
         (end,) = table[0]
         matrices.append((end.row,))

@@ -42,6 +42,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import operator
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -132,12 +133,17 @@ class CoverEdge(NamedTuple):
         }
 
 
+def _codes(a: Asm, b: Asm) -> tuple[int, int]:
+    """The order codes of a and b, which must be of one size."""
+    if a.n != b.n:
+        raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
+    return _code(a), _code(b)
+
+
 def compare(a: Asm, b: Asm) -> Ordering:
     """Order two matrices by entrywise domination of corner sums, read as
     subset tests on their order codes."""
-    if a.n != b.n:
-        raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    x, y = _code(a), _code(b)
+    x, y = _codes(a, b)
     if x == y:
         return Ordering.EQUAL
     if not x & ~y:
@@ -148,15 +154,18 @@ def compare(a: Asm, b: Asm) -> Ordering:
 
 
 def leq(a: Asm, b: Asm) -> bool:
-    if a.n != b.n:
-        raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    return not _code(a) & ~_code(b)
+    x, y = _codes(a, b)
+    return not x & ~y
 
 
 def _block_entries(block: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The 2x2 block's entries, row-major; each must be an int (a bool is
     not)."""
-    if len(block) != 2 or any(len(row) != 2 for row in block):
+    try:
+        square = len(block) == 2 and all(len(row) == 2 for row in block)
+    except TypeError:  # the block or one of its rows has no length
+        square = False
+    if not square:
         raise NotAnExchangeBlock("blocks must be 2x2")
     entries = tuple(x for row in block for x in row)
     for x in entries:
@@ -202,9 +211,7 @@ def try_cover(a: Asm, b: Asm) -> Optional[CoverEdge]:
     (r, s) only, where a's is the larger by one: b's code holds a's and
     one bit more, and that bit's field is (r, s).
     """
-    if a.n != b.n:
-        raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    x, y = _code(a), _code(b)
+    x, y = _codes(a, b)
     d = y & ~x
     if x & ~y or not d or d & (d - 1):
         return None
@@ -267,34 +274,30 @@ def covers_down(b: Asm) -> list[CoverEdge]:
     return _covers(b, up=False)
 
 
-def join(a: Asm, b: Asm) -> Asm:
-    """Least upper bound: entrywise minimum of corner sums, the OR of the
-    order codes.  When one code holds the other the operands are
-    comparable and the larger one is returned itself, not rebuilt."""
-    if a.n != b.n:
-        raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    x, y = _code(a), _code(b)
-    k = x | y
+def _bound(a: Asm, b: Asm, op) -> Asm:
+    """The matrix whose order code is ``op`` of a's and b's: the operand
+    whose code it is, itself and not rebuilt, else the decoded code."""
+    x, y = _codes(a, b)
+    k = op(x, y)
     if k == x:
         return a
     if k == y:
         return b
     return _from_code(a.n, k)
+
+
+def join(a: Asm, b: Asm) -> Asm:
+    """Least upper bound: entrywise minimum of corner sums, the OR of the
+    order codes.  When one code holds the other the operands are
+    comparable and the larger one is returned itself, not rebuilt."""
+    return _bound(a, b, operator.or_)
 
 
 def meet(a: Asm, b: Asm) -> Asm:
     """Greatest lower bound: entrywise maximum of corner sums, the AND of
     the order codes.  When one code holds the other the operands are
     comparable and the smaller one is returned itself, not rebuilt."""
-    if a.n != b.n:
-        raise SizeMismatch(f"sizes {a.n} and {b.n} differ")
-    x, y = _code(a), _code(b)
-    k = x & y
-    if k == x:
-        return a
-    if k == y:
-        return b
-    return _from_code(a.n, k)
+    return _bound(a, b, operator.and_)
 
 
 def is_bigrassmannian(w: Permutation) -> bool:

@@ -189,6 +189,17 @@ def test_genfun_bad_universe_and_pair():
         bivariate_genfun(3, "N:beta")
 
 
+def test_genfun_refuses_unhashable_names():
+    # a list is refused as an unknown name, not looked up in a dict; the
+    # refusals list the names the DP knows
+    with pytest.raises(AsmError) as info:
+        genfun_stat(3, ["I"])
+    assert str(info.value) == "unknown statistic ['I']; expected I, H or beta"
+    with pytest.raises(AsmError) as info:
+        genfun_stat(3, "I", over=["asm"])
+    assert str(info.value) == "unknown universe ['asm']; expected 'asm' or 'perm'"
+
+
 def test_bivariate_trivial():
     for pair in ("I:beta", "H:beta"):
         p = bivariate_genfun(1, pair)

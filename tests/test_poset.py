@@ -132,6 +132,13 @@ def test_classify_cover_type_rejects():
         classify_cover_type([[True, 0], [0, 1]], [[0, 1], [1, 0]])
 
 
+def test_classify_cover_type_refuses_a_block_with_no_length():
+    # an int block or row is not 2x2; its len() is not let escape
+    for lower, upper in (([[1, 0], [0, 1]], 5), (5, [[0, 1], [1, 0]]), ([[1, 0], 5], [[0, 1], [1, 0]])):
+        with pytest.raises(NotAnExchangeBlock, match="^blocks must be 2x2$"):
+            classify_cover_type(lower, upper)
+
+
 def test_cover_table_consistency():
     # within each table row: 2*dI - dN = 2*dH, the deltas stay in range,
     # and the starred involution is an involution
